@@ -77,8 +77,9 @@ allocation csv cherry.csv
 
 
 def make_cherry_incoherent(cherry_rows, out):
-    # same trial, but the trees tier forgets its blocks: the virus
-    # randomization is no longer balanced on what remains
+    # same trial, but the trees tier forgets its blocks; despite the name the
+    # design stays coherent, because each virus occurs twice in every block,
+    # so dropping Blocks changes nothing
     rows = []
     for i, (_, _, rs, virus) in enumerate(cherry_rows, start=1):
         rows.append((f"t{i:02d}", rs, virus))

@@ -14,7 +14,10 @@ recursion is the standard Hasse-diagram method; it produces a complete set
 of mutually orthogonal idempotents whenever the tier's partitions form an
 orthogonal (geometrically balanced) system, and the construction validates
 exactly that, so a tier whose partitions fail the property is rejected with
-the offending pair named.
+the offending pair named.  The build never forms M_F: it holds the
+normalised class indicators N_F (M_F = N_F N_F') implicitly, as class ids
+and class sizes, and takes each source's basis as N_F times the orthogonal
+complement of N_F' U_low, where U_low stacks the bases of the lower sources.
 
 Marginality can be declared (constituent-set inclusion) or observed: when
 unit-level data is attached, G < F holds iff F's observed level classes
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, Projector, TolerancePolicy, is_zero, max_abs, mul
+from .projlin import DEFAULT_POLICY, Projector, ProjectorError, TolerancePolicy, orthonormality_gap
 from .structure import Structure
 
 __all__ = [
@@ -423,18 +426,16 @@ def _recompute_df(poset: SourcePoset) -> None:
     poset.df = df
 
 
-def _class_ids(term: GeneralizedFactor, columns: dict, n: int) -> np.ndarray:
-    """Observed class index per row for ``term``'s partition."""
-    if not term.constituents:
-        return np.zeros(n, dtype=np.intp)
-    names = sorted(term.constituents)
+def _class_ids(columns: dict, names, n: int):
+    """Class index per row for the joint partition of the columns ``names``.
+
+    Classes are numbered in order of first appearance; returns (ids, keys)
+    with keys[c] the tuple of labels of class c.
+    """
     seen: dict = {}
-    ids = np.empty(n, dtype=np.intp)
-    cols = [columns[name] for name in names]
-    for i in range(n):
-        key = tuple(c[i] for c in cols)
-        ids[i] = seen.setdefault(key, len(seen))
-    return ids
+    keys = zip(*(columns[name] for name in names)) if names else [()] * n
+    ids = np.fromiter((seen.setdefault(k, len(seen)) for k in keys), dtype=np.intp, count=n)
+    return ids, list(seen)
 
 
 def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
@@ -482,7 +483,7 @@ def attach_data(
     if missing:
         raise FormulaError(f"no data column for factor {missing[0]!r}")
 
-    ids = {t.constituents: _class_ids(t, columns, n) for t in terms}
+    ids = {t.constituents: _class_ids(columns, sorted(t.constituents), n)[0] for t in terms}
     counts = {c: int(v.max()) + 1 if n else 0 for c, v in ids.items()}
 
     below: dict = {t.constituents: set() for t in terms}
@@ -588,17 +589,25 @@ def averaging_matrix(term: GeneralizedFactor, columns: dict, n: int) -> np.ndarr
 
     M[i, j] = 1/(class size) when rows i and j share the term's level
     combination, else 0.  The universe term gives J/n, a singleton-class
-    term gives the identity.
+    term gives the identity.  The build never calls this; it is for callers
+    that want the dense matrix.
     """
     if n < 1:
         raise ValueError("averaging_matrix needs at least one row")
-    ids = _class_ids(term, columns, n)
+    ids = _class_ids(columns, sorted(term.constituents), n)[0]
     m = np.zeros((n, n))
     nclasses = int(ids.max()) + 1
     for c in range(nclasses):
         idx = np.flatnonzero(ids == c)
         m[np.ix_(idx, idx)] = 1.0 / len(idx)
     return m
+
+
+def _indicator_coords(ids: np.ndarray, scale: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """N' U for normalised class indicators N: per-class sums of U's rows times scale."""
+    order = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[order], np.arange(scale.size))
+    return np.add.reduceat(basis[order], starts, axis=0) * scale[:, None]
 
 
 def source_projectors(
@@ -610,11 +619,14 @@ def source_projectors(
 ) -> Structure:
     """Build the tier's complete orthogonal structure from its poset.
 
-    Walks the poset bottom-up subtracting lower sources from each averaging
-    matrix, validating each result as a projector and the family as mutually
-    orthogonal.  Zero projectors (all df absorbed below) are dropped with a
-    notice.  Failure of orthogonality means the tier's partitions do not
-    form an orthogonal system and is reported as such.
+    Walks the poset bottom-up.  For each term F with normalised class
+    indicators N_F, the lower sources' bases U_low must have orthonormal
+    coordinates A = N_F' U_low (they sit inside span(N_F) by construction,
+    so A'A = I says exactly that they are mutually orthogonal); the source's
+    basis is N_F times the complement of A's columns, from a complete QR.
+    Zero-df sources (all df absorbed below) are dropped with a notice.
+    Failure of orthogonality means the tier's partitions do not form an
+    orthogonal system and is reported as such.
     """
     if not poset.has_data:
         poset = attach_data(poset, columns, n)
@@ -623,48 +635,57 @@ def source_projectors(
     elements = []
     notices = list(poset.notices)
     for t in order:
-        m = averaging_matrix(t, columns, n)
-        for c in poset.below[t.constituents]:
-            m = m - built[c]
+        ids = _class_ids(columns, sorted(t.constituents), n)[0]
+        scale = 1.0 / np.sqrt(np.bincount(ids))
         label = poset.label(t)
-        if poset.df[t.constituents] == 0:
-            if max_abs(m) > 1e-6:
+        lows = [built[c] for c in poset.below[t.constituents] if c in built]
+        if lows:
+            coords = _indicator_coords(ids, scale, np.hstack(lows))
+            gap = orthonormality_gap(coords)
+            if gap > policy.tol_idem:
                 raise FormulaError(
-                    f"source {label}: zero df but a non-zero matrix remains; "
+                    f"source {label} is not a projector (sources below it overlap, "
+                    f"gap {gap:.3e}); the tier's partitions are not orthogonal"
+                )
+            complement = np.linalg.qr(coords, mode="complete")[0][:, coords.shape[1]:]
+        else:
+            complement = np.eye(scale.size)
+        df = complement.shape[1]
+        if poset.df[t.constituents] == 0:
+            if df != 0:
+                raise FormulaError(
+                    f"source {label}: zero df but {df} dimensions remain; "
                     "the tier's partitions are not orthogonal"
                 )
-            built[t.constituents] = np.zeros((n, n))
             notices.append(f"source {label} has no degrees of freedom; dropped")
             continue
+        if df != poset.df[t.constituents]:
+            raise FormulaError(
+                f"source {label}: trace {df} disagrees with the Hasse "
+                f"df {poset.df[t.constituents]}"
+            )
         try:
-            proj = Projector.validated(m, label, policy)
-        except Exception as exc:
+            proj = Projector.from_basis(complement[ids] * scale[ids, None], label, policy)
+        except ProjectorError as exc:
             raise FormulaError(
                 f"source {label} is not a projector ({exc}); "
                 "the tier's partitions are not orthogonal"
             ) from None
-        if proj.df != poset.df[t.constituents]:
-            raise FormulaError(
-                f"source {label}: trace {proj.df} disagrees with the Hasse "
-                f"df {poset.df[t.constituents]}"
-            )
-        built[t.constituents] = proj.matrix
+        built[t.constituents] = proj.basis
         elements.append(proj)
 
-    for a, b in itertools.combinations(elements, 2):
-        gap = max_abs(mul(a.matrix, b.matrix))
-        if gap > policy.tol_zero:
-            raise FormulaError(
-                f"sources {a.label} and {b.label} are not orthogonal "
-                f"(max product entry {gap:.3e})"
-            )
-
-    total = averaging_matrix(poset.finest(), columns, n)
+    ids = _class_ids(columns, sorted(poset.finest().constituents), n)[0]
+    scale = 1.0 / np.sqrt(np.bincount(ids))
+    total = np.zeros((n, scale.size))
+    total[np.arange(n), ids] = scale[ids]
     structure = Structure(
         elements=elements,
-        total=Projector.validated(total, f"{space_label or 'tier'} span", policy),
+        total=Projector.from_basis(total, f"{space_label or 'tier'} span", policy),
         space_label=space_label,
         notices=notices,
     )
-    structure.validate(policy)
+    try:
+        structure.validate(policy)
+    except ValueError as exc:
+        raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
     return structure

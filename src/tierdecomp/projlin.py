@@ -1,8 +1,9 @@
-"""Dense projector arithmetic and the shared tolerance policy.
+"""Projectors in basis form and the shared tolerance policy.
 
 Everything downstream works with plain float64 numpy arrays.  A projector
-here is always symmetric and idempotent; ``Projector.validated`` is the
-single gate through which every matrix that claims to be one must pass.
+is held as an orthonormal basis U of its image (n x df), never as an n x n
+matrix: ``Projector.from_basis`` checks U'U = I, ``Projector.validated``
+is the gate for callers holding a symmetric idempotent matrix.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
 when a nearby one exists (block designs produce values like 1/6 or 5/6
 exactly, up to rounding).
@@ -10,7 +11,7 @@ exactly, up to rounding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "ProjectorError",
     "EfficiencyRangeError",
     "mul",
+    "orthonormality_gap",
     "max_abs",
     "is_zero",
     "snap_rational",
@@ -41,8 +43,10 @@ class EfficiencyRangeError(ValueError):
 class TolerancePolicy:
     """Numerical comparison thresholds used throughout the package.
 
-    All comparisons on matrix entries are absolute (entries of averaging and
-    projection matrices live in [-1, 1], so no rescaling is needed).
+    All comparisons are absolute (entries of averaging and projection
+    matrices live in [-1, 1], so no rescaling is needed).  A test on an n x n
+    quantity is made on the Frobenius norm of its basis-form counterpart,
+    which bounds every entry of it, so a tolerance never loosens.
     ``tol_eig`` is looser than the entrywise tolerances because eigensolves
     carry more noise than the products they are applied to.
     """
@@ -137,17 +141,55 @@ def is_zero(a: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return max_abs(a) <= policy.tol_zero
 
 
+def orthonormality_gap(basis: np.ndarray) -> float:
+    """Frobenius norm of U'U - I.
+
+    For P = UU' this bounds every entry of P^2 - P = U(U'U - I)U' (to first
+    order in the gap), so it is the basis-form idempotence test.
+    """
+    gram = mul(basis.T, basis)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.linalg.norm(gram))
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    if not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """A validated symmetric idempotent with a display label.
+    """An orthogonal projector held as an orthonormal basis, with a label.
 
-    ``df`` is the rounded trace (the dimension of the image).  The matrix is
-    frozen read-only at construction so shared references stay safe.
+    ``basis`` is U (n x df) with U'U = I; the projector is UU'.  ``df`` is the
+    column count.  ``matrix`` forms UU' on first use and caches it; the build
+    never needs it, so it exists for callers that want the n x n matrix
+    (tests, the oracle, table consumers).  Both arrays are read-only.
     """
 
-    matrix: np.ndarray
+    basis: np.ndarray
     label: str
-    df: int
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_basis(
+        cls,
+        basis: np.ndarray,
+        label: str,
+        policy: TolerancePolicy = DEFAULT_POLICY,
+    ) -> "Projector":
+        """Projector onto the span of ``basis``, checked as U'U = I within tol_idem.
+
+        The basis is copied, so the caller's array is left writeable."""
+        basis = np.array(basis, dtype=np.float64)
+        if basis.ndim != 2:
+            raise ProjectorError(f"{label}: basis must be 2-d, got shape {basis.shape}")
+        gap = orthonormality_gap(basis)
+        if gap > policy.tol_idem:
+            raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
+        return cls(basis=_freeze(basis), label=label)
 
     @classmethod
     def validated(
@@ -156,6 +198,8 @@ class Projector:
         label: str,
         policy: TolerancePolicy = DEFAULT_POLICY,
     ) -> "Projector":
+        """Projector from an n x n matrix: checked symmetric, idempotent and of
+        integer trace, with its basis taken from the eigenvectors of eigenvalue 1."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ProjectorError(f"{label}: projector must be square, got {matrix.shape}")
@@ -169,16 +213,41 @@ class Projector:
         df = int(round(trace))
         if abs(trace - df) > TRACE_TOL:
             raise ProjectorError(f"{label}: trace {trace!r} is not close to an integer")
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        return cls(matrix=matrix, label=label, df=df)
+        values, vectors = np.linalg.eigh(matrix)
+        basis = vectors[:, values > 0.5]
+        if basis.shape[1] != df:
+            raise ProjectorError(f"{label}: rank {basis.shape[1]} disagrees with trace {df}")
+        return cls(basis=_freeze(basis), label=label, _matrix=_freeze(matrix.copy()))
+
+    @property
+    def df(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _freeze(mul(self.basis, self.basis.T)))
+        return self._matrix
+
+    def is_mean(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+        """Is this J/n, entrywise within tol_zero?
+
+        For P = uu' the largest |u_i u_j - 1/n| sits at a corner of
+        [min u, max u]^2, so the entrywise test costs O(n).
+        """
+        if self.df != 1:
+            return False
+        u = self.basis[:, 0]
+        lo, hi, c = float(u.min()), float(u.max()), 1.0 / self.n
+        gap = max(abs(lo * lo - c), abs(hi * hi - c), abs(lo * hi - c))
+        return gap <= policy.tol_zero
 
     def relabel(self, label: str) -> "Projector":
-        return Projector(matrix=self.matrix, label=label, df=self.df)
+        return Projector(basis=self.basis, label=label, _matrix=self._matrix)
 
-    def __repr__(self) -> str:  # keep reprs short; matrices can be 648x648
+    def __repr__(self) -> str:  # keep reprs short; bases can be 648 x 486
         return f"Projector({self.label!r}, df={self.df}, n={self.n})"

@@ -30,21 +30,17 @@ report naming the step, the clashing sources, and the offending spectra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, Projector, TolerancePolicy, max_abs, mul
+from .projlin import DEFAULT_POLICY, Projector, TolerancePolicy, mul
 from .structure import (
     AllocationMap,
-    BalanceResult,
     Decomposition,
-    EfficiencyMatrix,
     Structure,
     ViolationReport,
     efficiency,
-    is_compatible,
     is_structure_balanced,
     joint,
     lift,
@@ -177,14 +173,6 @@ class BuildResult:
     reports: list
 
 
-def _sweep_equals(p: Projector, q: Projector, lam: float, policy: TolerancePolicy) -> bool:
-    """Does P ▷ Q reproduce P itself?"""
-    if p.df != q.df:
-        return False
-    swept = mul(mul(p.matrix, q.matrix), p.matrix) / lam
-    return max_abs(swept - p.matrix) <= policy.tol_idem
-
-
 def check_adjusted_orthogonality(
     p: Projector,
     qs: Structure,
@@ -209,30 +197,33 @@ def check_adjusted_orthogonality(
             cond_i = False
             witnesses.append(f"{p.label} is not balanced against {q.label}")
             continue
-        swept = mul(mul(p.matrix, q.matrix), p.matrix) / res.lam
-        gap = max_abs(mul(swept, rs.total.matrix))
+        swept = mul(p.basis, mul(p.basis.T, q.basis)) / np.sqrt(res.lam)
+        gap = np.linalg.norm(mul(swept.T, rs.total.basis))
         if gap > policy.tol_zero:
             cond_i = False
             witnesses.append(
                 f"({p.label} ▷ {q.label}) meets the {rs.space_label} span "
-                f"(max entry {gap:.3e})"
+                f"(norm {gap:.3e})"
             )
 
     cond_ii = True
+    p_r = [mul(p.basis.T, r.basis) for r in rs.elements]
     for q in qs.elements:
-        qp = mul(q.matrix, p.matrix)
-        for r in rs.elements:
-            gap = max_abs(mul(qp, r.matrix))
+        q_p = mul(q.basis.T, p.basis)
+        for r, pr in zip(rs.elements, p_r):
+            gap = np.linalg.norm(mul(q_p, pr))
             if gap > policy.tol_zero:
                 cond_ii = False
                 witnesses.append(
-                    f"{q.label} . {p.label} . {r.label} != 0 (max entry {gap:.3e})"
+                    f"{q.label} . {p.label} . {r.label} != 0 (norm {gap:.3e})"
                 )
 
-    gap_iii = max_abs(mul(mul(qs.total.matrix, p.matrix), rs.total.matrix))
+    gap_iii = np.linalg.norm(
+        mul(mul(qs.total.basis.T, p.basis), mul(p.basis.T, rs.total.basis))
+    )
     cond_iii = gap_iii <= policy.tol_zero
     if not cond_iii:
-        witnesses.append(f"I_Q . {p.label} . I_R != 0 (max entry {gap_iii:.3e})")
+        witnesses.append(f"I_Q . {p.label} . I_R != 0 (norm {gap_iii:.3e})")
 
     if not (cond_i == cond_ii == cond_iii):
         raise RuntimeError(
@@ -252,6 +243,7 @@ def check_coincident(
     qs: Structure,
     rs: Structure,
     policy: TolerancePolicy = DEFAULT_POLICY,
+    balances: tuple | None = None,
 ) -> CoincidentReport:
     """Evaluate the coincident-randomization conditions against ``against``.
 
@@ -259,41 +251,41 @@ def check_coincident(
     the sweeps must give back P whole.  Special condition (per assignment):
     whenever P meets a Q and the span of the other structure, the Q-sweep
     must give back P whole.  Both structures are assumed structure balanced
-    in relation to ``against`` (checked by the caller).
+    in relation to ``against``.  ``balances`` holds the two EfficiencyMatrix
+    results when the caller has already checked that; otherwise they are
+    computed here, and a structure that is not balanced raises ValueError.
+
+    A sweep gives back P whole exactly when P and Q are balanced with
+    lam > 0 and df_P = df_Q (C is then square and invertible); P meets the
+    span of a structure exactly when it meets one of its elements.
     """
     if isinstance(against, Decomposition):
         ps = [node.projector for node in against.nodes]
     else:
         ps = list(against.elements)
+    if balances is None:
+        balances = tuple(is_structure_balanced(s, against, policy) for s in (qs, rs))
+        for chk in balances:
+            if isinstance(chk, ViolationReport):
+                raise ValueError(chk.summary())
+    q_res, r_res = (em.results for em in balances)
 
-    lam_cache: dict = {}
+    def meets(p, q, results) -> bool:
+        return results[(p.label, q.label)].lam > policy.tol_zero
 
-    def lam_of(p, q):
-        key = (id(p), id(q))
-        if key not in lam_cache:
-            res = efficiency(p, q, policy)
-            lam_cache[key] = (res.lam if res.efficiency else 0.0, res.status)
-        return lam_cache[key]
-
-    def meets(p, q) -> bool:
-        lam, _ = lam_of(p, q)
-        return lam > policy.tol_zero
-
-    def full(p, q) -> bool:
-        lam, status = lam_of(p, q)
-        if lam <= policy.tol_zero or status == "unbalanced":
-            return False
-        return _sweep_equals(p, q, lam, policy)
+    def full(p, q, results) -> bool:
+        res = results[(p.label, q.label)]
+        return res.ok and res.lam > policy.tol_zero and p.df == q.df
 
     general = ConditionReport(condition="coincident general condition", holds=True)
     for p in ps:
         for q in qs.elements:
-            if not meets(p, q):
+            if not meets(p, q, q_res):
                 continue
             for r in rs.elements:
-                if not meets(p, r):
+                if not meets(p, r, r_res):
                     continue
-                if full(p, q) or full(p, r):
+                if full(p, q, q_res) or full(p, r, r_res):
                     general.witnesses.append(
                         f"{p.label}: fully swept by {q.label} or {r.label}"
                     )
@@ -304,17 +296,15 @@ def check_coincident(
                     "returns it whole"
                 )
 
-    def special(first: Structure, second: Structure, name: str) -> ConditionReport:
+    def special(first, first_res, second, second_res, name) -> ConditionReport:
         rep = ConditionReport(condition=name, holds=True)
-        span = second.total.matrix
         for p in ps:
-            touches_other = max_abs(mul(p.matrix, span)) > policy.tol_zero
-            if not touches_other:
+            if not any(meets(p, r, second_res) for r in second.elements):
                 continue
             for q in first.elements:
-                if not meets(p, q):
+                if not meets(p, q, first_res):
                     continue
-                if full(p, q):
+                if full(p, q, first_res):
                     rep.witnesses.append(f"{p.label} ▷ {q.label} = {p.label}")
                 else:
                     rep.holds = False
@@ -326,8 +316,8 @@ def check_coincident(
 
     return CoincidentReport(
         general=general,
-        special_as_given=special(qs, rs, "coincident special case (as declared)"),
-        special_swapped=special(rs, qs, "coincident special case (swapped)"),
+        special_as_given=special(qs, q_res, rs, r_res, "coincident special case (as declared)"),
+        special_swapped=special(rs, r_res, qs, q_res, "coincident special case (swapped)"),
     )
 
 
@@ -362,7 +352,8 @@ def check_double(
     for r in lifted.elements:
         homes = []
         for q in qs.elements:
-            gap = max_abs(mul(q.matrix, r.matrix) - r.matrix)
+            # R sits inside Q iff U_q U_q' U_r = U_r
+            gap = np.linalg.norm(mul(q.basis, mul(q.basis.T, r.basis)) - r.basis)
             if gap <= policy.tol_idem:
                 homes.append(q.label)
         if len(homes) == 1:
@@ -459,8 +450,10 @@ def _lift_tier(design, tier: str) -> Structure:
     return lift(structure, alloc, design.policy)
 
 
-def _refine_or_raise(design, d, s, step, diagnostics, tier=None, cells_for=None):
-    out = refine(d, s, design.policy, tier=tier or step.from_tier, cells_for=cells_for)
+def _refine_or_raise(design, d, s, step, diagnostics, tier=None, cells_for=None, balance=None):
+    out = refine(
+        d, s, design.policy, tier=tier or step.from_tier, cells_for=cells_for, balance=balance
+    )
     if isinstance(out, ViolationReport):
         raise IncoherenceError(_report_from_violations(design, d, out, step))
     return out
@@ -505,7 +498,7 @@ def _merge_suggestion(design, d, step, source_label, viols) -> str:
     if q is None:
         return "redesign the randomization"
     failing = {v.row for v in viols}
-    mats = [node.projector.matrix for node in d.nodes if node.label in failing]
+    bases = [node.projector.basis for node in d.nodes if node.label in failing]
     # pooling only the failing elements rarely suffices; include every element
     # the source already leans on
     for node in d.nodes:
@@ -513,13 +506,10 @@ def _merge_suggestion(design, d, step, source_label, viols) -> str:
             continue
         res = efficiency(node.projector, q, policy)
         if res.efficiency is not None and not res.efficiency.is_zero():
-            mats.append(node.projector.matrix)
+            bases.append(node.projector.basis)
             failing.add(node.label)
-    merged = np.zeros((d.n, d.n))
-    for m in mats:
-        merged = merged + m
     try:
-        pooled = Projector.validated(merged, "pooled", policy)
+        pooled = Projector.from_basis(np.hstack(bases), "pooled", policy)
         res = efficiency(pooled, q, policy)
     except Exception:
         return "redesign the randomization"
@@ -541,16 +531,13 @@ def _run_independent_pair(design, d, first, second, diagnostics, reports):
     diagnostics.extend(q_lift.notices)
     diagnostics.extend(r_lift.notices)
 
-    mean = d.nodes[0].projector.matrix  # validated: exactly one Mean, first node
     pre_nodes = list(d.nodes)
 
     d1 = _refine_or_raise(design, d, q_lift, first, diagnostics)
 
     items = []
-    n = d.n
-    j = np.full((n, n), 1.0 / n)
     for node in pre_nodes:
-        if max_abs(node.projector.matrix - j) <= design.policy.tol_zero:
+        if node.projector.is_mean(design.policy):
             continue
         rep = check_adjusted_orthogonality(node.projector, q_lift, r_lift, design.policy)
         reports.append(rep)
@@ -579,17 +566,20 @@ def _run_coincident_pair(design, d, first, second, diagnostics, reports):
     diagnostics.extend(q_lift.notices)
     diagnostics.extend(r_lift.notices)
 
+    balances = []
     for lifted, step in ((q_lift, first), (r_lift, second)):
         chk = is_structure_balanced(lifted, d, policy)
         if isinstance(chk, ViolationReport):
             raise IncoherenceError(_report_from_violations(design, d, chk, step))
+        balances.append(chk)
+    q_bal, r_bal = balances
 
-    rep = check_coincident(d, q_lift, r_lift, policy)
+    rep = check_coincident(d, q_lift, r_lift, policy, balances=(q_bal, r_bal))
     reports.append(rep)
 
     if rep.special_as_given.holds:
         rep.route = "left-to-right"
-        d1 = _refine_or_raise(design, d, q_lift, first, diagnostics)
+        d1 = _refine_or_raise(design, d, q_lift, first, diagnostics, balance=q_bal)
         return _refine_or_raise(design, d1, r_lift, second, diagnostics)
     if rep.special_swapped.holds:
         rep.route = "swapped"
@@ -597,7 +587,7 @@ def _run_coincident_pair(design, d, first, second, diagnostics, reports):
             f"coincident pair ({first.from_tier}, {second.from_tier}): special "
             "case holds after swapping; refined in swapped order"
         )
-        d1 = _refine_or_raise(design, d, r_lift, second, diagnostics)
+        d1 = _refine_or_raise(design, d, r_lift, second, diagnostics, balance=r_bal)
         return _refine_or_raise(design, d1, q_lift, first, diagnostics)
     if rep.general.holds:
         rep.route = "joint"
@@ -605,8 +595,8 @@ def _run_coincident_pair(design, d, first, second, diagnostics, reports):
             f"coincident pair ({first.from_tier}, {second.from_tier}): special "
             "case fails in both orders; emitting the joint decomposition"
         )
-        d_q = _refine_or_raise(design, d, q_lift, first, diagnostics)
-        d_r = _refine_or_raise(design, d, r_lift, second, diagnostics)
+        d_q = _refine_or_raise(design, d, q_lift, first, diagnostics, balance=q_bal)
+        d_r = _refine_or_raise(design, d, r_lift, second, diagnostics, balance=r_bal)
         out = joint(d_q, d_r, policy)
         out.label = d.label
         return out

@@ -20,6 +20,7 @@ incoherence; reporting it is its job.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from .formula import (
     FormulaError,
     PseudofactorDecl,
     _ast_factors,
+    _class_ids,
     _refines,
     attach_data,
     expand_terms,
@@ -46,7 +48,7 @@ from .randomize import (
     build_decomposition,
     diagnose_incoherence,
 )
-from .structure import AllocationMap, LiftingError, Structure
+from .structure import AllocationMap, LiftingError, Structure, lift
 from .tabrender import layout, render
 
 __all__ = [
@@ -447,17 +449,27 @@ class AllocationTable:
         return tuple(self.columns)
 
 
+def _read_text(path: Path, what: str) -> str:
+    """A file's text as UTF-8; undecodable bytes are a SpecError naming the line."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise SpecError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SpecError(
+            f"{what} file {path} is not valid UTF-8 (byte {exc.start + 1})", line
+        ) from None
+
+
 def load_table(path) -> AllocationTable:
     """Read an allocation CSV: header row, one data row per unit."""
     import csv as _csv
 
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise SpecError(f"cannot read allocation file {path}: {exc.strerror}") from None
+    rows = list(_csv.reader(io.StringIO(_read_text(path, "allocation"), newline="")))
     if not rows:
         raise SpecError(f"allocation file {path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -475,20 +487,6 @@ def load_table(path) -> AllocationTable:
             )
     columns = {name: [row[j] for row in body] for j, name in enumerate(header)}
     return AllocationTable(path=str(path), columns=columns, n=len(body))
-
-
-def _combo_ids(columns: dict, names, n: int):
-    """Class index per row for the joint partition of ``names``.
-
-    Returns (ids, combos) with combos in first-appearance order.
-    """
-    seen: dict = {}
-    ids = np.empty(n, dtype=np.intp)
-    cols = [columns[m] for m in names]
-    for i in range(n):
-        key = tuple(c[i] for c in cols)
-        ids[i] = seen.setdefault(key, len(seen))
-    return ids, list(seen)
 
 
 # --- the loaded design -----------------------------------------------------------
@@ -572,7 +570,7 @@ class Design:
                     f"{observed} distinct labels but declares {declared[col]} levels"
                 )
 
-        ids, combos = _combo_ids(
+        ids, combos = _class_ids(
             self.main.columns, [f.name for f in units.factors], self.main.n
         )
         if len(combos) != self.main.n:
@@ -610,7 +608,7 @@ class Design:
                 raise SpecError(
                     f"intermediate file {table.path}: no column {col!r}"
                 )
-        ids, combos = _combo_ids(
+        ids, combos = _class_ids(
             table.columns, [f.name for f in decl.factors], table.n
         )
         if len(combos) != table.n:
@@ -665,7 +663,7 @@ class Design:
             return self._objects[tier]
         decl = self._decl[tier]
         factor_names = [f.name for f in decl.factors]
-        ids, combos = _combo_ids(self.main.columns, factor_names, self.main.n)
+        ids, combos = _class_ids(self.main.columns, factor_names, self.main.n)
         columns = {
             name: [combo[k] for combo in combos]
             for k, name in enumerate(factor_names)
@@ -711,8 +709,8 @@ class Design:
                     if part in t.constituents and not t.is_pseudo
                 ]
                 parents |= min(holders, key=len)
-            ids, _ = _combo_ids(columns, sorted(parents), n)
-            pseudo_ids, _ = _combo_ids(columns, [p.name], n)
+            ids, _ = _class_ids(columns, sorted(parents), n)
+            pseudo_ids, _ = _class_ids(columns, [p.name], n)
             if not _refines(ids, pseudo_ids):
                 raise SpecError(
                     f"tier {decl.name!r}: pseudofactor {p.name!r} does not group "
@@ -765,7 +763,7 @@ class Design:
         decl = self._decl[from_tier]
         factor_names = [f.name for f in decl.factors]
         index_of: dict = {}
-        _, combos = _combo_ids(self.main.columns, factor_names, self.main.n)
+        _, combos = _class_ids(self.main.columns, factor_names, self.main.n)
         for k, combo in enumerate(combos):
             index_of[combo] = k
         assignment = np.empty(table.n, dtype=np.intp)
@@ -784,15 +782,19 @@ class Design:
     # -- whole-design checks (the validate subcommand) --
 
     def check(self) -> list:
-        """Build every declared structure; returns accumulated notices."""
+        """Build every declared structure and run every step's lift onto the
+        units (and onto the intermediate tier of a double step), so an
+        allocation that cannot be lifted fails here as it would in the build;
+        returns accumulated notices."""
         notices = list(self.units_structure().notices)
         for step in self.steps:
-            notices.extend(self.tier_structure(step.from_tier).notices)
+            structure = self.tier_structure(step.from_tier)
+            notices.extend(structure.notices)
+            lift(structure, self.allocation(step.from_tier), self.policy)
             if step.kind == "double":
-                notices.extend(
-                    self.intermediate_tier_structure(step.to_tiers[1]).notices
-                )
-                self.intermediate_allocation(step.to_tiers[1], step.from_tier)
+                inter = step.to_tiers[1]
+                notices.extend(self.intermediate_tier_structure(inter).notices)
+                lift(structure, self.intermediate_allocation(inter, step.from_tier), self.policy)
         seen = set()
         unique = []
         for n in notices:
@@ -817,11 +819,7 @@ def load_design(spec_path, tolerance=None, snap_den=None) -> Design:
     denominator bound.  Both win over tolerance directives in the file.
     """
     spec_path = Path(spec_path)
-    try:
-        text = spec_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot read spec file {spec_path}: {exc.strerror}") from None
-    spec = parse_spec(text)
+    spec = parse_spec(_read_text(spec_path, "spec"))
     base = spec_path.parent
     main = load_table(base / spec.allocation_path)
     intermediate = None

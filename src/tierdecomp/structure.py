@@ -17,6 +17,13 @@ element Q (all idempotents on the unit space):
 * residual: P minus all its sweeps against one structure; what is left of
   P once every partly-confounded source is removed.
 
+Every element is held as an orthonormal basis (see ``projlin``), so all of
+this runs on C = U_P' U_Q (df_P x df_Q) and never on n x n matrices:
+QPQ = lam*Q holds iff C'C = lam*I, the sweep's basis is U_P C / sqrt(lam),
+and the residual's is U_P times the complement of the sweeps' coordinates
+in R^df_P.  Each test uses a Frobenius norm of a small matrix, which bounds
+the largest entry of the n x n quantity it stands for.
+
 Refining every element of a decomposition this way yields the next, finer
 decomposition, with each element remembering its lineage for table output.
 """
@@ -34,9 +41,8 @@ from .projlin import (
     Projector,
     ProjectorError,
     TolerancePolicy,
-    is_zero,
-    max_abs,
     mul,
+    orthonormality_gap,
     snap_rational,
 )
 
@@ -75,6 +81,39 @@ class InternalInconsistencyError(RuntimeError):
     """A quantity that must be non-negative or idempotent came out otherwise."""
 
 
+def _block_norms(gram: np.ndarray, dfs) -> np.ndarray:
+    """Frobenius norm of each (i, j) block of ``gram`` cut by the sizes ``dfs``."""
+    edges = np.concatenate(([0], np.cumsum(dfs)[:-1])).astype(np.intp)
+    sq = gram * gram
+    # along rows first: reduceat over axis 0 of a large C-ordered array is slow
+    return np.sqrt(np.add.reduceat(np.add.reduceat(sq, edges, axis=1), edges, axis=0))
+
+
+def _check_family(projectors, policy: TolerancePolicy, what: str = "elements") -> None:
+    """Mutual orthogonality and orthonormality from one Gram of the stacked bases.
+
+    Diagonal blocks of G - I are held to tol_idem (idempotence), the others
+    to tol_zero (orthogonality); raises ValueError naming the first failure.
+    """
+    members = [p for p in projectors if p.df > 0]
+    if not members:
+        return
+    dfs = [p.df for p in members]
+    stacked = np.hstack([p.basis for p in members])
+    gram = mul(stacked.T, stacked)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    norms = _block_norms(gram, dfs)
+    for i, p in enumerate(members):
+        if norms[i, i] > policy.tol_idem:
+            raise ValueError(f"{p.label}: basis is not orthonormal (gap {norms[i, i]:.3e})")
+    for i, j in itertools.combinations(range(len(members)), 2):
+        if norms[i, j] > policy.tol_zero:
+            raise ValueError(
+                f"{what} {members[i].label} and {members[j].label} are not orthogonal "
+                f"(cross Gram norm {norms[i, j]:.3e})"
+            )
+
+
 @dataclass
 class Structure:
     """A complete orthogonal set of source projectors on one space."""
@@ -89,26 +128,17 @@ class Structure:
         return self.total.n
 
     def validate(self, policy: TolerancePolicy = DEFAULT_POLICY) -> None:
-        mean_count = 0
         n = self.n
-        j = np.full((n, n), 1.0 / n)
         for p in self.elements:
             if p.n != n:
                 raise ValueError(f"element {p.label} lives on the wrong space")
-            if max_abs(p.matrix - j) <= policy.tol_zero:
-                mean_count += 1
+        mean_count = sum(p.is_mean(policy) for p in self.elements)
         if mean_count != 1:
             raise ValueError(
                 f"structure {self.space_label!r} must contain exactly one Mean "
                 f"element, found {mean_count}"
             )
-        for a, b in itertools.combinations(self.elements, 2):
-            gap = max_abs(mul(a.matrix, b.matrix))
-            if gap > policy.tol_zero:
-                raise ValueError(
-                    f"elements {a.label} and {b.label} are not orthogonal "
-                    f"(max product entry {gap:.3e})"
-                )
+        _check_family(self.elements, policy)
         total_df = sum(p.df for p in self.elements)
         if total_df != self.total.df:
             raise ValueError(
@@ -116,11 +146,9 @@ class Structure:
                 f"!= span df {self.total.df}"
             )
 
-    def mean(self) -> Projector:
-        n = self.n
-        j = np.full((n, n), 1.0 / n)
+    def mean(self, policy: TolerancePolicy = DEFAULT_POLICY) -> Projector:
         for p in self.elements:
-            if max_abs(p.matrix - j) <= 1e-9:
+            if p.is_mean(policy):
                 return p
         raise ValueError("structure has no Mean element")
 
@@ -184,10 +212,11 @@ def lift(
 ) -> Structure:
     """Carry a tier structure up to the allocation's row space.
 
-    Equireplicate allocations conjugate each element: (1/r) X Q X'.  Anything
-    else must satisfy Q_i X'X Q_j = 0 for distinct elements, in which case
-    each lifted element is the orthogonal projector onto X.Im(Q); a notice
-    marks the general route.  Degrees of freedom must survive the trip.
+    Equireplicate allocations map each basis by a row gather, U[assignment]
+    / sqrt(r), which is the basis of (1/r) X Q X'.  Anything else must
+    satisfy U_i' diag(counts) U_j = 0 for distinct elements, in which case
+    each lifted element is the orthonormalised span of X U; a notice marks
+    the general route.  Degrees of freedom must survive the trip.
     """
     if len(tier_structure.elements) == 0:
         raise ValueError("cannot lift an empty structure")
@@ -197,40 +226,38 @@ def lift(
             f"allocation targets {len(alloc.objects)} objects but the tier "
             f"structure lives on {m}"
         )
-    x = alloc.design_matrix
+    rows = alloc.assignment
     notices = []
     r = alloc.replication
     lifted = []
     if r is not None:
+        scale = 1.0 / np.sqrt(r)
         for q in tier_structure.elements:
-            mat = mul(mul(x, q.matrix), x.T) / r
-            lifted.append(_lifted_projector(mat, q, policy))
-        total = mul(mul(x, tier_structure.total.matrix), x.T) / r
+            lifted.append(_lifted_projector(q.basis[rows] * scale, q, policy))
+        total = tier_structure.total.basis[rows] * scale
     else:
-        gram = mul(x.T, x)
-        for qa, qb in itertools.combinations(tier_structure.elements, 2):
-            gap = max_abs(mul(mul(qa.matrix, gram), qb.matrix))
-            if gap > policy.tol_zero:
+        counts = np.bincount(rows, minlength=m).astype(float)
+        elements = tier_structure.elements
+        stacked = np.hstack([q.basis for q in elements])
+        weighted = mul(stacked.T, stacked * counts[:, None])
+        norms = _block_norms(weighted, [q.df for q in elements])
+        for i, j in itertools.combinations(range(len(elements)), 2):
+            if norms[i, j] > policy.tol_zero:
                 raise LiftingError(
                     f"allocation to tier {alloc.tier!r} is not equireplicate and "
-                    f"sources {qa.label} / {qb.label} fail the lifting condition "
-                    f"(max entry {gap:.3e})"
+                    f"sources {elements[i].label} / {elements[j].label} fail the "
+                    f"lifting condition (cross norm {norms[i, j]:.3e})"
                 )
         notices.append(
             f"tier {alloc.tier!r}: unequal replication; general lifting applied"
         )
-        for q in tier_structure.elements:
-            basis = _orth_columns(mul(x, q.matrix))
-            mat = mul(basis, basis.T)
-            lifted.append(_lifted_projector(mat, q, policy))
-        total_basis = _orth_columns(
-            np.hstack([p.matrix for p in lifted]) if lifted else x
-        )
-        total = mul(total_basis, total_basis.T)
+        for q in elements:
+            lifted.append(_lifted_projector(_orth_columns(q.basis[rows]), q, policy))
+        total = np.hstack([p.basis for p in lifted])
 
     out = Structure(
         elements=lifted,
-        total=Projector.validated(total, f"{alloc.tier} span", policy),
+        total=Projector.from_basis(total, f"{alloc.tier} span", policy),
         space_label=alloc.space_label,
         notices=notices + list(tier_structure.notices),
     )
@@ -238,17 +265,16 @@ def lift(
     return out
 
 
-def _lifted_projector(mat: np.ndarray, q: Projector, policy: TolerancePolicy) -> Projector:
-    try:
-        proj = Projector.validated(mat, q.label, policy)
-    except ProjectorError as exc:
-        raise LiftingError(f"lift of {q.label} failed: {exc}") from None
-    if proj.df != q.df:
+def _lifted_projector(basis: np.ndarray, q: Projector, policy: TolerancePolicy) -> Projector:
+    if basis.shape[1] != q.df:
         raise LiftingError(
-            f"lift of {q.label} changed its df from {q.df} to {proj.df}; "
+            f"lift of {q.label} changed its df from {q.df} to {basis.shape[1]}; "
             "some objects are unreplicated"
         )
-    return proj
+    try:
+        return Projector.from_basis(basis, q.label, policy)
+    except ProjectorError as exc:
+        raise LiftingError(f"lift of {q.label} failed: {exc}") from None
 
 
 # --- first-order balance ----------------------------------------------------
@@ -299,9 +325,8 @@ def efficiency(
     """Test QPQ = lam*Q and report how P and Q sit relative to each other."""
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
-    pq = mul(p.matrix, q.matrix)
-    qpq = mul(q.matrix, pq)
-    return _classify(p, q, qpq, pq, policy)
+    c = mul(p.basis.T, q.basis)
+    return _classify(p, q, mul(c.T, c), policy)
 
 
 def sweep(
@@ -311,11 +336,11 @@ def sweep(
     policy: TolerancePolicy = DEFAULT_POLICY,
     label: str | None = None,
 ) -> Projector:
-    """Projector onto Im(PQ): (1/lam) PQP, defined when balance holds."""
+    """Projector onto Im(PQ), basis U_P C / sqrt(lam); defined when balance holds."""
     if lam <= policy.tol_zero:
         raise ValueError(f"sweep of {p.label} by {q.label} needs a nonzero efficiency")
-    mat = mul(mul(p.matrix, q.matrix), p.matrix) / lam
-    return Projector.validated(mat, label or f"{p.label} ▷ {q.label}", policy)
+    basis = mul(p.basis, mul(p.basis.T, q.basis)) / np.sqrt(lam)
+    return Projector.from_basis(basis, label or f"{p.label} ▷ {q.label}", policy)
 
 
 def residual(
@@ -324,23 +349,33 @@ def residual(
     policy: TolerancePolicy = DEFAULT_POLICY,
     label: str | None = None,
 ) -> Projector | None:
-    """P minus its sweeps against one structure; None when nothing is left."""
-    mat = np.array(p.matrix)
-    for s in swept:
-        mat = mat - s.matrix
-    trace = float(np.trace(mat))
-    if trace < -1e-6:
+    """P minus its sweeps against one structure; None when nothing is left.
+
+    With K = U_P' [U_S1 ... U_Sm], the sweeps are orthonormal and inside P
+    iff K'K = I; the residual's basis is U_P times the orthogonal complement
+    of K's columns in R^df_P.
+    """
+    label = label or f"{p.label} residual"
+    if not swept:
+        return p.relabel(label)
+    k = mul(p.basis.T, np.hstack([s.basis for s in swept]))
+    rem_df = p.df - k.shape[1]
+    if rem_df < 0:
         raise InternalInconsistencyError(
-            f"residual of {p.label} has negative trace {trace:.3e}"
+            f"residual of {p.label} has negative trace {rem_df}"
         )
-    if trace < 0.5:
-        if max_abs(mat) > 1e-6:
+    gap = orthonormality_gap(k)
+    if rem_df == 0:
+        if gap > 1e-6:
             raise InternalInconsistencyError(
-                f"residual of {p.label} has trace {trace:.3e} but entries up to "
-                f"{max_abs(mat):.3e}"
+                f"residual of {p.label} has trace 0 but its sweeps miss part of it "
+                f"(gap {gap:.3e})"
             )
         return None
-    return Projector.validated(mat, label or f"{p.label} residual", policy)
+    if gap > policy.tol_idem:
+        raise ProjectorError(f"{label}: not idempotent (sweep gap {gap:.3e})")
+    complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
+    return Projector.from_basis(mul(p.basis, complement), label, policy)
 
 
 # --- structure balance of a whole family -------------------------------------
@@ -379,7 +414,7 @@ class ViolationReport:
             else:
                 lines.append(
                     f"  {v.row}: {v.cols[0]} and {v.cols[1]} overlap inside it "
-                    f"(max entry {v.norm:.3e})"
+                    f"(norm {v.norm:.3e})"
                 )
         return "\n".join(lines)
 
@@ -420,15 +455,24 @@ def is_structure_balanced(
     pair must be first-order balanced or orthogonal, and distinct elements of
     ``s`` must not meet inside any single element of ``against``.  Returns an
     EfficiencyMatrix on success, a ViolationReport on failure.
+
+    For each row P one product gives C = U_P' [U_Q1 ... U_Qk] and a second
+    its Gram C'C: the diagonal blocks are the per-source C_i'C_i of the
+    first-order test, the others the C_a'C_b of the distinctness test.
     """
     rows = _elements_of(against)
+    cols = s.elements
+    dfs = [q.df for q in cols]
+    edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
+    stacked = np.hstack([q.basis for q in cols])
     violations = []
     results = {}
     for p in rows:
-        pq = {q.label: mul(p.matrix, q.matrix) for q in s.elements}
-        for q in s.elements:
-            qpq = mul(q.matrix, pq[q.label])
-            res = _classify(p, q, qpq, pq[q.label], policy)
+        c = mul(p.basis.T, stacked)
+        gram = mul(c.T, c)
+        for i, q in enumerate(cols):
+            block = gram[edges[i] : edges[i + 1], edges[i] : edges[i + 1]]
+            res = _classify(p, q, block, policy)
             results[(p.label, q.label)] = res
             if not res.ok:
                 violations.append(
@@ -440,15 +484,15 @@ def is_structure_balanced(
                         eigenvalues=res.eigenvalues,
                     )
                 )
-        for qa, qb in itertools.combinations(s.elements, 2):
-            gap = max_abs(mul(qa.matrix, pq[qb.label]))
-            if gap > policy.tol_zero:
+        norms = _block_norms(gram, dfs)
+        for a, b in itertools.combinations(range(len(cols)), 2):
+            if norms[a, b] > policy.tol_zero:
                 violations.append(
                     Violation(
                         kind="distinctness",
                         row=p.label,
-                        cols=(qa.label, qb.label),
-                        norm=gap,
+                        cols=(cols[a].label, cols[b].label),
+                        norm=float(norms[a, b]),
                     )
                 )
     if violations:
@@ -459,35 +503,41 @@ def is_structure_balanced(
         )
     em = EfficiencyMatrix(
         rows=[p.label for p in rows],
-        cols=[q.label for q in s.elements],
+        cols=[q.label for q in cols],
         results=results,
     )
     em.validate_column_sums(policy)
     return em
 
 
-def _classify(p, q, qpq, pq, policy) -> BalanceResult:
-    lam = float(np.trace(qpq)) / q.df
+def _classify(p, q, gram, policy) -> BalanceResult:
+    """Classify (P, Q) from gram = C'C, C = U_P' U_Q.
+
+    lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
+    U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
+    largest entry; QPQ is U_Q C'C U_Q', bounded the same way.
+    """
+    lam = float(np.trace(gram)) / q.df
     if abs(lam) <= policy.tol_zero:
-        gap = max_abs(qpq)
+        gap = float(np.linalg.norm(gram))
         if gap <= policy.tol_idem:
             return BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
         # QPQ is positive semidefinite, so a vanishing trace alongside
         # non-vanishing entries signals numerical breakdown, not imbalance
         raise InternalInconsistencyError(
-            f"QPQ for ({p.label}, {q.label}) has zero trace but entries up to {gap:.3e}"
+            f"QPQ for ({p.label}, {q.label}) has zero trace but norm {gap:.3e}"
         )
-    gap = max_abs(qpq - lam * q.matrix)
+    shifted = gram - lam * np.eye(gram.shape[0])
+    gap = float(np.linalg.norm(shifted))
     if gap <= policy.tol_idem:
         value = snap_rational(lam, policy)
         if 1.0 - lam <= policy.tol_zero:
             value = EfficiencyValue(1.0, (1, 1))
+            # C'C = I with C square: the two images coincide
             if p.df == q.df:
-                swept = mul(pq, p.matrix)
-                if max_abs(swept - p.matrix) <= policy.tol_idem:
-                    return BalanceResult(status="aliased", efficiency=value)
+                return BalanceResult(status="aliased", efficiency=value)
         return BalanceResult(status="balanced", efficiency=value, residual_norm=gap)
-    eigs = np.linalg.eigvalsh(qpq)
+    eigs = np.linalg.eigvalsh(gram)
     return BalanceResult(
         status="unbalanced",
         eigenvalues=_cluster_eigenvalues(eigs, policy),
@@ -557,20 +607,10 @@ class Decomposition:
             raise ValueError(
                 f"decomposition df sum {total_df} != space dimension {self.n}"
             )
-        mean_count = 0
-        j = np.full((self.n, self.n), 1.0 / self.n)
-        for node in self.nodes:
-            if max_abs(node.projector.matrix - j) <= policy.tol_zero:
-                mean_count += 1
+        mean_count = sum(node.projector.is_mean(policy) for node in self.nodes)
         if mean_count != 1:
             raise ValueError(f"decomposition must have exactly one Mean node, found {mean_count}")
-        for a, b in itertools.combinations(self.nodes, 2):
-            gap = max_abs(mul(a.projector.matrix, b.projector.matrix))
-            if gap > policy.tol_zero:
-                raise ValueError(
-                    f"nodes {a.label} and {b.label} are not orthogonal "
-                    f"(max product entry {gap:.3e})"
-                )
+        _check_family([node.projector for node in self.nodes], policy, what="nodes")
 
     @classmethod
     def from_structure(cls, s: Structure, tier: str) -> "Decomposition":
@@ -593,6 +633,7 @@ def refine(
     policy: TolerancePolicy = DEFAULT_POLICY,
     tier: str | None = None,
     cells_for: dict | None = None,
+    balance: EfficiencyMatrix | None = None,
 ):
     """Refine every node of ``d`` by the structure ``s``.
 
@@ -604,12 +645,15 @@ def refine(
     ``cells_for`` optionally maps a structure element's label to the lineage
     cells recorded for sweeps by that element (used when an element carries
     labels from two tiers after a collapsed double randomization).
+    ``balance`` is the EfficiencyMatrix of ``s`` against ``d`` when the
+    caller has already computed it; otherwise it is computed here.
     """
     tier = tier or s.space_label or "tier"
-    check = is_structure_balanced(s, d, policy)
-    if isinstance(check, ViolationReport):
-        return check
-    em: EfficiencyMatrix = check
+    if balance is None:
+        balance = is_structure_balanced(s, d, policy)
+        if isinstance(balance, ViolationReport):
+            return balance
+    em: EfficiencyMatrix = balance
 
     new_nodes = []
     for node in d.nodes:
@@ -673,18 +717,40 @@ def refine(
     return out
 
 
+def _commutator_norm(pb: Projector, pc: Projector) -> float:
+    """Spectral norm of BC - CB, from the principal angles of the two images.
+
+    With M = U_b' U_c = Y diag(cos) Z', ||BC - CB|| is the largest
+    cos * sin over the principal angles.  The sines are the column norms of
+    (U_c - U_b M) Z, computed directly so that angles near 0 stay exact.
+    """
+    m = mul(pb.basis.T, pc.basis)
+    _, cos, zt = np.linalg.svd(m)
+    if cos.size == 0:
+        return 0.0
+    outside = pc.basis - mul(pb.basis, m)
+    sin = np.linalg.norm(mul(outside, zt[: cos.size].T), axis=0)
+    return float(np.max(cos * sin))
+
+
 def is_compatible(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True when every element of ``b`` commutes with every element of ``c``."""
+    """True when every element of ``b`` commutes with every element of ``c``.
+
+    Two projectors commute iff every singular value of U_b' U_c is 0 or 1.
+    """
     for pb in _elements_of(b):
         for pc in _elements_of(c):
-            gap = max_abs(mul(pb.matrix, pc.matrix) - mul(pc.matrix, pb.matrix))
-            if gap > policy.tol_zero:
+            if _commutator_norm(pb, pc) > policy.tol_zero:
                 return False
     return True
 
 
 def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
-    """Common refinement of two compatible decompositions: nonzero products BC."""
+    """Common refinement of two compatible decompositions: nonzero products BC.
+
+    For commuting B and C the image of BC is the span of the principal
+    vectors of singular value 1 of U_b' U_c.
+    """
     if not is_compatible(b, c, policy):
         raise IncompatibilityError(
             "decompositions do not commute; no joint refinement exists"
@@ -695,11 +761,12 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
     nodes = []
     for nb in b_nodes:
         for nc in c_nodes:
-            prod = mul(nb.projector.matrix, nc.projector.matrix)
-            if is_zero(prod, policy):
+            y, cos, _ = np.linalg.svd(mul(nb.projector.basis.T, nc.projector.basis))
+            shared = int(np.sum(cos > 0.5))
+            if shared == 0:
                 continue
-            proj = Projector.validated(
-                prod, f"{nb.label} ⊓ {nc.label}", policy
+            proj = Projector.from_basis(
+                mul(nb.projector.basis, y[:, :shared]), f"{nb.label} ⊓ {nc.label}", policy
             )
             extra = tuple(
                 e for e in nc.lineage if e not in nb.lineage

@@ -1,6 +1,7 @@
 """Spec parsing, design assembly from CSV tables, and the command line."""
 
 import json
+import shutil
 
 import pytest
 
@@ -282,3 +283,45 @@ class TestCliExitCodes:
         # a tolerance outside the accepted window is a usage error, not a crash
         assert cli_main(["decompose", str(spec_path("cherry")), "--tolerance", "0.5"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def copy_bundle(name, dest):
+    """Copy a shipped bundle's spec and CSV into ``dest``; returns the spec path."""
+    shutil.copy(spec_path(name), dest)
+    shutil.copy(spec_path(name).with_suffix(".csv"), dest)
+    return dest / f"{name}.spec"
+
+
+class TestInputContract:
+    def test_non_utf8_spec_exits_2_with_line(self, tmp_path, capsys):
+        spec = copy_bundle("rcbd16", tmp_path)
+        lines = spec.read_bytes().count(b"\n")
+        spec.write_bytes(spec.read_bytes() + b"\xff\xfe\n")
+        assert cli_main(["decompose", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {lines + 1}:" in err
+        assert "rcbd16.spec is not valid UTF-8" in err
+
+    def test_non_utf8_csv_exits_2_with_line(self, tmp_path, capsys):
+        spec = copy_bundle("rcbd16", tmp_path)
+        csv = tmp_path / "rcbd16.csv"
+        rows = csv.read_bytes().split(b"\n")
+        rows[3] = rows[3].replace(b"b1", b"b\xe91")
+        csv.write_bytes(b"\n".join(rows))
+        assert cli_main(["validate", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4:" in err
+        assert "rcbd16.csv is not valid UTF-8" in err
+
+    def test_validate_runs_the_lift(self, tmp_path, capsys):
+        # one plot switched to another treatment: every column still has its
+        # declared levels, but replication is unequal and the lift fails
+        spec = copy_bundle("rcbd16", tmp_path)
+        csv = tmp_path / "rcbd16.csv"
+        text = csv.read_text()
+        assert "b1,p1,t1\n" in text
+        csv.write_text(text.replace("b1,p1,t1\n", "b1,p1,t3\n"))
+        assert cli_main(["decompose", str(spec)]) == 2
+        assert "lifting condition" in capsys.readouterr().err
+        assert cli_main(["validate", str(spec)]) == 2
+        assert "lifting condition" in capsys.readouterr().err
