@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, Projector, ProjectorError, TolerancePolicy, orthonormality_gap
-from .structure import Structure
+from .projlin import DEFAULT_POLICY, Projector, ProjectorError, TolerancePolicy, gram_defect
+from .structure import Structure, check_blocks
 
 __all__ = [
     "Factor",
@@ -627,6 +627,13 @@ def source_projectors(
     Zero-df sources (all df absorbed below) are dropped with a notice.
     Failure of orthogonality means the tier's partitions do not form an
     orthogonal system and is reported as such.
+
+    A'A - I is held to tol_idem as a whole and to the block rule of
+    ``Structure.validate``.  The finest term lies above every other, so its
+    A'A is the Gram of every source but its own, which is their complement;
+    that check covers the whole structure.  The Mean is the universe term
+    and the df sum holds by construction, so the result is not validated
+    again.
     """
     if not poset.has_data:
         poset = attach_data(poset, columns, n)
@@ -640,13 +647,19 @@ def source_projectors(
         label = poset.label(t)
         lows = [built[c] for c in poset.below[t.constituents] if c in built]
         if lows:
-            coords = _indicator_coords(ids, scale, np.hstack(lows))
-            gap = orthonormality_gap(coords)
+            coords = _indicator_coords(ids, scale, np.hstack([q.basis for q in lows]))
+            defect = gram_defect(coords)
+            gap = float(np.linalg.norm(defect))
             if gap > policy.tol_idem:
                 raise FormulaError(
                     f"source {label} is not a projector (sources below it overlap, "
                     f"gap {gap:.3e}); the tier's partitions are not orthogonal"
                 )
+            # at the finest term this is the family check of the structure and its equireplicate lifts
+            try:
+                check_blocks(defect, lows, policy)
+            except ValueError as exc:
+                raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
             complement = np.linalg.qr(coords, mode="complete")[0][:, coords.shape[1]:]
         else:
             complement = np.eye(scale.size)
@@ -671,21 +684,16 @@ def source_projectors(
                 f"source {label} is not a projector ({exc}); "
                 "the tier's partitions are not orthogonal"
             ) from None
-        built[t.constituents] = proj.basis
+        built[t.constituents] = proj
         elements.append(proj)
 
     ids = _class_ids(columns, sorted(poset.finest().constituents), n)[0]
     scale = 1.0 / np.sqrt(np.bincount(ids))
     total = np.zeros((n, scale.size))
     total[np.arange(n), ids] = scale[ids]
-    structure = Structure(
+    return Structure(
         elements=elements,
         total=Projector.from_basis(total, f"{space_label or 'tier'} span", policy),
         space_label=space_label,
         notices=notices,
     )
-    try:
-        structure.validate(policy)
-    except ValueError as exc:
-        raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
-    return structure

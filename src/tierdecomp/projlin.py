@@ -24,6 +24,7 @@ __all__ = [
     "ProjectorError",
     "EfficiencyRangeError",
     "mul",
+    "gram_defect",
     "orthonormality_gap",
     "max_abs",
     "is_zero",
@@ -141,15 +142,20 @@ def is_zero(a: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return max_abs(a) <= policy.tol_zero
 
 
+def gram_defect(basis: np.ndarray) -> np.ndarray:
+    """U'U - I."""
+    gram = mul(basis.T, basis)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return gram
+
+
 def orthonormality_gap(basis: np.ndarray) -> float:
     """Frobenius norm of U'U - I.
 
     For P = UU' this bounds every entry of P^2 - P = U(U'U - I)U' (to first
     order in the gap), so it is the basis-form idempotence test.
     """
-    gram = mul(basis.T, basis)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.linalg.norm(gram))
+    return float(np.linalg.norm(gram_defect(basis)))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -384,8 +384,10 @@ def build_decomposition(design) -> BuildResult:
     order except that a step whose target tier has not yet contributed waits
     for it.  Raises IncoherenceError as soon as a balance or coherence check
     fails, with the full report attached.
+
+    Each step checks what it creates (see ``refine``, ``lift`` and
+    ``joint``), so the final decomposition is not validated again.
     """
-    policy = design.policy
     diagnostics: list = []
     reports: list = []
 
@@ -424,7 +426,6 @@ def build_decomposition(design) -> BuildResult:
             d = _run_plain(design, d, step, diagnostics)
             incorporated.add(step.from_tier)
 
-    d.validate(policy)
     return BuildResult(decomposition=d, diagnostics=diagnostics, reports=reports)
 
 

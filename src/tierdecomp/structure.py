@@ -41,8 +41,8 @@ from .projlin import (
     Projector,
     ProjectorError,
     TolerancePolicy,
+    gram_defect,
     mul,
-    orthonormality_gap,
     snap_rational,
 )
 
@@ -89,22 +89,23 @@ def _block_norms(gram: np.ndarray, dfs) -> np.ndarray:
     return np.sqrt(np.add.reduceat(np.add.reduceat(sq, edges, axis=1), edges, axis=0))
 
 
-def _check_family(projectors, policy: TolerancePolicy, what: str = "elements") -> None:
-    """Mutual orthogonality and orthonormality from one Gram of the stacked bases.
+def check_blocks(
+    defect: np.ndarray,
+    members,
+    policy: TolerancePolicy,
+    what: str = "elements",
+    cross_only: bool = False,
+) -> None:
+    """The block rule on a Gram defect G - I cut by the members' dfs.
 
-    Diagonal blocks of G - I are held to tol_idem (idempotence), the others
-    to tol_zero (orthogonality); raises ValueError naming the first failure.
+    Diagonal blocks (each member orthonormal) must lie within tol_idem, the
+    others (members mutually orthogonal) within tol_zero; ``cross_only``
+    skips the diagonal.  Raises ValueError naming the first failure,
+    diagonal blocks first.
     """
-    members = [p for p in projectors if p.df > 0]
-    if not members:
-        return
-    dfs = [p.df for p in members]
-    stacked = np.hstack([p.basis for p in members])
-    gram = mul(stacked.T, stacked)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    norms = _block_norms(gram, dfs)
+    norms = _block_norms(defect, [m.df for m in members])
     for i, p in enumerate(members):
-        if norms[i, i] > policy.tol_idem:
+        if not cross_only and norms[i, i] > policy.tol_idem:
             raise ValueError(f"{p.label}: basis is not orthonormal (gap {norms[i, i]:.3e})")
     for i, j in itertools.combinations(range(len(members)), 2):
         if norms[i, j] > policy.tol_zero:
@@ -112,6 +113,13 @@ def _check_family(projectors, policy: TolerancePolicy, what: str = "elements") -
                 f"{what} {members[i].label} and {members[j].label} are not orthogonal "
                 f"(cross Gram norm {norms[i, j]:.3e})"
             )
+
+
+def _check_family(projectors, policy: TolerancePolicy, what: str = "elements") -> None:
+    """The block rule on one Gram of the stacked bases of ``projectors``."""
+    members = [p for p in projectors if p.df > 0]
+    if members:
+        check_blocks(gram_defect(np.hstack([p.basis for p in members])), members, policy, what)
 
 
 @dataclass
@@ -128,6 +136,11 @@ class Structure:
         return self.total.n
 
     def validate(self, policy: TolerancePolicy = DEFAULT_POLICY) -> None:
+        """One Mean, the df sum, and the block rule on the whole family.
+
+        For tests and callers; the build validates only the families it
+        cannot vouch for otherwise (a general lift, a joint refinement).
+        """
         n = self.n
         for p in self.elements:
             if p.n != n:
@@ -145,12 +158,6 @@ class Structure:
                 f"structure {self.space_label!r}: element df sum {total_df} "
                 f"!= span df {self.total.df}"
             )
-
-    def mean(self, policy: TolerancePolicy = DEFAULT_POLICY) -> Projector:
-        for p in self.elements:
-            if p.is_mean(policy):
-                return p
-        raise ValueError("structure has no Mean element")
 
 
 @dataclass
@@ -217,6 +224,11 @@ def lift(
     satisfy U_i' diag(counts) U_j = 0 for distinct elements, in which case
     each lifted element is the orthonormalised span of X U; a notice marks
     the general route.  Degrees of freedom must survive the trip.
+
+    Every lifted basis passes ``Projector.from_basis``.  The gather is an
+    isometry (X'X = rI), so the lifted family has the tier family's Gram,
+    which ``source_projectors`` checked; only the general route, whose
+    bases are new, validates the lifted structure as a whole.
     """
     if len(tier_structure.elements) == 0:
         raise ValueError("cannot lift an empty structure")
@@ -240,14 +252,13 @@ def lift(
         elements = tier_structure.elements
         stacked = np.hstack([q.basis for q in elements])
         weighted = mul(stacked.T, stacked * counts[:, None])
-        norms = _block_norms(weighted, [q.df for q in elements])
-        for i, j in itertools.combinations(range(len(elements)), 2):
-            if norms[i, j] > policy.tol_zero:
-                raise LiftingError(
-                    f"allocation to tier {alloc.tier!r} is not equireplicate and "
-                    f"sources {elements[i].label} / {elements[j].label} fail the "
-                    f"lifting condition (cross norm {norms[i, j]:.3e})"
-                )
+        try:
+            check_blocks(weighted, elements, policy, what="lifted sources", cross_only=True)
+        except ValueError as exc:
+            raise LiftingError(
+                f"allocation to tier {alloc.tier!r} is not equireplicate and fails "
+                f"the lifting condition: {exc}"
+            ) from None
         notices.append(
             f"tier {alloc.tier!r}: unequal replication; general lifting applied"
         )
@@ -261,7 +272,8 @@ def lift(
         space_label=alloc.space_label,
         notices=notices + list(tier_structure.notices),
     )
-    out.validate(policy)
+    if r is None:
+        out.validate(policy)
     return out
 
 
@@ -353,27 +365,26 @@ def residual(
 
     With K = U_P' [U_S1 ... U_Sm], the sweeps are orthonormal and inside P
     iff K'K = I; the residual's basis is U_P times the orthogonal complement
-    of K's columns in R^df_P.
+    of K's columns in R^df_P.  K'K - I is held to tol_idem as a whole and,
+    by the block rule, to tol_zero between two sweeps, so the sweeps and
+    the residual need no family check afterwards.
     """
     label = label or f"{p.label} residual"
     if not swept:
         return p.relabel(label)
     k = mul(p.basis.T, np.hstack([s.basis for s in swept]))
-    rem_df = p.df - k.shape[1]
-    if rem_df < 0:
-        raise InternalInconsistencyError(
-            f"residual of {p.label} has negative trace {rem_df}"
-        )
-    gap = orthonormality_gap(k)
-    if rem_df == 0:
-        if gap > 1e-6:
-            raise InternalInconsistencyError(
-                f"residual of {p.label} has trace 0 but its sweeps miss part of it "
-                f"(gap {gap:.3e})"
-            )
-        return None
+    defect = gram_defect(k)
+    gap = float(np.linalg.norm(defect))
+    # also caps the sweeps' df at df_P: a K wider than tall has gap >= 1
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: not idempotent (sweep gap {gap:.3e})")
+    # with from_basis on each sweep and the residual, this is all refine checks
+    try:
+        check_blocks(defect, swept, policy, what="sweeps")
+    except ValueError as exc:
+        raise ProjectorError(f"{label}: {exc}") from None
+    if k.shape[1] == p.df:
+        return None
     complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
     return Projector.from_basis(mul(p.basis, complement), label, policy)
 
@@ -602,6 +613,8 @@ class Decomposition:
     label: str = ""
 
     def validate(self, policy: TolerancePolicy = DEFAULT_POLICY) -> None:
+        """df sum n, one Mean, and the block rule on the whole family (see
+        ``Structure.validate``)."""
         total_df = sum(node.df for node in self.nodes)
         if total_df != self.n:
             raise ValueError(
@@ -647,6 +660,14 @@ def refine(
     labels from two tiers after a collapsed double randomization).
     ``balance`` is the EfficiencyMatrix of ``s`` against ``d`` when the
     caller has already computed it; otherwise it is computed here.
+
+    The refined family is not validated again as a whole; each property is
+    checked where it is made.  Every sweep and residual passes
+    ``Projector.from_basis``.  ``residual`` proves the sweeps of one node
+    orthonormal, inside it and mutually orthogonal, and the residual is
+    their exact complement there.  Children of different nodes are U_P A
+    with ||A||_2 = 1, so they inherit their parents' orthogonality to first
+    order.  The df sum and the single Mean hold by construction.
     """
     tier = tier or s.space_label or "tier"
     if balance is None:
@@ -712,9 +733,7 @@ def refine(
                 )
             )
 
-    out = Decomposition(nodes=new_nodes, n=d.n, label=d.label)
-    out.validate(policy)
-    return out
+    return Decomposition(nodes=new_nodes, n=d.n, label=d.label)
 
 
 def _commutator_norm(pb: Projector, pc: Projector) -> float:
@@ -781,5 +800,6 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
                 )
             )
     out = Decomposition(nodes=nodes, n=n, label="joint")
+    # the products BC come from SVDs of node pairs: nothing else checks them as a family
     out.validate(policy)
     return out

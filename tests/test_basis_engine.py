@@ -11,6 +11,7 @@ from tierdecomp import (
     DecompNode,
     Decomposition,
     Projector,
+    Structure,
     build_decomposition,
     check_coincident,
     diagnose_incoherence,
@@ -135,6 +136,23 @@ def test_build_never_forms_a_dense_projector(monkeypatch):
     monkeypatch.setattr(formula, "averaging_matrix", forbidden_call)
     result = build_decomposition(load_design(spec_path("corn")))
     assert sum(node.df for node in result.decomposition.nodes) == 648
+    report = diagnose_incoherence(load_design(spec_path("uneven")))
+    assert report and report.items[0].suggestion.startswith("merge sources")
+
+
+def test_build_never_revalidates_a_whole_family(monkeypatch):
+    # each property is checked where it is made; only a general lift and a
+    # joint refinement, which none of these takes, validate a whole family
+    def forbidden(self, policy=None):
+        raise AssertionError(f"{type(self).__name__}.validate called in the build")
+
+    monkeypatch.setattr(Structure, "validate", forbidden)
+    monkeypatch.setattr(Decomposition, "validate", forbidden)
+    # corn and plant: coincident; ex2: independent; grazing: double;
+    # semilatin: pseudofactors
+    for name, n in (("corn", 648), ("plant", 60), ("ex2", 24), ("grazing", 60), ("semilatin", 36)):
+        result = build_decomposition(load_design(spec_path(name)))
+        assert sum(node.df for node in result.decomposition.nodes) == n, name
     report = diagnose_incoherence(load_design(spec_path("uneven")))
     assert report and report.items[0].suggestion.startswith("merge sources")
 
