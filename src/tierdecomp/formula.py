@@ -620,13 +620,16 @@ def source_projectors(
     """Build the tier's complete orthogonal structure from its poset.
 
     Walks the poset bottom-up.  For each term F with normalised class
-    indicators N_F, the lower sources' bases U_low must have orthonormal
-    coordinates A = N_F' U_low (they sit inside span(N_F) by construction,
-    so A'A = I says exactly that they are mutually orthogonal); the source's
-    basis is N_F times the complement of A's columns, from a complete QR.
-    Zero-df sources (all df absorbed below) are dropped with a notice.
-    Failure of orthogonality means the tier's partitions do not form an
-    orthogonal system and is reported as such.
+    indicators N_F, the lower sources' bases U_low, stacked in build order,
+    must have orthonormal coordinates A = N_F' U_low (they sit inside
+    span(N_F) by construction, so A'A = I says exactly that they are
+    mutually orthogonal); the source's basis is N_F times the complement of
+    A's columns, from a complete QR.  At a finest term with one row per
+    class N_F = I, and the source is held implicitly as I - U_low U_low'
+    with no QR, as is the structure's total, the whole space.  Zero-df
+    sources (all df absorbed below) are dropped with a notice.  Failure of
+    orthogonality means the tier's partitions do not form an orthogonal
+    system and is reported as such.
 
     A'A - I is held to tol_idem as a whole and to the block rule of
     ``Structure.validate``.  The finest term lies above every other, so its
@@ -644,10 +647,15 @@ def source_projectors(
     for t in order:
         ids = _class_ids(columns, sorted(t.constituents), n)[0]
         scale = 1.0 / np.sqrt(np.bincount(ids))
+        # one row per class: N_F = I, with ids numbering the rows in order
+        whole = scale.size == n
         label = poset.label(t)
-        lows = [built[c] for c in poset.below[t.constituents] if c in built]
+        below = poset.below[t.constituents]
+        lows = [built[c] for c in built if c in below]
+        coords = None
         if lows:
-            coords = _indicator_coords(ids, scale, np.hstack([q.basis for q in lows]))
+            stacked = np.hstack([q.basis for q in lows])
+            coords = stacked if whole else _indicator_coords(ids, scale, stacked)
             defect = gram_defect(coords)
             gap = float(np.linalg.norm(defect))
             if gap > policy.tol_idem:
@@ -660,10 +668,7 @@ def source_projectors(
                 check_blocks(defect, lows, policy)
             except ValueError as exc:
                 raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
-            complement = np.linalg.qr(coords, mode="complete")[0][:, coords.shape[1]:]
-        else:
-            complement = np.eye(scale.size)
-        df = complement.shape[1]
+        df = scale.size - (0 if coords is None else coords.shape[1])
         if poset.df[t.constituents] == 0:
             if df != 0:
                 raise FormulaError(
@@ -677,23 +682,35 @@ def source_projectors(
                 f"source {label}: trace {df} disagrees with the Hasse "
                 f"df {poset.df[t.constituents]}"
             )
-        try:
-            proj = Projector.from_basis(complement[ids] * scale[ids, None], label, policy)
-        except ProjectorError as exc:
-            raise FormulaError(
-                f"source {label} is not a projector ({exc}); "
-                "the tier's partitions are not orthogonal"
-            ) from None
+        if whole:
+            proj = Projector.complement_of(np.zeros((n, 0)) if coords is None else coords, label)
+        else:
+            if coords is None:
+                complement = np.eye(scale.size)
+            else:
+                complement = np.linalg.qr(coords, mode="complete")[0][:, coords.shape[1]:]
+            try:
+                proj = Projector.from_basis(complement[ids] * scale[ids, None], label, policy)
+            except ProjectorError as exc:
+                raise FormulaError(
+                    f"source {label} is not a projector ({exc}); "
+                    "the tier's partitions are not orthogonal"
+                ) from None
         built[t.constituents] = proj
         elements.append(proj)
 
     ids = _class_ids(columns, sorted(poset.finest().constituents), n)[0]
     scale = 1.0 / np.sqrt(np.bincount(ids))
-    total = np.zeros((n, scale.size))
-    total[np.arange(n), ids] = scale[ids]
+    total_label = f"{space_label or 'tier'} span"
+    if scale.size == n:
+        total = Projector.complement_of(np.zeros((n, 0)), total_label)
+    else:
+        basis = np.zeros((n, scale.size))
+        basis[np.arange(n), ids] = scale[ids]
+        total = Projector.from_basis(basis, total_label, policy)
     return Structure(
         elements=elements,
-        total=Projector.from_basis(total, f"{space_label or 'tier'} span", policy),
+        total=total,
         space_label=space_label,
         notices=notices,
     )

@@ -1,9 +1,13 @@
 """Projectors in basis form and the shared tolerance policy.
 
 Everything downstream works with plain float64 numpy arrays.  A projector
-is held as an orthonormal basis U of its image (n x df), never as an n x n
-matrix: ``Projector.from_basis`` checks U'U = I, ``Projector.validated``
-is the gate for callers holding a symmetric idempotent matrix.
+is held as an orthonormal basis U of its image (n x df), or, for the
+largest stratum, implicitly as I - WW' with W the orthonormal bases it
+complements; never as an n x n matrix.  ``Projector.from_basis`` checks
+U'U = I, ``Projector.complement_of`` takes W as checked, and
+``Projector.validated`` is the gate for callers holding a symmetric
+idempotent matrix.  ``project`` (P X) and ``bilinear`` (X' P Y) apply
+either form, so the hot kernels need not know which one they hold.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
 when a nearby one exists (block designs produce values like 1/6 or 5/6
 exactly, up to rounding).
@@ -24,6 +28,8 @@ __all__ = [
     "ProjectorError",
     "EfficiencyRangeError",
     "mul",
+    "project",
+    "bilinear",
     "gram_defect",
     "orthonormality_gap",
     "max_abs",
@@ -165,18 +171,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """An orthogonal projector held as an orthonormal basis, with a label.
+    """An orthogonal projector with a label, held in one of two forms.
 
-    ``basis`` is U (n x df) with U'U = I; the projector is UU'.  ``df`` is the
-    column count.  ``matrix`` forms UU' on first use and caches it; the build
-    never needs it, so it exists for callers that want the n x n matrix
-    (tests, the oracle, table consumers).  Both arrays are read-only.
+    Explicit: an orthonormal basis U (n x df) of its image, the projector
+    being UU'.  Implicit: the complement of listed bases in the whole space,
+    I - WW' with W (n x m) orthonormal, so df = n - m; this is how the
+    largest stratum is held, W being bases already checked elsewhere.
+    ``project`` and ``bilinear`` apply either form.  ``basis`` of an
+    implicit projector is materialized on first use from a complete QR of
+    W (``_complement_basis``); the build uses it only off its hot routes.
+    ``matrix`` forms UU' or I - WW' on first use.  All arrays are read-only
+    and cached.
     """
 
-    basis: np.ndarray
     label: str
+    _basis: np.ndarray | None = field(default=None, repr=False)
+    _w: np.ndarray | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -195,7 +209,16 @@ class Projector:
         gap = orthonormality_gap(basis)
         if gap > policy.tol_idem:
             raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
-        return cls(basis=_freeze(basis), label=label)
+        return cls(label=label, _basis=_freeze(basis))
+
+    @classmethod
+    def complement_of(cls, w: np.ndarray, label: str) -> "Projector":
+        """I - WW', the complement of the span of W in the whole space.
+
+        The columns of W must be bases already checked orthonormal and
+        mutually orthogonal; nothing is checked here.  An n x 0 W gives I.
+        """
+        return cls(label=label, _w=_freeze(np.asarray(w, dtype=np.float64)))
 
     @classmethod
     def validated(
@@ -223,20 +246,49 @@ class Projector:
         basis = vectors[:, values > 0.5]
         if basis.shape[1] != df:
             raise ProjectorError(f"{label}: rank {basis.shape[1]} disagrees with trace {df}")
-        return cls(basis=_freeze(basis), label=label, _matrix=_freeze(matrix.copy()))
+        return cls(label=label, _basis=_freeze(basis), _matrix=_freeze(matrix.copy()))
+
+    @property
+    def implicit(self) -> bool:
+        return self._w is not None
+
+    @property
+    def w(self) -> np.ndarray:
+        """The listed bases W of an implicit projector I - WW'."""
+        if self._w is None:
+            raise AttributeError(f"{self.label} is held by its own basis, not as a complement")
+        return self._w
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            object.__setattr__(self, "_basis", _freeze(self._complement_basis()))
+        return self._basis
+
+    def _complement_basis(self) -> np.ndarray:
+        """Orthonormal basis of I - WW': the trailing columns of a complete QR of W."""
+        return np.linalg.qr(self._w, mode="complete")[0][:, self._w.shape[1]:]
 
     @property
     def df(self) -> int:
-        return self.basis.shape[1]
+        if self._w is not None:
+            return self._w.shape[0] - self._w.shape[1]
+        return self._basis.shape[1]
 
     @property
     def n(self) -> int:
-        return self.basis.shape[0]
+        return (self._basis if self._w is None else self._w).shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            object.__setattr__(self, "_matrix", _freeze(mul(self.basis, self.basis.T)))
+            if self._w is None:
+                m = mul(self._basis, self._basis.T)
+            else:
+                m = mul(self._w, self._w.T)
+                np.negative(m, out=m)
+                m[np.diag_indices_from(m)] += 1.0
+            object.__setattr__(self, "_matrix", _freeze(m))
         return self._matrix
 
     def is_mean(self, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -253,7 +305,28 @@ class Projector:
         return gap <= policy.tol_zero
 
     def relabel(self, label: str) -> "Projector":
-        return Projector(basis=self.basis, label=label, _matrix=self._matrix)
+        return replace(self, label=label)
 
     def __repr__(self) -> str:  # keep reprs short; bases can be 648 x 486
         return f"Projector({self.label!r}, df={self.df}, n={self.n})"
+
+
+def project(p: Projector, x: np.ndarray) -> np.ndarray:
+    """P X: U(U'X), or X - W(W'X) when P = I - WW' is implicit."""
+    if p.implicit:
+        return x - mul(p.w, mul(p.w.T, x))
+    return mul(p.basis, mul(p.basis.T, x))
+
+
+def bilinear(x: np.ndarray, p: Projector, y: np.ndarray) -> np.ndarray:
+    """X' P Y: (U'X)'(U'Y), or X'Y - (W'X)'(W'Y) when P = I - WW' is implicit.
+
+    Pass the same array as ``x`` and ``y`` to form its coordinates once.
+    """
+    if p.implicit:
+        a = mul(p.w.T, x)
+        b = a if y is x else mul(p.w.T, y)
+        return mul(x.T, y) - mul(a.T, b)
+    a = mul(p.basis.T, x)
+    b = a if y is x else mul(p.basis.T, y)
+    return mul(a.T, b)

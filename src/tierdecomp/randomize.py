@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, Projector, TolerancePolicy, mul
+from .projlin import DEFAULT_POLICY, Projector, TolerancePolicy, bilinear, project
 from .structure import (
     AllocationMap,
     Decomposition,
     Structure,
     ViolationReport,
+    balance_of_sum,
     efficiency,
     is_structure_balanced,
     joint,
@@ -197,8 +198,8 @@ def check_adjusted_orthogonality(
             cond_i = False
             witnesses.append(f"{p.label} is not balanced against {q.label}")
             continue
-        swept = mul(p.basis, mul(p.basis.T, q.basis)) / np.sqrt(res.lam)
-        gap = np.linalg.norm(mul(swept.T, rs.total.basis))
+        swept = project(p, q.basis) / np.sqrt(res.lam)
+        gap = np.linalg.norm(project(rs.total, swept))
         if gap > policy.tol_zero:
             cond_i = False
             witnesses.append(
@@ -207,20 +208,16 @@ def check_adjusted_orthogonality(
             )
 
     cond_ii = True
-    p_r = [mul(p.basis.T, r.basis) for r in rs.elements]
     for q in qs.elements:
-        q_p = mul(q.basis.T, p.basis)
-        for r, pr in zip(rs.elements, p_r):
-            gap = np.linalg.norm(mul(q_p, pr))
+        for r in rs.elements:
+            gap = np.linalg.norm(bilinear(q.basis, p, r.basis))
             if gap > policy.tol_zero:
                 cond_ii = False
                 witnesses.append(
                     f"{q.label} . {p.label} . {r.label} != 0 (norm {gap:.3e})"
                 )
 
-    gap_iii = np.linalg.norm(
-        mul(mul(qs.total.basis.T, p.basis), mul(p.basis.T, rs.total.basis))
-    )
+    gap_iii = np.linalg.norm(bilinear(qs.total.basis, p, rs.total.basis))
     cond_iii = gap_iii <= policy.tol_zero
     if not cond_iii:
         witnesses.append(f"I_Q . {p.label} . I_R != 0 (norm {gap_iii:.3e})")
@@ -352,8 +349,8 @@ def check_double(
     for r in lifted.elements:
         homes = []
         for q in qs.elements:
-            # R sits inside Q iff U_q U_q' U_r = U_r
-            gap = np.linalg.norm(mul(q.basis, mul(q.basis.T, r.basis)) - r.basis)
+            # R sits inside Q iff Q U_r = U_r
+            gap = np.linalg.norm(project(q, r.basis) - r.basis)
             if gap <= policy.tol_idem:
                 homes.append(q.label)
         if len(homes) == 1:
@@ -499,7 +496,6 @@ def _merge_suggestion(design, d, step, source_label, viols) -> str:
     if q is None:
         return "redesign the randomization"
     failing = {v.row for v in viols}
-    bases = [node.projector.basis for node in d.nodes if node.label in failing]
     # pooling only the failing elements rarely suffices; include every element
     # the source already leans on
     for node in d.nodes:
@@ -507,11 +503,9 @@ def _merge_suggestion(design, d, step, source_label, viols) -> str:
             continue
         res = efficiency(node.projector, q, policy)
         if res.efficiency is not None and not res.efficiency.is_zero():
-            bases.append(node.projector.basis)
             failing.add(node.label)
     try:
-        pooled = Projector.from_basis(np.hstack(bases), "pooled", policy)
-        res = efficiency(pooled, q, policy)
+        res = balance_of_sum([n.projector for n in d.nodes if n.label in failing], q, policy)
     except Exception:
         return "redesign the randomization"
     if res.ok:

@@ -13,7 +13,8 @@ Design ready for the build loop, and ``cli_main`` wires the subcommands:
     tierdecomp oracle    design.spec --max-units 64
 
 Exit codes: 0 success, 1 incoherence (decompose) or mismatch (oracle),
-2 parse/IO/validation failure.  ``diagnose`` exits 0 even when it finds
+2 parse/IO/validation failure or a numerical check that fails (usually a
+``--tolerance`` tighter than the build's rounding).  ``diagnose`` exits 0 even when it finds
 incoherence; reporting it is its job.
 """
 
@@ -39,7 +40,7 @@ from .formula import (
     parse_formula,
     source_projectors,
 )
-from .projlin import DEFAULT_POLICY, TolerancePolicy
+from .projlin import DEFAULT_POLICY, ProjectorError, TolerancePolicy
 from .randomize import (
     BuildError,
     IncoherenceError,
@@ -48,7 +49,13 @@ from .randomize import (
     build_decomposition,
     diagnose_incoherence,
 )
-from .structure import AllocationMap, LiftingError, Structure, lift
+from .structure import (
+    AllocationMap,
+    InternalInconsistencyError,
+    LiftingError,
+    Structure,
+    lift,
+)
 from .tabrender import layout, render
 
 __all__ = [
@@ -958,6 +965,13 @@ def cli_main(argv=None) -> int:
         return 1
     except (SpecError, FormulaError, BuildError, LiftingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ProjectorError, InternalInconsistencyError) as exc:
+        print(
+            f"error: {exc} (a numerical check failed; --tolerance may be tighter "
+            "than the build's rounding)",
+            file=sys.stderr,
+        )
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,12 +17,14 @@ element Q (all idempotents on the unit space):
 * residual: P minus all its sweeps against one structure; what is left of
   P once every partly-confounded source is removed.
 
-Every element is held as an orthonormal basis (see ``projlin``), so all of
-this runs on C = U_P' U_Q (df_P x df_Q) and never on n x n matrices:
-QPQ = lam*Q holds iff C'C = lam*I, the sweep's basis is U_P C / sqrt(lam),
+Every element is held as an orthonormal basis, or as the implicit
+complement I - WW' of listed bases (see ``projlin``), so all of this runs
+on C = U_P' U_Q (df_P x df_Q) and never on n x n matrices: QPQ = lam*Q
+holds iff C'C = U_Q' P U_Q = lam*I, the sweep's basis is P U_Q / sqrt(lam),
 and the residual's is U_P times the complement of the sweeps' coordinates
-in R^df_P.  Each test uses a Frobenius norm of a small matrix, which bounds
-the largest entry of the n x n quantity it stands for.
+in R^df_P, or I - [W, sweeps][W, sweeps]' when P is implicit.  Each test
+uses a Frobenius norm of a small matrix, which bounds the largest entry of
+the n x n quantity it stands for.
 
 Refining every element of a decomposition this way yields the next, finer
 decomposition, with each element remembering its lineage for table output.
@@ -41,8 +43,10 @@ from .projlin import (
     Projector,
     ProjectorError,
     TolerancePolicy,
+    bilinear,
     gram_defect,
     mul,
+    project,
     snap_rational,
 )
 
@@ -53,6 +57,7 @@ __all__ = [
     "lift",
     "BalanceResult",
     "efficiency",
+    "balance_of_sum",
     "EfficiencyMatrix",
     "Violation",
     "ViolationReport",
@@ -220,12 +225,16 @@ def lift(
     """Carry a tier structure up to the allocation's row space.
 
     Equireplicate allocations map each basis by a row gather, U[assignment]
-    / sqrt(r), which is the basis of (1/r) X Q X'.  Anything else must
+    / sqrt(r), which is the basis of (1/r) X Q X'; with r = 1 the gather is
+    a permutation and an implicit I - WW' becomes I - W[assignment]
+    W[assignment]'.  With r > 1 an implicit source's basis is materialized
+    on the tier's own objects, m = n / r of them.  Anything else must
     satisfy U_i' diag(counts) U_j = 0 for distinct elements, in which case
     each lifted element is the orthonormalised span of X U; a notice marks
     the general route.  Degrees of freedom must survive the trip.
 
-    Every lifted basis passes ``Projector.from_basis``.  The gather is an
+    Every lifted basis passes ``Projector.from_basis``; a permuted implicit
+    source keeps its W, checked where it was made.  The gather is an
     isometry (X'X = rI), so the lifted family has the tier family's Gram,
     which ``source_projectors`` checked; only the general route, whose
     bases are new, validates the lifted structure as a whole.
@@ -242,11 +251,16 @@ def lift(
     notices = []
     r = alloc.replication
     lifted = []
-    if r is not None:
+    total_label = f"{alloc.tier} span"
+    if r == 1:
+        for q in tier_structure.elements:
+            lifted.append(_permuted(q, rows, q.label, policy))
+        total = _permuted(tier_structure.total, rows, total_label, policy)
+    elif r is not None:
         scale = 1.0 / np.sqrt(r)
         for q in tier_structure.elements:
             lifted.append(_lifted_projector(q.basis[rows] * scale, q, policy))
-        total = tier_structure.total.basis[rows] * scale
+        total = Projector.from_basis(tier_structure.total.basis[rows] * scale, total_label, policy)
     else:
         counts = np.bincount(rows, minlength=m).astype(float)
         elements = tier_structure.elements
@@ -264,17 +278,24 @@ def lift(
         )
         for q in elements:
             lifted.append(_lifted_projector(_orth_columns(q.basis[rows]), q, policy))
-        total = np.hstack([p.basis for p in lifted])
+        total = Projector.from_basis(np.hstack([p.basis for p in lifted]), total_label, policy)
 
     out = Structure(
         elements=lifted,
-        total=Projector.from_basis(total, f"{alloc.tier} span", policy),
+        total=total,
         space_label=alloc.space_label,
         notices=notices + list(tier_structure.notices),
     )
     if r is None:
         out.validate(policy)
     return out
+
+
+def _permuted(q: Projector, rows: np.ndarray, label: str, policy: TolerancePolicy) -> Projector:
+    """``q`` carried by a bijection: the rows of its basis, or of W, permuted."""
+    if q.implicit:
+        return Projector.complement_of(q.w[rows], label)
+    return Projector.from_basis(q.basis[rows], label, policy)
 
 
 def _lifted_projector(basis: np.ndarray, q: Projector, policy: TolerancePolicy) -> Projector:
@@ -337,8 +358,40 @@ def efficiency(
     """Test QPQ = lam*Q and report how P and Q sit relative to each other."""
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
-    c = mul(p.basis.T, q.basis)
-    return _classify(p, q, mul(c.T, c), policy)
+    if q.implicit:
+        gram, fill = _implicit_gram(p, q)
+    else:
+        gram, fill = bilinear(q.basis, p, q.basis), 0.0
+    return _classify(p.label, p.df, q, gram, policy, fill)
+
+
+def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POLICY) -> BalanceResult:
+    """``efficiency`` of P = the sum of the mutually orthogonal ``ps`` against Q.
+
+    U_Q'PU_Q is the sum of the U_Q'P_iU_Q, so P itself is never formed.
+    """
+    gram = sum(bilinear(q.basis, p, q.basis) for p in ps)
+    return _classify(" + ".join(p.label for p in ps), sum(p.df for p in ps), q, gram, policy)
+
+
+def _implicit_gram(p: Projector, q: Projector):
+    """(G, fill) for an implicit Q = I - VV': C'C (df_Q x df_Q) has the
+    eigenvalues of the small G and df_Q - len(G) more equal to fill.
+
+    Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - WW':
+    C'C = I - E'E with E = W'U_Q and EE' = W' Q W, so G = I - W' Q W and
+    C'C adds ones.  When G would be the larger side, Q's basis is
+    materialized and C'C formed directly.
+    """
+    side = p.w if p.implicit else p.basis
+    if side.shape[1] > q.df:
+        return bilinear(q.basis, p, q.basis), 0.0
+    g = bilinear(side, q, side)
+    if not p.implicit:
+        return g, 0.0
+    g = -g
+    g[np.diag_indices_from(g)] += 1.0
+    return g, 1.0
 
 
 def sweep(
@@ -348,10 +401,10 @@ def sweep(
     policy: TolerancePolicy = DEFAULT_POLICY,
     label: str | None = None,
 ) -> Projector:
-    """Projector onto Im(PQ), basis U_P C / sqrt(lam); defined when balance holds."""
+    """Projector onto Im(PQ), basis P U_Q / sqrt(lam); defined when balance holds."""
     if lam <= policy.tol_zero:
         raise ValueError(f"sweep of {p.label} by {q.label} needs a nonzero efficiency")
-    basis = mul(p.basis, mul(p.basis.T, q.basis)) / np.sqrt(lam)
+    basis = project(p, q.basis) / np.sqrt(lam)
     return Projector.from_basis(basis, label or f"{p.label} ▷ {q.label}", policy)
 
 
@@ -363,17 +416,24 @@ def residual(
 ) -> Projector | None:
     """P minus its sweeps against one structure; None when nothing is left.
 
-    With K = U_P' [U_S1 ... U_Sm], the sweeps are orthonormal and inside P
-    iff K'K = I; the residual's basis is U_P times the orthogonal complement
-    of K's columns in R^df_P.  K'K - I is held to tol_idem as a whole and,
-    by the block rule, to tol_zero between two sweeps, so the sweeps and
-    the residual need no family check afterwards.
+    With S = [U_S1 ... U_Sm] and K'K = S'PS, the sweeps are orthonormal and
+    inside P iff K'K = I.  K'K - I is held to tol_idem as a whole and, by
+    the block rule, to tol_zero between two sweeps, so the sweeps and the
+    residual need no family check afterwards.  An explicit P's residual has
+    basis U_P times the orthogonal complement of K = U_P'S in R^df_P.  An
+    implicit P = I - WW' leaves I - [W, S][W, S]' with no QR; that is a
+    projector when, besides, W'S vanishes, which is held to tol_zero.
     """
     label = label or f"{p.label} residual"
     if not swept:
         return p.relabel(label)
-    k = mul(p.basis.T, np.hstack([s.basis for s in swept]))
-    defect = gram_defect(k)
+    stacked = np.hstack([s.basis for s in swept])
+    if p.implicit:
+        leak = mul(p.w.T, stacked)
+        defect = gram_defect(stacked) - mul(leak.T, leak)
+    else:
+        k = mul(p.basis.T, stacked)
+        defect = gram_defect(k)
     gap = float(np.linalg.norm(defect))
     # also caps the sweeps' df at df_P: a K wider than tall has gap >= 1
     if gap > policy.tol_idem:
@@ -383,8 +443,14 @@ def residual(
         check_blocks(defect, swept, policy, what="sweeps")
     except ValueError as exc:
         raise ProjectorError(f"{label}: {exc}") from None
-    if k.shape[1] == p.df:
+    if p.implicit:
+        outside = float(np.linalg.norm(leak))
+        if outside > policy.tol_zero:
+            raise ProjectorError(f"{label}: sweeps leave {p.label} (norm {outside:.3e})")
+    if stacked.shape[1] == p.df:
         return None
+    if p.implicit:
+        return Projector.complement_of(np.hstack([p.w, stacked]), label)
     complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
     return Projector.from_basis(mul(p.basis, complement), label, policy)
 
@@ -467,23 +533,41 @@ def is_structure_balanced(
     ``s`` must not meet inside any single element of ``against``.  Returns an
     EfficiencyMatrix on success, a ViolationReport on failure.
 
-    For each row P one product gives C = U_P' [U_Q1 ... U_Qk] and a second
-    its Gram C'C: the diagonal blocks are the per-source C_i'C_i of the
-    first-order test, the others the C_a'C_b of the distinctness test.
+    For each row P one Gram S'PS of the stacked explicit bases S = [U_Q1
+    ... U_Qk] (``bilinear``) holds C'C for every source: the diagonal blocks
+    are the per-source C_i'C_i of the first-order test, the others the
+    C_a'C_b of the distinctness test.  An implicit source Q (at most one,
+    the largest) takes its first-order test from ``_implicit_gram`` and its
+    distinctness blocks from the norms of Q P S, since U_Q'PU_Qa has the
+    norm of Q P U_Qa.
     """
     rows = _elements_of(against)
     cols = s.elements
-    dfs = [q.df for q in cols]
+    plain = [i for i, q in enumerate(cols) if not q.implicit]
+    held = [i for i, q in enumerate(cols) if q.implicit]
+    dfs = [cols[i].df for i in plain]
     edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
-    stacked = np.hstack([q.basis for q in cols])
+    stacked = np.hstack([cols[i].basis for i in plain]) if plain else np.zeros((s.n, 0))
     violations = []
     results = {}
     for p in rows:
-        c = mul(p.basis.T, stacked)
-        gram = mul(c.T, c)
+        gram = bilinear(stacked, p, stacked)
+        norms = np.zeros((len(cols), len(cols)))
+        if plain:
+            norms[np.ix_(plain, plain)] = _block_norms(gram, dfs)
+        res_of = {}
+        for k, i in enumerate(plain):
+            block = gram[edges[k] : edges[k + 1], edges[k] : edges[k + 1]]
+            res_of[i] = _classify(p.label, p.df, cols[i], block, policy)
+        for i in held:
+            small, fill = _implicit_gram(p, cols[i])
+            res_of[i] = _classify(p.label, p.df, cols[i], small, policy, fill)
+            if plain:
+                meet = project(cols[i], project(p, stacked))
+                sq = np.add.reduceat((meet * meet).sum(axis=0), edges[:-1])
+                norms[i, plain] = norms[plain, i] = np.sqrt(sq)
         for i, q in enumerate(cols):
-            block = gram[edges[i] : edges[i + 1], edges[i] : edges[i + 1]]
-            res = _classify(p, q, block, policy)
+            res = res_of[i]
             results[(p.label, q.label)] = res
             if not res.ok:
                 violations.append(
@@ -495,7 +579,6 @@ def is_structure_balanced(
                         eigenvalues=res.eigenvalues,
                     )
                 )
-        norms = _block_norms(gram, dfs)
         for a, b in itertools.combinations(range(len(cols)), 2):
             if norms[a, b] > policy.tol_zero:
                 violations.append(
@@ -521,34 +604,37 @@ def is_structure_balanced(
     return em
 
 
-def _classify(p, q, gram, policy) -> BalanceResult:
+def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0) -> BalanceResult:
     """Classify (P, Q) from gram = C'C, C = U_P' U_Q.
 
     lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
     U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
-    largest entry; QPQ is U_Q C'C U_Q', bounded the same way.
+    largest entry; QPQ is U_Q C'C U_Q', bounded the same way.  A ``gram``
+    smaller than df_Q stands for C'C with its missing eigenvalues equal to
+    ``fill`` (see ``_implicit_gram``); each norm then adds their share.
     """
-    lam = float(np.trace(gram)) / q.df
+    pad = q.df - gram.shape[0]
+    lam = (float(np.trace(gram)) + pad * fill) / q.df
     if abs(lam) <= policy.tol_zero:
-        gap = float(np.linalg.norm(gram))
+        gap = float(np.hypot(np.linalg.norm(gram), fill * np.sqrt(pad)))
         if gap <= policy.tol_idem:
             return BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
         # QPQ is positive semidefinite, so a vanishing trace alongside
         # non-vanishing entries signals numerical breakdown, not imbalance
         raise InternalInconsistencyError(
-            f"QPQ for ({p.label}, {q.label}) has zero trace but norm {gap:.3e}"
+            f"QPQ for ({p_label}, {q.label}) has zero trace but norm {gap:.3e}"
         )
     shifted = gram - lam * np.eye(gram.shape[0])
-    gap = float(np.linalg.norm(shifted))
+    gap = float(np.hypot(np.linalg.norm(shifted), (fill - lam) * np.sqrt(pad)))
     if gap <= policy.tol_idem:
         value = snap_rational(lam, policy)
         if 1.0 - lam <= policy.tol_zero:
             value = EfficiencyValue(1.0, (1, 1))
             # C'C = I with C square: the two images coincide
-            if p.df == q.df:
+            if p_df == q.df:
                 return BalanceResult(status="aliased", efficiency=value)
         return BalanceResult(status="balanced", efficiency=value, residual_norm=gap)
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.concatenate((np.linalg.eigvalsh(gram), np.full(pad, fill)))
     return BalanceResult(
         status="unbalanced",
         eigenvalues=_cluster_eigenvalues(eigs, policy),
@@ -680,6 +766,7 @@ def refine(
     for node in d.nodes:
         p = node.projector
         swept_children = []
+        whole = False
         for q in s.elements:
             res = em.results[(p.label, q.label)]
             if res.efficiency is None or res.efficiency.is_zero():
@@ -689,6 +776,7 @@ def refine(
                 # an aliased sweep is the node itself under a new name; keep
                 # "Mean" reading as "Mean" instead of "Mean ▷ Mean"
                 child_proj = p if q.label == p.label else p.relabel(f"{p.label} ▷ {q.label}")
+                whole = True
             else:
                 child_proj = sweep(p, q, lam, policy, label=f"{p.label} ▷ {q.label}")
             cells = None
@@ -713,6 +801,8 @@ def refine(
             new_nodes.append(node)
             continue
         new_nodes.extend(swept_children)
+        if whole:  # the aliased sweep is all of P (any other Q lies outside it)
+            continue
         rem = residual(
             p,
             [c.projector for c in swept_children],

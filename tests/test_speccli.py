@@ -1,7 +1,12 @@
 """Spec parsing, design assembly from CSV tables, and the command line."""
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +330,38 @@ class TestInputContract:
         assert "lifting condition" in capsys.readouterr().err
         assert cli_main(["validate", str(spec)]) == 2
         assert "lifting condition" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(args, hash_seed="0"):
+    """``python -m tierdecomp ARGS`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tierdecomp", *args],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+class TestCliSubprocess:
+    def test_numerical_failure_exits_2_without_a_traceback(self):
+        # 1e-15 is below the rounding of cherry's sweeps: a ProjectorError
+        proc = run_cli(["decompose", str(spec_path("cherry")), "--tolerance", "1e-15"])
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--tolerance" in err
+
+    def test_json_is_the_same_under_any_hash_seed(self):
+        digests = {
+            hashlib.md5(
+                run_cli(["decompose", str(spec_path("semilatin")), "--format", "json"], seed).stdout
+            ).hexdigest()
+            for seed in ("0", "1", "2")
+        }
+        assert len(digests) == 1
