@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, Projector, TolerancePolicy, bilinear, project
+from .projlin import DEFAULT_POLICY, EfficiencyRangeError, Projector, TolerancePolicy, bilinear, project
 from .structure import (
     AllocationMap,
     Decomposition,
+    InternalInconsistencyError,
     Structure,
     ViolationReport,
-    balance_of_sum,
     efficiency,
     is_structure_balanced,
     joint,
@@ -185,7 +185,7 @@ def check_adjusted_orthogonality(
     (i) every sweep of P by a Q is orthogonal to the whole of rs,
     (ii) Q P R = 0 for every pair, and (iii) I_Q P I_R = 0.  They are
     provably equivalent, so the three verdicts must agree; disagreement can
-    only mean numerical breakdown and is raised as such.
+    only mean numerical breakdown and raises InternalInconsistencyError.
     """
     witnesses = []
 
@@ -223,7 +223,7 @@ def check_adjusted_orthogonality(
         witnesses.append(f"I_Q . {p.label} . I_R != 0 (norm {gap_iii:.3e})")
 
     if not (cond_i == cond_ii == cond_iii):
-        raise RuntimeError(
+        raise InternalInconsistencyError(
             "adjusted-orthogonality formulations disagree for "
             f"{p.label} ({cond_i}/{cond_ii}/{cond_iii}); numerical instability"
         )
@@ -453,11 +453,11 @@ def _refine_or_raise(design, d, s, step, diagnostics, tier=None, cells_for=None,
         d, s, design.policy, tier=tier or step.from_tier, cells_for=cells_for, balance=balance
     )
     if isinstance(out, ViolationReport):
-        raise IncoherenceError(_report_from_violations(design, d, out, step))
+        raise IncoherenceError(_report_from_violations(design, d, s, out, step))
     return out
 
 
-def _report_from_violations(design, d, vr: ViolationReport, step) -> IncoherenceReport:
+def _report_from_violations(design, d, s, vr: ViolationReport, step) -> IncoherenceReport:
     origin = {node.label: node.origin_tier for node in d.nodes}
     items = []
     first_order = [v for v in vr.violations if v.kind == "first-order"]
@@ -467,7 +467,7 @@ def _report_from_violations(design, d, vr: ViolationReport, step) -> Incoherence
 
     suggestions = {}
     for source_label, viols in by_source.items():
-        suggestions[source_label] = _merge_suggestion(design, d, step, source_label, viols)
+        suggestions[source_label] = _merge_suggestion(d, s, vr, source_label, viols, design.policy)
 
     for v in vr.violations:
         items.append(
@@ -485,28 +485,19 @@ def _report_from_violations(design, d, vr: ViolationReport, step) -> Incoherence
     return IncoherenceReport(items=items)
 
 
-def _merge_suggestion(design, d, step, source_label, viols) -> str:
-    """Would pooling the clashing decomposition elements restore balance?"""
-    policy = design.policy
-    try:
-        lifted = _lift_tier(design, step.from_tier)
-    except Exception:
-        return "redesign the randomization"
-    q = next((e for e in lifted.elements if e.label == source_label), None)
-    if q is None:
-        return "redesign the randomization"
+def _merge_suggestion(d, s, vr: ViolationReport, source_label, viols, policy) -> str:
+    """Would pooling the clashing elements restore balance?  Reads the failed check ``vr``."""
+    q = next(e for e in s.elements if e.label == source_label)
     failing = {v.row for v in viols}
     # pooling only the failing elements rarely suffices; include every element
     # the source already leans on
     for node in d.nodes:
-        if node.label in failing:
-            continue
-        res = efficiency(node.projector, q, policy)
+        res = vr.results[(node.label, source_label)]
         if res.efficiency is not None and not res.efficiency.is_zero():
             failing.add(node.label)
     try:
-        res = balance_of_sum([n.projector for n in d.nodes if n.label in failing], q, policy)
-    except Exception:
+        res = vr.balance_of_pooled([n.projector for n in d.nodes if n.label in failing], q, policy)
+    except (InternalInconsistencyError, EfficiencyRangeError):
         return "redesign the randomization"
     if res.ok:
         names = ", ".join(sorted(failing))
@@ -565,7 +556,7 @@ def _run_coincident_pair(design, d, first, second, diagnostics, reports):
     for lifted, step in ((q_lift, first), (r_lift, second)):
         chk = is_structure_balanced(lifted, d, policy)
         if isinstance(chk, ViolationReport):
-            raise IncoherenceError(_report_from_violations(design, d, chk, step))
+            raise IncoherenceError(_report_from_violations(design, d, lifted, chk, step))
         balances.append(chk)
     q_bal, r_bal = balances
 

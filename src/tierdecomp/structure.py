@@ -337,17 +337,17 @@ class BalanceResult:
 
 
 def _cluster_eigenvalues(values: np.ndarray, policy: TolerancePolicy) -> tuple:
-    """Distinct nonzero eigenvalues with multiplicities, descending."""
+    """Distinct nonzero eigenvalues with multiplicities, descending; a group
+    ends where the next kept value is more than tol_eig lower."""
     vals = np.sort(values)[::-1]
-    groups: list[list[float]] = []
-    for v in vals:
-        if abs(v) <= policy.tol_eig:
-            continue
-        if groups and abs(groups[-1][-1] - v) <= policy.tol_eig:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return tuple((float(np.mean(g)), len(g)) for g in groups)
+    vals = vals[np.abs(vals) > policy.tol_eig]
+    starts = np.flatnonzero(np.diff(vals, prepend=np.inf) < -policy.tol_eig)
+    counts = np.diff(np.append(starts, vals.size))
+    # a 0.0 ahead of each group makes reduceat sum all of a group's members
+    # pairwise, as np.mean does, instead of adding the rest to the first
+    padded = np.insert(vals, starts, 0.0)
+    means = np.add.reduceat(padded, starts + np.arange(starts.size)) / counts
+    return tuple(zip(means.tolist(), counts.tolist()))
 
 
 def efficiency(
@@ -469,12 +469,25 @@ class Violation:
 
 @dataclass
 class ViolationReport:
+    """A failed structure-balance check: its violations, its BalanceResult
+    for every (row, column) label pair, and U_Q' P U_Q for each such pair
+    with Q explicit and not orthogonal to P."""
+
     structure_label: str
     against_label: str
     violations: list
+    results: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.violations)
+
+    def balance_of_pooled(self, ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POLICY):
+        """``balance_of_sum`` of rows ``ps`` against column ``q``; sums stored blocks if explicit."""
+        if q.implicit:
+            return balance_of_sum(ps, q, policy)
+        gram = sum(self.blocks[(p.label, q.label)] for p in ps)
+        return _classify(" + ".join(p.label for p in ps), sum(p.df for p in ps), q, gram, policy)
 
     def summary(self) -> str:
         lines = [
@@ -550,6 +563,7 @@ def is_structure_balanced(
     stacked = np.hstack([cols[i].basis for i in plain]) if plain else np.zeros((s.n, 0))
     violations = []
     results = {}
+    blocks = {}  # kept for the report only; dropped when the check passes
     for p in rows:
         gram = bilinear(stacked, p, stacked)
         norms = np.zeros((len(cols), len(cols)))
@@ -559,6 +573,8 @@ def is_structure_balanced(
         for k, i in enumerate(plain):
             block = gram[edges[k] : edges[k + 1], edges[k] : edges[k + 1]]
             res_of[i] = _classify(p.label, p.df, cols[i], block, policy)
+            if res_of[i].status != "orthogonal":
+                blocks[(p.label, cols[i].label)] = block
         for i in held:
             small, fill = _implicit_gram(p, cols[i])
             res_of[i] = _classify(p.label, p.df, cols[i], small, policy, fill)
@@ -594,6 +610,8 @@ def is_structure_balanced(
             structure_label=s.space_label or "structure",
             against_label=_label_of(against),
             violations=violations,
+            results=results,
+            blocks=blocks,
         )
     em = EfficiencyMatrix(
         rows=[p.label for p in rows],

@@ -1,12 +1,19 @@
-"""Shared fixtures: the shipped design bundles and their built decompositions."""
+"""Shared fixtures: the shipped design bundles and their built decompositions,
+and a generator of seeded random block designs.  Puts ``perfbench`` on the
+path so tests can ``import gen`` for its synthetic designs."""
 
+import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from tierdecomp import build_decomposition, load_design
 
-DESIGNS = Path(__file__).resolve().parent.parent / "designs"
+ROOT = Path(__file__).resolve().parent.parent
+DESIGNS = ROOT / "designs"
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 ALL_SPECS = sorted(p.stem for p in DESIGNS.glob("*.spec"))
 # uneven is the engineered incoherent layout; everything else builds cleanly
@@ -43,3 +50,37 @@ def built(design):
         return _builds[name]
 
     return inner
+
+
+@st.composite
+def block_designs(draw):
+    """A seeded equireplicate block design with n <= 64 units."""
+    v = draw(st.integers(min_value=2, max_value=8))
+    r = draw(st.integers(min_value=1, max_value=64 // v))
+    n = v * r
+    k = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    labels = [f"t{i}" for i in range(v) for _ in range(r)]
+    random.Random(seed).shuffle(labels)
+    return n // k, k, v, labels
+
+
+def write_block_design(dest: Path, case) -> Path:
+    """Write a ``block_designs`` case as random.spec and random.csv in ``dest``."""
+    blocks, k, v, labels = case
+    lines = [
+        "design random",
+        "units plots",
+        "tier plots",
+        f"  factor Blocks {blocks}",
+        f"  factor Plots {k}",
+        "  formula Blocks/Plots",
+        "tier treatments",
+        f"  factor Treatments {v}",
+        "randomize treatments -> plots type simple",
+        "allocation csv random.csv",
+    ]
+    (dest / "random.spec").write_text("\n".join(lines) + "\n")
+    rows = [f"b{i // k},p{i % k},{t}" for i, t in enumerate(labels)]
+    (dest / "random.csv").write_text("\n".join(["Blocks,Plots,Treatments"] + rows) + "\n")
+    return dest / "random.spec"

@@ -5,14 +5,11 @@ build never materializes a basis on the unit space, closed forms on
 crossed units, and oracle agreement on random block designs.
 """
 
-import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from tierdecomp import (
     DEFAULT_POLICY,
@@ -29,10 +26,8 @@ from tierdecomp import (
 from tierdecomp.projlin import ProjectorError, bilinear, project
 from tierdecomp.structure import _classify, _implicit_gram
 
-from conftest import spec_path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import gen  # noqa: E402
+import gen
+from conftest import block_designs, spec_path, write_block_design
 
 
 def orthonormal(rng, n, k):
@@ -188,42 +183,12 @@ def test_latin_square_closed_form(tmp_path, t):
     assert nodes["Rows#Columns ⊢ treatments"].projector.implicit
 
 
-@st.composite
-def block_designs(draw):
-    """A seeded equireplicate block design with n <= 64 units."""
-    v = draw(st.integers(min_value=2, max_value=8))
-    r = draw(st.integers(min_value=1, max_value=64 // v))
-    n = v * r
-    k = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    labels = [f"t{i}" for i in range(v) for _ in range(r)]
-    random.Random(seed).shuffle(labels)
-    return n // k, k, v, labels
-
-
 @given(block_designs())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_random_block_designs_agree_with_the_oracle(tmp_path, case):
-    blocks, k, v, labels = case
-    lines = [
-        "design random",
-        "units plots",
-        "tier plots",
-        f"  factor Blocks {blocks}",
-        f"  factor Plots {k}",
-        "  formula Blocks/Plots",
-        "tier treatments",
-        f"  factor Treatments {v}",
-        "randomize treatments -> plots type simple",
-        "allocation csv random.csv",
-    ]
-    (tmp_path / "random.spec").write_text("\n".join(lines) + "\n")
-    rows = [f"b{i // k},p{i % k},{t}" for i, t in enumerate(labels)]
-    (tmp_path / "random.csv").write_text("\n".join(["Blocks,Plots,Treatments"] + rows) + "\n")
-    design = load_design(tmp_path / "random.spec")
+    design = load_design(write_block_design(tmp_path, case))
     try:
         report = cross_check(design)
     except IncoherenceError:
         return
     assert report.ok, report.render_text()
-

@@ -1,10 +1,15 @@
 """The build loop: step plumbing, pair conditions, and incoherence reporting."""
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import gen
+from conftest import block_designs, spec_path, write_block_design
 from tierdecomp import (
     STEP_KINDS,
     AllocationMap,
@@ -17,9 +22,15 @@ from tierdecomp import (
     build_decomposition,
     check_adjusted_orthogonality,
     check_double,
+    cli_main,
     diagnose_incoherence,
+    efficiency,
+    lift,
+    load_design,
 )
+from tierdecomp import randomize, structure
 from tierdecomp.speccli import Design
+from tierdecomp.structure import InternalInconsistencyError, balance_of_sum
 
 
 class TestRandomizationStep:
@@ -138,6 +149,83 @@ class TestIncoherence:
         assert report.items == []
 
 
+def incoherent_spec(name, dest):
+    """The shipped ``uneven`` bundle, or the benchmark's cyclic design (v = 96)."""
+    return spec_path(name) if name == "uneven" else gen.write("cyclic", 96, 1, dest)
+
+
+@pytest.mark.parametrize("name", ["uneven", "cyclic"])
+class TestDiagnoseFromTheFailedCheck:
+    def test_each_step_lifts_once(self, monkeypatch, tmp_path, name):
+        design = load_design(incoherent_spec(name, tmp_path))
+        tiers = []
+
+        def counted(structure_, alloc, policy):
+            tiers.append(alloc.tier)
+            return lift(structure_, alloc, policy)
+
+        monkeypatch.setattr(randomize, "lift", counted)
+        assert diagnose_incoherence(design)
+        assert tiers == [step.from_tier for step in design.steps]
+
+    def test_explicit_source_merge_reads_the_stored_blocks(self, monkeypatch, tmp_path, name):
+        # neither the node results nor the pooled Gram may be recomputed
+        def explicit_forbidden(fn):
+            def guarded(p, q, *args, **kwargs):
+                if not q.implicit:
+                    raise AssertionError(f"{fn.__name__} recomputed against {q.label}")
+                return fn(p, q, *args, **kwargs)
+
+            return guarded
+
+        for module in (randomize, structure):
+            for fn in (balance_of_sum, efficiency):
+                if hasattr(module, fn.__name__):
+                    monkeypatch.setattr(module, fn.__name__, explicit_forbidden(fn))
+        report = diagnose_incoherence(load_design(incoherent_spec(name, tmp_path)))
+        first_order = [it for it in report.items if it.kind == "first-order"]
+        assert first_order
+        assert all(
+            it.suggestion == "merge sources Blocks, Plots[Blocks] into one stratum"
+            for it in first_order
+        )
+
+
+def direct_suggestion(design, items):
+    """The merge suggestion of each first-order source of a one-step design's
+    report, recomputed from a fresh lift with ``efficiency`` and ``balance_of_sum``."""
+    (step,) = design.steps
+    policy = design.policy
+    d = Decomposition.from_structure(design.units_structure(), design.units_tier)
+    lifted = lift(design.tier_structure(step.from_tier), design.allocation(step.from_tier), policy)
+    out = {}
+    for q in lifted.elements:
+        failing = {it.node for it in items if it.sources == (q.label,)}
+        if not failing:
+            continue
+        for node in d.nodes:
+            res = efficiency(node.projector, q, policy)
+            if res.efficiency is not None and not res.efficiency.is_zero():
+                failing.add(node.label)
+        try:
+            ok = balance_of_sum([n.projector for n in d.nodes if n.label in failing], q, policy).ok
+        except InternalInconsistencyError:
+            ok = False
+        names = ", ".join(sorted(failing))
+        out[q.label] = f"merge sources {names} into one stratum" if ok else "redesign the randomization"
+    return out
+
+
+@given(block_designs())
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+def test_stored_block_suggestions_match_a_direct_pooled_test(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        design = load_design(write_block_design(Path(tmp), case))
+        items = [it for it in diagnose_incoherence(design).items if it.kind == "first-order"]
+        want = direct_suggestion(design, items)
+    assert {it.sources[0]: it.suggestion for it in items} == want
+
+
 def factor_structure(ids, label, n):
     """Mean plus the centred group-average source for one partition."""
     ids = np.asarray(ids)
@@ -165,6 +253,15 @@ class TestAdjustedOrthogonality:
         rep = check_adjusted_orthogonality(p, qs, rs)
         assert rep.holds
         assert rep.details == {"i": True, "ii": True, "iii": True}
+
+    def test_disagreeing_formulations_exit_2_at_the_cli(self, monkeypatch, capsys):
+        # corrupt only formulation (i): every sweep now seems to meet the
+        # other structure's span while (ii) and (iii) still hold
+        monkeypatch.setattr(randomize, "project", lambda p, x: np.ones((p.n, x.shape[1])))
+        assert cli_main(["decompose", str(spec_path("ex2_small"))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: adjusted-orthogonality formulations disagree")
+        assert err.count("\n") == 1
 
     def test_fails_for_entangled_partitions(self):
         qs = factor_structure([0, 0, 1, 1], "Rows", 4)

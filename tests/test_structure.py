@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tierdecomp import (
+    DEFAULT_POLICY,
     AllocationMap,
     Decomposition,
     DecompNode,
@@ -19,7 +20,7 @@ from tierdecomp import (
     residual,
     sweep,
 )
-from tierdecomp.structure import IncompatibilityError, is_compatible
+from tierdecomp.structure import IncompatibilityError, _cluster_eigenvalues, is_compatible
 
 
 def proj(matrix, label="p"):
@@ -66,6 +67,34 @@ class TestEfficiency:
         assert res.status == "unbalanced"
         assert not res.ok
         assert [(round(v, 9), m) for v, m in res.eigenvalues] == [(1.0, 1), (0.5, 1)]
+
+
+def cluster_by_loop(values, policy):
+    """Reference for ``_cluster_eigenvalues``: walk the descending spectrum."""
+    groups = []
+    for v in np.sort(values)[::-1]:
+        if abs(v) <= policy.tol_eig:
+            continue
+        if groups and abs(groups[-1][-1] - v) <= policy.tol_eig:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return tuple((float(np.mean(g)), len(g)) for g in groups)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cluster_eigenvalues_matches_the_loop(seed):
+    # near-ties inside tol_eig, exact and tiny zeros of either sign, and
+    # groups long enough that the summation order of the mean matters
+    rng = np.random.default_rng(seed)
+    tol = DEFAULT_POLICY.tol_eig
+    centres = rng.uniform(-1e-6, 1.0, size=rng.integers(0, 10))
+    parts = [c + rng.uniform(-0.4 * tol, 0.4 * tol, size=rng.integers(1, 300)) for c in centres]
+    parts += [np.zeros(rng.integers(0, 20)), rng.uniform(-tol, tol, size=rng.integers(0, 10))]
+    values = rng.permutation(np.concatenate(parts))
+    got = _cluster_eigenvalues(values, DEFAULT_POLICY)
+    assert got == cluster_by_loop(values, DEFAULT_POLICY)
+    assert all(type(v) is float and type(m) is int for v, m in got)
 
 
 class TestSweepAndResidual:
