@@ -15,9 +15,10 @@ of mutually orthogonal idempotents whenever the tier's partitions form an
 orthogonal (geometrically balanced) system, and the construction validates
 exactly that, so a tier whose partitions fail the property is rejected with
 the offending pair named.  The build never forms M_F: it holds the
-normalised class indicators N_F (M_F = N_F N_F') implicitly, as class ids
-and class sizes, and takes each source's basis as N_F times the orthogonal
-complement of N_F' U_low, where U_low stacks the bases of the lower sources.
+normalised class indicators N_F (M_F = N_F N_F') as class ids and class
+sizes (``projlin.Classes``), and holds each source as N_F times the
+orthogonal complement of N_F' U_low in class space, where U_low stacks the
+lower sources; no n-row basis is formed.
 
 Marginality can be declared (constituent-set inclusion) or observed: when
 unit-level data is attached, G < F holds iff F's observed level classes
@@ -34,7 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, Projector, ProjectorError, TolerancePolicy, gram_defect
+from .projlin import (
+    DEFAULT_POLICY,
+    Classes,
+    Projector,
+    TolerancePolicy,
+    coords,
+    family_gram,
+    gram_defect,
+)
 from .structure import Structure, check_blocks
 
 __all__ = [
@@ -250,7 +259,8 @@ class SourcePoset:
     ``below`` maps each term's constituents to the constituent-sets of every
     term strictly below it (not just covering relations).  ``nlevels`` is the
     class count the df recursion starts from: declared products before data is
-    attached, observed distinct combinations after.
+    attached, observed distinct combinations after.  ``ids`` maps each term's
+    constituents to its class id per row once data is attached.
     """
 
     terms: list
@@ -261,6 +271,7 @@ class SourcePoset:
     factors: dict
     notices: list = field(default_factory=list)
     has_data: bool = False
+    ids: dict = field(default_factory=dict)
 
     def term(self, constituents) -> GeneralizedFactor:
         key = frozenset(constituents)
@@ -439,13 +450,13 @@ def _class_ids(columns: dict, names, n: int):
 
 
 def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
-    """True when every class of ``fine`` lies inside one class of ``coarse``."""
-    mapping: dict = {}
-    for f, c in zip(fine.tolist(), coarse.tolist()):
-        prev = mapping.setdefault(f, c)
-        if prev != c:
-            return False
-    return True
+    """True when every class of ``fine`` lies inside one class of ``coarse``:
+    map each fine class to the coarse class of its last row, then compare."""
+    if fine.size == 0:
+        return True
+    to_coarse = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
+    to_coarse[fine] = coarse
+    return bool((to_coarse[fine] == coarse).all())
 
 
 def attach_data(
@@ -524,6 +535,7 @@ def attach_data(
         factors=poset.factors,
         notices=notices,
         has_data=True,
+        ids=ids,
     )
     _recompute_df(new)
     return new
@@ -603,13 +615,6 @@ def averaging_matrix(term: GeneralizedFactor, columns: dict, n: int) -> np.ndarr
     return m
 
 
-def _indicator_coords(ids: np.ndarray, scale: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """N' U for normalised class indicators N: per-class sums of U's rows times scale."""
-    order = np.argsort(ids, kind="stable")
-    starts = np.searchsorted(ids[order], np.arange(scale.size))
-    return np.add.reduceat(basis[order], starts, axis=0) * scale[:, None]
-
-
 def source_projectors(
     poset: SourcePoset,
     columns: dict,
@@ -617,26 +622,28 @@ def source_projectors(
     policy: TolerancePolicy = DEFAULT_POLICY,
     space_label: str = "",
 ) -> Structure:
-    """Build the tier's complete orthogonal structure from its poset.
+    """Build the tier's complete orthogonal structure from its poset, in class form.
 
-    Walks the poset bottom-up.  For each term F with normalised class
-    indicators N_F, the lower sources' bases U_low, stacked in build order,
-    must have orthonormal coordinates A = N_F' U_low (they sit inside
-    span(N_F) by construction, so A'A = I says exactly that they are
-    mutually orthogonal); the source's basis is N_F times the complement of
-    A's columns, from a complete QR.  At a finest term with one row per
-    class N_F = I, and the source is held implicitly as I - U_low U_low'
-    with no QR, as is the structure's total, the whole space.  Zero-df
-    sources (all df absorbed below) are dropped with a notice.  Failure of
-    orthogonality means the tier's partitions do not form an orthogonal
-    system and is reported as such.
+    Walks the poset bottom-up.  Each term F has normalised class indicators
+    N_F (``Classes``, from the class ids ``attach_data`` recorded).  The
+    lower sources, stacked in build order, must have orthonormal
+    coordinates A = N_F' U_low (they sit inside span(N_F) by construction,
+    so A'A = I says exactly that they are mutually orthogonal); the source
+    is held as N_F times the complement of A's columns in R^m_F, from a
+    complete QR, and no n-row basis is formed.  At a finest term with one
+    row per class N_F = I, and the source is held implicitly as I minus the
+    lower sources, with no QR, as is the structure's total, NN' on the
+    finest classes.  Zero-df sources (all df absorbed below) are dropped
+    with a notice.  Failure of orthogonality means the tier's partitions do
+    not form an orthogonal system and is reported as such.
 
     A'A - I is held to tol_idem as a whole and to the block rule of
     ``Structure.validate``.  The finest term lies above every other, so its
     A'A is the Gram of every source but its own, which is their complement;
-    that check covers the whole structure.  The Mean is the universe term
-    and the df sum holds by construction, so the result is not validated
-    again.
+    it is formed block by block on class coordinates, A_G'(N_G'N_H)A_H, and
+    that check covers the whole structure, each source's own orthonormality
+    included.  The Mean is the universe term and the df sum holds by
+    construction, so the result is not validated again.
     """
     if not poset.has_data:
         poset = attach_data(poset, columns, n)
@@ -645,18 +652,20 @@ def source_projectors(
     elements = []
     notices = list(poset.notices)
     for t in order:
-        ids = _class_ids(columns, sorted(t.constituents), n)[0]
-        scale = 1.0 / np.sqrt(np.bincount(ids))
+        classes = Classes(poset.ids[t.constituents])
         # one row per class: N_F = I, with ids numbering the rows in order
-        whole = scale.size == n
+        whole = classes.m == n
         label = poset.label(t)
         below = poset.below[t.constituents]
         lows = [built[c] for c in built if c in below]
-        coords = None
+        low_df = sum(q.df for q in lows)
         if lows:
-            stacked = np.hstack([q.basis for q in lows])
-            coords = stacked if whole else _indicator_coords(ids, scale, stacked)
-            defect = gram_defect(coords)
+            if whole:
+                defect = family_gram(lows)
+                defect[np.diag_indices_from(defect)] -= 1.0
+            else:
+                low_coords = np.hstack([coords(q, classes) for q in lows])
+                defect = gram_defect(low_coords)
             gap = float(np.linalg.norm(defect))
             if gap > policy.tol_idem:
                 raise FormulaError(
@@ -668,7 +677,7 @@ def source_projectors(
                 check_blocks(defect, lows, policy)
             except ValueError as exc:
                 raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
-        df = scale.size - (0 if coords is None else coords.shape[1])
+        df = classes.m - low_df
         if poset.df[t.constituents] == 0:
             if df != 0:
                 raise FormulaError(
@@ -683,31 +692,23 @@ def source_projectors(
                 f"df {poset.df[t.constituents]}"
             )
         if whole:
-            proj = Projector.complement_of(np.zeros((n, 0)) if coords is None else coords, label)
+            proj = Projector.complement_of(lows or np.zeros((n, 0)), label)
         else:
-            if coords is None:
-                complement = np.eye(scale.size)
+            if lows:
+                complement = np.linalg.qr(low_coords, mode="complete")[0][:, low_df:]
             else:
-                complement = np.linalg.qr(coords, mode="complete")[0][:, coords.shape[1]:]
-            try:
-                proj = Projector.from_basis(complement[ids] * scale[ids, None], label, policy)
-            except ProjectorError as exc:
-                raise FormulaError(
-                    f"source {label} is not a projector ({exc}); "
-                    "the tier's partitions are not orthogonal"
-                ) from None
+                complement = np.eye(classes.m)
+            # checked with every other source at the finest term, above
+            proj = Projector.on_classes(classes, complement, label)
         built[t.constituents] = proj
         elements.append(proj)
 
-    ids = _class_ids(columns, sorted(poset.finest().constituents), n)[0]
-    scale = 1.0 / np.sqrt(np.bincount(ids))
+    finest = Classes(poset.ids[poset.finest().constituents])
     total_label = f"{space_label or 'tier'} span"
-    if scale.size == n:
+    if finest.m == n:
         total = Projector.complement_of(np.zeros((n, 0)), total_label)
     else:
-        basis = np.zeros((n, scale.size))
-        basis[np.arange(n), ids] = scale[ids]
-        total = Projector.from_basis(basis, total_label, policy)
+        total = Projector.complement_of((), total_label, finest)
     return Structure(
         elements=elements,
         total=total,

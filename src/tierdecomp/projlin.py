@@ -1,13 +1,21 @@
-"""Projectors in basis form and the shared tolerance policy.
+"""Projectors in class form and the shared tolerance policy.
 
-Everything downstream works with plain float64 numpy arrays.  A projector
-is held as an orthonormal basis U of its image (n x df), or, for the
-largest stratum, implicitly as I - WW' with W the orthonormal bases it
-complements; never as an n x n matrix.  ``Projector.from_basis`` checks
-U'U = I, ``Projector.complement_of`` takes W as checked, and
+Everything downstream works with plain float64 numpy arrays.  Every
+subspace the build makes lies in the span of the class indicators of a
+generalized factor, so a projector is held on normalised class indicators
+N (``Classes``: class ids and scales, n x m): explicitly, with basis U =
+NA for a small coefficient block A (m x df), or implicitly, as NN' minus
+listed explicit projectors (the largest stratum, I - WW', has N = I).  A
+dense basis is the case N = I.  It is never held as an n x n matrix.
+``Projector.from_basis`` and ``Projector.on_classes`` check U'U = A'A = I,
+``Projector.complement_of`` takes its listed bases as checked, and
 ``Projector.validated`` is the gate for callers holding a symmetric
-idempotent matrix.  ``project`` (P X) and ``bilinear`` (X' P Y) apply
-either form, so the hot kernels need not know which one they hold.
+idempotent matrix.  ``project`` (P X), ``gram`` (U_p'U_q) and
+``bilinear_of`` (X' P Y for stacked bases) apply either form on class
+coordinates, through contingency tables N_F'N_G, so the hot
+kernels need not know which one they hold.  Spaces of at most
+``DENSE_ROWS`` rows hold explicit bases dense, where a product on class
+coordinates costs more calls than the flops it saves.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
 when a nearby one exists (block designs produce values like 1/6 or 5/6
 exactly, up to rounding).
@@ -24,18 +32,33 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "EfficiencyValue",
+    "Classes",
     "Projector",
     "ProjectorError",
     "EfficiencyRangeError",
     "mul",
     "project",
-    "bilinear",
+    "bilinear_of",
+    "cross",
+    "family_gram",
+    "coords",
+    "gram",
+    "span",
+    "spanned",
     "gram_defect",
     "orthonormality_gap",
     "max_abs",
     "is_zero",
     "snap_rational",
 ]
+
+
+# Spaces of at most this many rows hold explicit bases dense: there a product
+# on class coordinates costs more numpy calls than the flops it saves.  On
+# a 2-core machine, class form made decompose about 14% slower on designs
+# of at most 64 units, and took the same time as dense bases on tier spaces
+# of 96 and 121 rows and unit spaces of 648 to 1452 rows.
+DENSE_ROWS = 64
 
 
 class ProjectorError(ValueError):
@@ -171,27 +194,91 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class Classes:
+    """Normalised class indicators N (n x m) of a partition of n rows.
+
+    Row i lies in class ``ids[i]``, and N[i, ids[i]] = ``scale[ids[i]]``.
+    With scale = 1/sqrt(class size), N'N = I, so NA has orthonormal columns
+    exactly when A has; a lift keeps that with scale/sqrt(r) on classes r
+    times larger.  Every class must be non-empty.  The arrays are read-only,
+    and contingency tables against other partitions are cached.
+    """
+
+    __slots__ = ("ids", "scale", "n", "m", "_sorted", "_tables")
+
+    def __init__(self, ids, scale=None):
+        ids = np.asarray(ids, dtype=np.intp)
+        if scale is None:
+            scale = 1.0 / np.sqrt(np.bincount(ids))
+        self.ids = _freeze(ids)
+        self.scale = _freeze(np.asarray(scale, dtype=np.float64))
+        self.n = self.ids.size
+        self.m = self.scale.size
+        self._sorted = None
+        self._tables: dict = {}
+
+    def carried(self, rows: np.ndarray, factor: float) -> "Classes":
+        """The partition of a space whose row i is row ``rows[i]`` here, each
+        class ``1/factor**2`` times larger."""
+        return Classes(self.ids[rows], self.scale * factor)
+
+    def down(self, x: np.ndarray) -> np.ndarray:
+        """N'x (m x c): per-class sums of the rows of x, times scale."""
+        if self._sorted is None:
+            order = np.argsort(self.ids, kind="stable")
+            self._sorted = (order, np.searchsorted(self.ids[order], np.arange(self.m)))
+        order, starts = self._sorted
+        return np.add.reduceat(x[order], starts, axis=0) * self.scale[:, None]
+
+    def up(self, y: np.ndarray) -> np.ndarray:
+        """N y (n x c): row i is row ids[i] of y, times its scale."""
+        return (y * self.scale[:, None])[self.ids]
+
+    def table(self, other: "Classes") -> np.ndarray:
+        """N'N_other (m x other.m), the scaled contingency table: one bincount.
+
+        Cached on one side only, so that two partitions never hold each other
+        and are freed by reference counting."""
+        t = self._tables.get(other)
+        if t is None:
+            t = other._tables.get(self)
+            if t is not None:
+                return t.T
+            counts = np.bincount(self.ids * other.m + other.ids, minlength=self.m * other.m)
+            t = counts.reshape(self.m, other.m) * self.scale[:, None] * other.scale
+            self._tables[other] = t
+        return t
 
 
 @dataclass(frozen=True, eq=False)
 class Projector:
     """An orthogonal projector with a label, held in one of two forms.
 
-    Explicit: an orthonormal basis U (n x df) of its image, the projector
-    being UU'.  Implicit: the complement of listed bases in the whole space,
-    I - WW' with W (n x m) orthonormal, so df = n - m; this is how the
-    largest stratum is held, W being bases already checked elsewhere.
-    ``project`` and ``bilinear`` apply either form.  ``basis`` of an
-    implicit projector is materialized on first use from a complete QR of
-    W (``_complement_basis``); the build uses it only off its hot routes.
-    ``matrix`` forms UU' or I - WW' on first use.  All arrays are read-only
-    and cached.
+    Both forms sit on normalised class indicators N (``Classes``, n x m),
+    or on the whole space (N = I, m = n, no classes held).  Explicit: P =
+    UU' with U = NA and A (m x df) orthonormal; a dense basis is the case
+    N = I.  Implicit: P = NN' minus listed explicit projectors that lie
+    inside span(N) and are mutually orthogonal, so df = m minus theirs.
+    The largest stratum of a structure, I - WW', is the implicit case N =
+    I; a lifted one keeps the lift's classes.  ``project``, ``gram`` and
+    ``bilinear_of`` apply either form, working on class
+    coordinates, so no n-row basis is formed for them.  On a space of at
+    most ``DENSE_ROWS`` rows an explicit basis is held dense (N = I).
+
+    ``basis`` materializes U on first use (from a complete QR of the listed
+    bases' class coordinates, for an implicit projector); ``matrix`` forms
+    UU', or I - WW', on first use.  All arrays are read-only and cached.
     """
 
     label: str
+    _n: int = field(default=0, repr=False)
+    _cls: Classes | None = field(default=None, repr=False)
+    _coef: np.ndarray | None = field(default=None, repr=False)
+    _parts: tuple | None = field(default=None, repr=False)
     _basis: np.ndarray | None = field(default=None, repr=False)
-    _w: np.ndarray | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
+    _explicit: "Projector | None" = field(default=None, repr=False)
+    _df: int | None = field(default=None, repr=False)
 
     @classmethod
     def from_basis(
@@ -206,19 +293,53 @@ class Projector:
         basis = np.array(basis, dtype=np.float64)
         if basis.ndim != 2:
             raise ProjectorError(f"{label}: basis must be 2-d, got shape {basis.shape}")
-        gap = orthonormality_gap(basis)
-        if gap > policy.tol_idem:
-            raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
-        return cls(label=label, _basis=_freeze(basis))
+        return cls.on_classes(None, basis, label, policy, n=basis.shape[0])
 
     @classmethod
-    def complement_of(cls, w: np.ndarray, label: str) -> "Projector":
-        """I - WW', the complement of the span of W in the whole space.
+    def on_classes(
+        cls,
+        classes: Classes | None,
+        coef: np.ndarray,
+        label: str,
+        policy: TolerancePolicy | None = None,
+        n: int | None = None,
+    ) -> "Projector":
+        """Projector onto the span of U = N A; ``n`` is needed only when
+        ``classes`` is None (N = I).  On at most ``DENSE_ROWS`` rows U is held
+        dense instead.
 
-        The columns of W must be bases already checked orthonormal and
-        mutually orthogonal; nothing is checked here.  An n x 0 W gives I.
+        With a policy, checked as A'A = I within tol_idem: N'N = I, so U'U =
+        A'A, and the check costs m df^2, not n df^2.  Without one the caller
+        vouches for A: ``source_projectors`` checks every source it makes in
+        one Gram at the finest term.
         """
-        return cls(label=label, _w=_freeze(np.asarray(w, dtype=np.float64)))
+        if classes is not None and classes.n <= DENSE_ROWS:
+            coef, classes, n = classes.up(coef), None, classes.n
+        if policy is not None:
+            gap = orthonormality_gap(coef)
+            if gap > policy.tol_idem:
+                raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
+        n = classes.n if classes is not None else n
+        return cls(label=label, _n=n, _cls=classes, _coef=_freeze(coef))
+
+    @classmethod
+    def complement_of(cls, w, label: str, classes: Classes | None = None) -> "Projector":
+        """NN' minus the listed bases: I - WW' for an n x k array W, or, for a
+        sequence of explicit projectors, NN' (I when ``classes`` is None)
+        minus their sum.
+
+        The listed bases must be orthonormal, mutually orthogonal and inside
+        span(N), checked where they were made; nothing is checked here.  An
+        n x 0 W gives I.
+        """
+        if isinstance(w, np.ndarray):
+            w = np.asarray(w, dtype=np.float64)
+            n = w.shape[0]
+            parts = (cls.on_classes(None, w, label, n=n),) if w.shape[1] else ()
+        else:
+            parts = tuple(w)
+            n = classes.n if classes is not None else parts[0].n
+        return cls(label=label, _n=n, _cls=classes, _parts=parts)
 
     @classmethod
     def validated(
@@ -246,48 +367,85 @@ class Projector:
         basis = vectors[:, values > 0.5]
         if basis.shape[1] != df:
             raise ProjectorError(f"{label}: rank {basis.shape[1]} disagrees with trace {df}")
-        return cls(label=label, _basis=_freeze(basis), _matrix=_freeze(matrix.copy()))
+        held = cls.on_classes(None, basis, label, n=matrix.shape[0])
+        return replace(held, _matrix=_freeze(matrix.copy()))
 
     @property
     def implicit(self) -> bool:
-        return self._w is not None
+        return self._parts is not None
 
     @property
-    def w(self) -> np.ndarray:
-        """The listed bases W of an implicit projector I - WW'."""
-        if self._w is None:
+    def classes(self) -> Classes | None:
+        """N: the class indicators this projector sits on; None for N = I."""
+        return self._cls
+
+    @property
+    def parts(self) -> tuple:
+        """The listed explicit projectors of an implicit projector."""
+        if self._parts is None:
             raise AttributeError(f"{self.label} is held by its own basis, not as a complement")
-        return self._w
+        return self._parts
 
     @property
     def basis(self) -> np.ndarray:
+        """U (n x df), materialized on first use unless held as a dense basis."""
+        if self._cls is None and self._coef is not None:
+            return self._coef
         if self._basis is None:
-            object.__setattr__(self, "_basis", _freeze(self._complement_basis()))
+            object.__setattr__(self, "_basis", _freeze(span(self.explicit())))
         return self._basis
 
+    def explicit(self) -> "Projector":
+        """This projector in explicit form, on the same classes.  An implicit
+        one takes its A from a complete QR of its listed bases' class
+        coordinates (m rows), once."""
+        if self._parts is None:
+            return self
+        if self._explicit is None:
+            held = Projector.on_classes(self._cls, self._complement_basis(), self.label, n=self._n)
+            object.__setattr__(self, "_explicit", held)
+        return self._explicit
+
     def _complement_basis(self) -> np.ndarray:
-        """Orthonormal basis of I - WW': the trailing columns of a complete QR of W."""
-        return np.linalg.qr(self._w, mode="complete")[0][:, self._w.shape[1]:]
+        """Orthonormal basis of the complement of the listed bases in class
+        space: the trailing columns of a complete QR of their coordinates."""
+        m = self.n if self._cls is None else self._cls.m
+        if not self._parts:
+            return np.eye(m)
+        w = np.hstack([coords(q, self._cls) for q in self._parts])
+        return np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
 
     @property
     def df(self) -> int:
-        if self._w is not None:
-            return self._w.shape[0] - self._w.shape[1]
-        return self._basis.shape[1]
+        if self._df is None:
+            if self._parts is None:
+                df = self._coef.shape[1]
+            else:
+                m = self._n if self._cls is None else self._cls.m
+                df = m - sum(q.df for q in self._parts)
+            object.__setattr__(self, "_df", df)
+        return self._df
 
     @property
     def n(self) -> int:
-        return (self._basis if self._w is None else self._w).shape[0]
+        return self._n
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            if self._w is None:
-                m = mul(self._basis, self._basis.T)
-            else:
-                m = mul(self._w, self._w.T)
+            if self._parts is not None and self._cls is None:
+                # I - WW' for the listed bases W, stacked (n x k)
+                parts = self._parts
+                if len(parts) == 1:
+                    w = parts[0].basis
+                else:
+                    w = np.hstack([q.basis for q in parts] or [np.zeros((self._n, 0))])
+                m = mul(w, w.T)
                 np.negative(m, out=m)
                 m[np.diag_indices_from(m)] += 1.0
+            else:
+                u = self.basis
+                m = mul(u, u.T)
             object.__setattr__(self, "_matrix", _freeze(m))
         return self._matrix
 
@@ -295,38 +453,184 @@ class Projector:
         """Is this J/n, entrywise within tol_zero?
 
         For P = uu' the largest |u_i u_j - 1/n| sits at a corner of
-        [min u, max u]^2, so the entrywise test costs O(n).
+        [min u, max u]^2, so the entrywise test costs O(m): the entries of
+        u = N a are a times the class scales, each class non-empty.
         """
         if self.df != 1:
             return False
-        u = self.basis[:, 0]
+        e = self.explicit()
+        u = e._coef[:, 0] if e._cls is None else e._coef[:, 0] * e._cls.scale
         lo, hi, c = float(u.min()), float(u.max()), 1.0 / self.n
         gap = max(abs(lo * lo - c), abs(hi * hi - c), abs(lo * hi - c))
         return gap <= policy.tol_zero
 
+    def carried(
+        self, rows: np.ndarray, r: int, label: str | None = None, memo: dict | None = None
+    ) -> "Projector":
+        """This projector carried by an equireplicate allocation: row i of the
+        new space is object ``rows[i]``, r rows per object.
+
+        Class ids compose, ids[rows], and scales become scale/sqrt(r), so A is
+        kept and nothing is checked: the lift is an isometry.  With r = 1 and
+        no classes, NN' = I, so an implicit projector stays I minus its
+        carried listed bases.  On a space of at most ``DENSE_ROWS`` rows the
+        result is held dense, an implicit one on classes through its explicit
+        form.  ``memo`` maps id() of projectors already carried to their
+        carried form, so that a structure's implicit source lists the very
+        projectors its other elements became, and ("classes", id(N)) to the
+        carried N (N = None for a dense projector), so that projectors that
+        shared classes share the carried ones and their products skip the
+        contingency table.
+        """
+        memo = {} if memo is None else memo
+        if label is None and id(self) in memo:
+            return memo[id(self)]
+        factor = 1.0 / np.sqrt(r)
+        out_label = self.label if label is None else label
+        if self._cls is None and self._parts is not None and r == 1:
+            classes = None
+        else:
+            key = ("classes", id(self._cls))
+            classes = memo.get(key)
+            if classes is None:
+                if self._cls is None:
+                    classes = Classes(rows, np.full(self._n, factor))
+                else:
+                    classes = self._cls.carried(rows, factor)
+                memo[key] = classes
+        if self._parts is None:
+            out = Projector.on_classes(classes, self._coef, out_label, n=rows.size)
+        elif classes is not None and rows.size <= DENSE_ROWS:
+            out = self.explicit().carried(rows, r, out_label, memo)
+        else:
+            parts = tuple(q.carried(rows, r, memo=memo) for q in self._parts)
+            out = Projector(label=out_label, _n=rows.size, _cls=classes, _parts=parts)
+        if label is None:
+            memo[id(self)] = out
+        return out
+
     def relabel(self, label: str) -> "Projector":
-        return replace(self, label=label)
+        return replace(self, label=label, _explicit=None)
 
     def __repr__(self) -> str:  # keep reprs short; bases can be 648 x 486
         return f"Projector({self.label!r}, df={self.df}, n={self.n})"
 
 
-def project(p: Projector, x: np.ndarray) -> np.ndarray:
-    """P X: U(U'X), or X - W(W'X) when P = I - WW' is implicit."""
-    if p.implicit:
-        return x - mul(p.w, mul(p.w.T, x))
-    return mul(p.basis, mul(p.basis.T, x))
+# --- products on class coordinates ------------------------------------------
 
 
-def bilinear(x: np.ndarray, p: Projector, y: np.ndarray) -> np.ndarray:
-    """X' P Y: (U'X)'(U'Y), or X'Y - (W'X)'(W'Y) when P = I - WW' is implicit.
+def coords(p: Projector, classes: Classes | None) -> np.ndarray:
+    """N'U_p (m x df_p) for an explicit p: U_p's coordinates on ``classes``
+    (U_p itself when ``classes`` is None)."""
+    if p._cls is classes:
+        return p._coef
+    if classes is None:
+        return p._cls.up(p._coef)
+    if p._cls is None:
+        return classes.down(p._coef)
+    if classes.m * p._cls.m <= p.n * p.df:
+        return mul(classes.table(p._cls), p._coef)
+    return classes.down(p._cls.up(p._coef))
 
-    Pass the same array as ``x`` and ``y`` to form its coordinates once.
+
+def gram(p: Projector, q: Projector) -> np.ndarray:
+    """U_p'U_q (df_p x df_q) for explicit p and q.
+
+    On shared classes it is A_p'A_q; across two partitions A_p'(N_p'N_q)A_q,
+    the side with fewer columns taken through the contingency table, so no
+    n-row basis is formed unless one is held.
     """
-    if p.implicit:
-        a = mul(p.w.T, x)
-        b = a if y is x else mul(p.w.T, y)
-        return mul(x.T, y) - mul(a.T, b)
-    a = mul(p.basis.T, x)
-    b = a if y is x else mul(p.basis.T, y)
-    return mul(a.T, b)
+    if p._cls is q._cls:
+        return mul(p._coef.T, q._coef)
+    if q._cls is None or (p._cls is not None and q.df <= p.df):
+        return mul(p._coef.T, coords(q, p._cls))
+    return mul(coords(p, q._cls).T, q._coef)
+
+
+def span(p: Projector, a: np.ndarray | None = None) -> np.ndarray:
+    """U_p a (n x c) for an explicit p, or U_p itself when ``a`` is None."""
+    coef = p._coef if a is None else mul(p._coef, a)
+    return coef if p._cls is None else p._cls.up(coef)
+
+
+def spanned(p: Projector, a: np.ndarray, label: str, policy: TolerancePolicy) -> Projector:
+    """The explicit projector onto span(U_p a), held on p's classes as N_p(A_p a)
+    and checked as (A_p a)'(A_p a) = I within tol_idem."""
+    return Projector.on_classes(p._cls, mul(p._coef, a), label, policy, n=p.n)
+
+
+def _down(p: Projector, x: np.ndarray) -> np.ndarray:
+    return x if p._cls is None else p._cls.down(x)
+
+
+def project(p: Projector, x: np.ndarray) -> np.ndarray:
+    """P X for a dense X (n x c): U(U'X), or NN'X minus each listed part's
+    projection when P is implicit."""
+    if p._parts is None:
+        return span(p, mul(p._coef.T, _down(p, x)))
+    out = x if p._cls is None else p._cls.up(p._cls.down(x))
+    for q in p._parts:
+        out = out - project(q, x)
+    return out
+
+
+def cross(p: Projector, xs, memo: dict | None = None) -> np.ndarray:
+    """U_p'X for an explicit p and the stacked bases X of the explicit ``xs``:
+    on p's classes, the xs' stacked coordinates there times A_p' in one
+    product (a dense p against sources on classes takes each ``gram``
+    instead, so that no n-row basis of theirs is formed).  ``memo`` keeps
+    those coordinates per classes, for callers that take many p against
+    the same xs."""
+    if p._cls is None and any(x._cls is not None for x in xs):
+        return np.hstack([gram(p, x) for x in xs])
+    c = None if memo is None else memo.get(p._cls)
+    if c is None:
+        c = [coords(x, p._cls) for x in xs]
+        c = c[0] if len(c) == 1 else np.hstack(c)
+        if memo is not None:
+            memo[p._cls] = c
+    return mul(p._coef.T, c)
+
+
+def family_gram(xs, ys=None) -> np.ndarray:
+    """X'Y for the stacked bases of the explicit projectors ``xs`` and ``ys``
+    (``ys`` defaults to ``xs``, and the lower blocks are then mirrored),
+    one row of blocks at a time; one product when every basis is dense."""
+    if all(x._cls is None for x in (xs if ys is None else [*xs, *ys])):
+        sx = np.hstack([x._coef for x in xs])
+        return mul(sx.T, sx if ys is None else np.hstack([y._coef for y in ys]))
+    if ys is not None:
+        return np.vstack([cross(x, ys) for x in xs])
+    edges = np.cumsum([0] + [x.df for x in xs])
+    out = np.empty((edges[-1], edges[-1]))
+    for i, x in enumerate(xs):
+        a, b = edges[i], edges[i + 1]
+        out[a:b, a:] = cross(x, xs[i:])
+        out[b:, a:b] = out[a:b, b:].T
+    return out
+
+
+def bilinear_of(xs, p: Projector, ys=None) -> np.ndarray:
+    """X' P Y for the stacked bases X, Y of the explicit projectors ``xs``
+    and ``ys`` (``ys`` defaults to ``xs``), on class coordinates.
+
+    Explicit P: C_X'C_Y with C_X = U_P'X.  Implicit P = NN' - WW': (N'X)'(N'Y)
+    minus (W'X)'(W'Y); with N = I the first term is ``family_gram``.
+    """
+    same = ys is None
+    ys = xs if same else ys
+    if p._parts is None:
+        cx = cross(p, xs)
+        cy = cx if same else cross(p, ys)
+        return mul(cx.T, cy)
+    if p._cls is None:
+        out = family_gram(xs, None if same else ys)
+    else:
+        bx = np.hstack([coords(x, p._cls) for x in xs])
+        by = bx if same else np.hstack([coords(y, p._cls) for y in ys])
+        out = mul(bx.T, by)
+    if p._parts:
+        cx = np.vstack([cross(w, xs) for w in p._parts])
+        cy = cx if same else np.vstack([cross(w, ys) for w in p._parts])
+        out -= mul(cx.T, cy)
+    return out

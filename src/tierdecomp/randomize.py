@@ -34,10 +34,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import DEFAULT_POLICY, EfficiencyRangeError, Projector, TolerancePolicy, bilinear, project
+from .projlin import (
+    DEFAULT_POLICY,
+    EfficiencyRangeError,
+    Projector,
+    TolerancePolicy,
+    bilinear_of,
+    project,
+    span,
+)
 from .structure import (
     AllocationMap,
     Decomposition,
+    EfficiencyMatrix,
     InternalInconsistencyError,
     Structure,
     ViolationReport,
@@ -179,6 +188,7 @@ def check_adjusted_orthogonality(
     qs: Structure,
     rs: Structure,
     policy: TolerancePolicy = DEFAULT_POLICY,
+    balance: EfficiencyMatrix | None = None,
 ) -> ConditionReport:
     """Verify the three equivalent adjusted-orthogonality conditions inside P.
 
@@ -186,19 +196,22 @@ def check_adjusted_orthogonality(
     (ii) Q P R = 0 for every pair, and (iii) I_Q P I_R = 0.  They are
     provably equivalent, so the three verdicts must agree; disagreement can
     only mean numerical breakdown and raises InternalInconsistencyError.
+    ``balance`` is the EfficiencyMatrix of ``qs`` against a decomposition
+    holding P when the caller has it; (i) reads P's results from it instead
+    of calling ``efficiency`` again.
     """
     witnesses = []
 
     cond_i = True
     for q in qs.elements:
-        res = efficiency(p, q, policy)
+        res = efficiency(p, q, policy) if balance is None else balance.results[(p.label, q.label)]
         if res.efficiency is None or res.efficiency.is_zero():
             continue
         if res.status == "unbalanced":
             cond_i = False
             witnesses.append(f"{p.label} is not balanced against {q.label}")
             continue
-        swept = project(p, q.basis) / np.sqrt(res.lam)
+        swept = project(p, span(q.explicit())) / np.sqrt(res.lam)
         gap = np.linalg.norm(project(rs.total, swept))
         if gap > policy.tol_zero:
             cond_i = False
@@ -210,14 +223,14 @@ def check_adjusted_orthogonality(
     cond_ii = True
     for q in qs.elements:
         for r in rs.elements:
-            gap = np.linalg.norm(bilinear(q.basis, p, r.basis))
+            gap = np.linalg.norm(bilinear_of([q.explicit()], p, [r.explicit()]))
             if gap > policy.tol_zero:
                 cond_ii = False
                 witnesses.append(
                     f"{q.label} . {p.label} . {r.label} != 0 (norm {gap:.3e})"
                 )
 
-    gap_iii = np.linalg.norm(bilinear(qs.total.basis, p, rs.total.basis))
+    gap_iii = np.linalg.norm(bilinear_of([qs.total.explicit()], p, [rs.total.explicit()]))
     cond_iii = gap_iii <= policy.tol_zero
     if not cond_iii:
         witnesses.append(f"I_Q . {p.label} . I_R != 0 (norm {gap_iii:.3e})")
@@ -350,7 +363,8 @@ def check_double(
         homes = []
         for q in qs.elements:
             # R sits inside Q iff Q U_r = U_r
-            gap = np.linalg.norm(project(q, r.basis) - r.basis)
+            u = span(r.explicit())
+            gap = np.linalg.norm(project(q, u) - u)
             if gap <= policy.tol_idem:
                 homes.append(q.label)
         if len(homes) == 1:
@@ -517,15 +531,19 @@ def _run_independent_pair(design, d, first, second, diagnostics, reports):
     diagnostics.extend(q_lift.notices)
     diagnostics.extend(r_lift.notices)
 
-    pre_nodes = list(d.nodes)
-
-    d1 = _refine_or_raise(design, d, q_lift, first, diagnostics)
+    # one balance computation serves the first refinement and condition (i)
+    balance = is_structure_balanced(q_lift, d, design.policy)
+    if isinstance(balance, ViolationReport):
+        raise IncoherenceError(_report_from_violations(design, d, q_lift, balance, first))
+    d1 = _refine_or_raise(design, d, q_lift, first, diagnostics, balance=balance)
 
     items = []
-    for node in pre_nodes:
+    for node in d.nodes:
         if node.projector.is_mean(design.policy):
             continue
-        rep = check_adjusted_orthogonality(node.projector, q_lift, r_lift, design.policy)
+        rep = check_adjusted_orthogonality(
+            node.projector, q_lift, r_lift, design.policy, balance=balance
+        )
         reports.append(rep)
         if not rep.holds:
             items.append(

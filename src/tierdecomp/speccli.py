@@ -716,9 +716,10 @@ class Design:
                     if part in t.constituents and not t.is_pseudo
                 ]
                 parents |= min(holders, key=len)
-            ids, _ = _class_ids(columns, sorted(parents), n)
-            pseudo_ids, _ = _class_ids(columns, [p.name], n)
-            if not _refines(ids, pseudo_ids):
+            ids = poset.ids.get(frozenset(parents))
+            if ids is None:
+                ids, _ = _class_ids(columns, sorted(parents), n)
+            if not _refines(ids, poset.ids[frozenset({p.name})]):
                 raise SpecError(
                     f"tier {decl.name!r}: pseudofactor {p.name!r} does not group "
                     f"whole classes of {p.splits}"

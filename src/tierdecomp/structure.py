@@ -17,14 +17,15 @@ element Q (all idempotents on the unit space):
 * residual: P minus all its sweeps against one structure; what is left of
   P once every partly-confounded source is removed.
 
-Every element is held as an orthonormal basis, or as the implicit
-complement I - WW' of listed bases (see ``projlin``), so all of this runs
-on C = U_P' U_Q (df_P x df_Q) and never on n x n matrices: QPQ = lam*Q
-holds iff C'C = U_Q' P U_Q = lam*I, the sweep's basis is P U_Q / sqrt(lam),
-and the residual's is U_P times the complement of the sweeps' coordinates
-in R^df_P, or I - [W, sweeps][W, sweeps]' when P is implicit.  Each test
-uses a Frobenius norm of a small matrix, which bounds the largest entry of
-the n x n quantity it stands for.
+Every element is held in class form, explicitly as U = NA or implicitly
+as NN' minus listed bases (see ``projlin``), so all of this runs on C =
+U_P' U_Q (df_P x df_Q), formed on class coordinates by ``gram``, and never
+on n x n matrices: QPQ = lam*Q holds iff C'C = U_Q' P U_Q = lam*I, the
+sweep's basis is P U_Q / sqrt(lam), which for an explicit P is U_P C /
+sqrt(lam) on P's own classes, and the residual's is U_P times the
+complement of the sweeps' coordinates in R^df_P, or I - [W, sweeps][W,
+sweeps]' when P is implicit.  Each test uses a Frobenius norm of a small
+matrix, which bounds the largest entry of the n x n quantity it stands for.
 
 Refining every element of a decomposition this way yields the next, finer
 decomposition, with each element remembering its lineage for table output.
@@ -33,6 +34,7 @@ decomposition, with each element remembering its lineage for table output.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +45,15 @@ from .projlin import (
     Projector,
     ProjectorError,
     TolerancePolicy,
-    bilinear,
+    bilinear_of,
+    cross,
+    family_gram,
+    gram,
     gram_defect,
     mul,
-    project,
     snap_rational,
+    span,
+    spanned,
 )
 
 __all__ = [
@@ -121,10 +127,13 @@ def check_blocks(
 
 
 def _check_family(projectors, policy: TolerancePolicy, what: str = "elements") -> None:
-    """The block rule on one Gram of the stacked bases of ``projectors``."""
-    members = [p for p in projectors if p.df > 0]
+    """The block rule on one Gram of the stacked bases of ``projectors``
+    (an implicit member in its explicit form)."""
+    members = [p.explicit() for p in projectors if p.df > 0]
     if members:
-        check_blocks(gram_defect(np.hstack([p.basis for p in members])), members, policy, what)
+        defect = family_gram(members)
+        defect[np.diag_indices_from(defect)] -= 1.0
+        check_blocks(defect, members, policy, what)
 
 
 @dataclass
@@ -169,9 +178,10 @@ class Structure:
 class AllocationMap:
     """Assignment of each row of one space to an object of a tier.
 
-    ``assignment[i]`` is the index into ``objects`` for row i.  The design
-    matrix X is the 0/1 indicator (rows x objects); ``replication`` is the
-    common column sum when the allocation is equireplicate, else None.
+    ``assignment[i]`` is the index into ``objects`` for row i: the design
+    matrix X, the 0/1 indicator (rows x objects), held as its column ids.
+    ``replication`` is the common column sum when the allocation is
+    equireplicate, else None.
     """
 
     tier: str
@@ -193,12 +203,6 @@ class AllocationMap:
     @property
     def n_rows(self) -> int:
         return self.assignment.size
-
-    @property
-    def design_matrix(self) -> np.ndarray:
-        x = np.zeros((self.n_rows, len(self.objects)))
-        x[np.arange(self.n_rows), self.assignment] = 1.0
-        return x
 
     @property
     def replication(self) -> int | None:
@@ -224,20 +228,21 @@ def lift(
 ) -> Structure:
     """Carry a tier structure up to the allocation's row space.
 
-    Equireplicate allocations map each basis by a row gather, U[assignment]
-    / sqrt(r), which is the basis of (1/r) X Q X'; with r = 1 the gather is
-    a permutation and an implicit I - WW' becomes I - W[assignment]
-    W[assignment]'.  With r > 1 an implicit source's basis is materialized
-    on the tier's own objects, m = n / r of them.  Anything else must
-    satisfy U_i' diag(counts) U_j = 0 for distinct elements, in which case
-    each lifted element is the orthonormalised span of X U; a notice marks
-    the general route.  Degrees of freedom must survive the trip.
+    An equireplicate allocation composes class ids: each source's classes
+    become ids[assignment] with scales over sqrt(r) (``Projector.carried``),
+    the lifted form of (1/r) X Q X', for every r, so nothing is checked and,
+    above ``DENSE_ROWS`` rows, nothing is gathered or formed.  An implicit
+    source stays implicit; with r = 1 it is I minus its carried listed
+    bases.  Anything else must satisfy U_i'
+    diag(counts) U_j = 0 for distinct elements, in which case each lifted
+    element is the orthonormalised span of X U; a notice marks the general
+    route.  Degrees of freedom must survive the trip.
 
-    Every lifted basis passes ``Projector.from_basis``; a permuted implicit
-    source keeps its W, checked where it was made.  The gather is an
-    isometry (X'X = rI), so the lifted family has the tier family's Gram,
-    which ``source_projectors`` checked; only the general route, whose
-    bases are new, validates the lifted structure as a whole.
+    The composition is an isometry (X'X = rI, and N'N = I on the composed
+    classes), so the lifted family has the tier family's Gram, which
+    ``source_projectors`` checked; only the general route, whose bases are
+    new, checks each lifted basis and validates the lifted structure as a
+    whole.
     """
     if len(tier_structure.elements) == 0:
         raise ValueError("cannot lift an empty structure")
@@ -250,20 +255,15 @@ def lift(
     rows = alloc.assignment
     notices = []
     r = alloc.replication
-    lifted = []
     total_label = f"{alloc.tier} span"
-    if r == 1:
-        for q in tier_structure.elements:
-            lifted.append(_permuted(q, rows, q.label, policy))
-        total = _permuted(tier_structure.total, rows, total_label, policy)
-    elif r is not None:
-        scale = 1.0 / np.sqrt(r)
-        for q in tier_structure.elements:
-            lifted.append(_lifted_projector(q.basis[rows] * scale, q, policy))
-        total = Projector.from_basis(tier_structure.total.basis[rows] * scale, total_label, policy)
+    if r is not None:
+        memo: dict = {}
+        lifted = [q.carried(rows, r, memo=memo) for q in tier_structure.elements]
+        total = tier_structure.total.carried(rows, r, total_label, memo)
     else:
         counts = np.bincount(rows, minlength=m).astype(float)
         elements = tier_structure.elements
+        # the tier's own objects: m rows, not the units
         stacked = np.hstack([q.basis for q in elements])
         weighted = mul(stacked.T, stacked * counts[:, None])
         try:
@@ -276,8 +276,7 @@ def lift(
         notices.append(
             f"tier {alloc.tier!r}: unequal replication; general lifting applied"
         )
-        for q in elements:
-            lifted.append(_lifted_projector(_orth_columns(q.basis[rows]), q, policy))
+        lifted = [_lifted_projector(_orth_columns(q.basis[rows]), q, policy) for q in elements]
         total = Projector.from_basis(np.hstack([p.basis for p in lifted]), total_label, policy)
 
     out = Structure(
@@ -289,13 +288,6 @@ def lift(
     if r is None:
         out.validate(policy)
     return out
-
-
-def _permuted(q: Projector, rows: np.ndarray, label: str, policy: TolerancePolicy) -> Projector:
-    """``q`` carried by a bijection: the rows of its basis, or of W, permuted."""
-    if q.implicit:
-        return Projector.complement_of(q.w[rows], label)
-    return Projector.from_basis(q.basis[rows], label, policy)
 
 
 def _lifted_projector(basis: np.ndarray, q: Projector, policy: TolerancePolicy) -> Projector:
@@ -359,39 +351,78 @@ def efficiency(
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
     if q.implicit:
-        gram, fill = _implicit_gram(p, q)
+        gram_, fill = _implicit_gram(p, q)
     else:
-        gram, fill = bilinear(q.basis, p, q.basis), 0.0
-    return _classify(p.label, p.df, q, gram, policy, fill)
+        gram_, fill = bilinear_of([q], p), 0.0
+    return _classify(p.label, p.df, q, gram_, policy, fill)
 
 
 def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POLICY) -> BalanceResult:
     """``efficiency`` of P = the sum of the mutually orthogonal ``ps`` against Q.
 
-    U_Q'PU_Q is the sum of the U_Q'P_iU_Q, so P itself is never formed.
+    U_Q'PU_Q is the sum of the U_Q'P_iU_Q, so P itself is never formed.  For
+    an implicit Q = I - WW' (W with m columns) it is not formed either: CC'
+    = U_P'QU_P = I - E'E with E = W'U_P, and EE' = W'PW is summed over the
+    pooled rows, so C'C has the spectrum of the small I - W'PW with df_P - m
+    more ones, and df_Q - df_P more zeros.  Where a count is negative,
+    that many of the small matrix's eigenvalues, which are then ones or
+    zeros, are dropped instead.
     """
-    gram = sum(bilinear(q.basis, p, q.basis) for p in ps)
-    return _classify(" + ".join(p.label for p in ps), sum(p.df for p in ps), q, gram, policy)
+    label, df = " + ".join(p.label for p in ps), sum(p.df for p in ps)
+    if not (q.implicit and q.classes is None and q.parts):
+        qe = q.explicit()
+        return _classify(label, df, q, sum(bilinear_of([qe], p) for p in ps), policy)
+    small = -sum(bilinear_of(q.parts, p) for p in ps)
+    small[np.diag_indices_from(small)] += 1.0
+    m = small.shape[0]
+    if m <= df <= q.df:
+        return _classify(label, df, q, small, policy, ones=df - m)
+    eigs = np.linalg.eigvalsh(small)  # ascending
+    eigs = eigs[max(df - q.df, 0) : eigs.size - max(m - df, 0)]
+    return _classify(label, df, q, np.diag(eigs), policy, ones=max(df - m, 0))
 
 
-def _implicit_gram(p: Projector, q: Projector):
-    """(G, fill) for an implicit Q = I - VV': C'C (df_Q x df_Q) has the
+def _held_whole(p: Projector) -> Projector:
+    """``p``, or its explicit form when it is implicit on classes: the
+    kernels below hold implicitly only I - WW' on the whole space."""
+    return p.explicit() if p.implicit and p.classes is not None else p
+
+
+def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None):
+    """(G, fill) for an implicit Q = NN' - WW': C'C (df_Q x df_Q) has the
     eigenvalues of the small G and df_Q - len(G) more equal to fill.
 
-    Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - WW':
-    C'C = I - E'E with E = W'U_Q and EE' = W' Q W, so G = I - W' Q W and
-    C'C adds ones.  When G would be the larger side, Q's basis is
-    materialized and C'C formed directly.
+    Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - VV':
+    C'C = I - E'E with E = V'U_Q and EE' = V' Q V, so G = I - V' Q V and
+    C'C adds ones.  When G would be the larger side, Q is taken in its
+    explicit form and C'C formed directly.  ``side_w`` is V'W (U_P'W for an
+    explicit P) when the caller has it and Q = I - WW'; then V'QV is
+    V'V - (V'W)(V'W)'.
     """
-    side = p.w if p.implicit else p.basis
-    if side.shape[1] > q.df:
-        return bilinear(q.basis, p, q.basis), 0.0
-    g = bilinear(side, q, side)
+    p = _held_whole(p)
+    side = list(p.parts) if p.implicit else [p]
+    if sum(v.df for v in side) > q.df:
+        return bilinear_of([q.explicit()], p), 0.0
+    if not side:
+        g = np.zeros((0, 0))
+    elif side_w is not None:
+        g = family_gram(side) - mul(side_w, side_w.T)
+    else:
+        g = bilinear_of(side, q)
     if not p.implicit:
         return g, 0.0
     g = -g
     g[np.diag_indices_from(g)] += 1.0
     return g, 1.0
+
+
+def _through(p: Projector, q: Projector) -> np.ndarray:
+    """P U_Q (n x df_Q) for an implicit P on the whole space and explicit Q:
+    U_Q minus each listed part's share of it."""
+    out = span(q)
+    for w in p.parts:
+        out = out - span(w, gram(w, q))
+    return out
 
 
 def sweep(
@@ -401,11 +432,16 @@ def sweep(
     policy: TolerancePolicy = DEFAULT_POLICY,
     label: str | None = None,
 ) -> Projector:
-    """Projector onto Im(PQ), basis P U_Q / sqrt(lam); defined when balance holds."""
+    """Projector onto Im(PQ), basis P U_Q / sqrt(lam); defined when balance holds.
+
+    For an explicit P that is U_P C / sqrt(lam), held on P's classes."""
     if lam <= policy.tol_zero:
         raise ValueError(f"sweep of {p.label} by {q.label} needs a nonzero efficiency")
-    basis = project(p, q.basis) / np.sqrt(lam)
-    return Projector.from_basis(basis, label or f"{p.label} ▷ {q.label}", policy)
+    label = label or f"{p.label} ▷ {q.label}"
+    p, q = _held_whole(p), q.explicit()
+    if p.implicit:
+        return Projector.from_basis(_through(p, q) / np.sqrt(lam), label, policy)
+    return spanned(p, gram(p, q) / np.sqrt(lam), label, policy)
 
 
 def residual(
@@ -420,25 +456,27 @@ def residual(
     inside P iff K'K = I.  K'K - I is held to tol_idem as a whole and, by
     the block rule, to tol_zero between two sweeps, so the sweeps and the
     residual need no family check afterwards.  An explicit P's residual has
-    basis U_P times the orthogonal complement of K = U_P'S in R^df_P.  An
-    implicit P = I - WW' leaves I - [W, S][W, S]' with no QR; that is a
-    projector when, besides, W'S vanishes, which is held to tol_zero.
+    basis U_P times the orthogonal complement of K = U_P'S in R^df_P, held
+    on P's classes.  An implicit P = I - WW' leaves I - [W, S][W, S]' with
+    no QR; that is a projector when, besides, W'S vanishes, which is held
+    to tol_zero.
     """
     label = label or f"{p.label} residual"
     if not swept:
         return p.relabel(label)
-    stacked = np.hstack([s.basis for s in swept])
+    p = _held_whole(p)
     if p.implicit:
-        leak = mul(p.w.T, stacked)
-        defect = gram_defect(stacked) - mul(leak.T, leak)
+        leak = family_gram(p.parts, swept) if p.parts else np.zeros((0, sum(s.df for s in swept)))
+        defect = family_gram(swept) - mul(leak.T, leak)
+        defect[np.diag_indices_from(defect)] -= 1.0
     else:
-        k = mul(p.basis.T, stacked)
+        k = np.hstack([gram(p, s) for s in swept])
         defect = gram_defect(k)
     gap = float(np.linalg.norm(defect))
     # also caps the sweeps' df at df_P: a K wider than tall has gap >= 1
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: not idempotent (sweep gap {gap:.3e})")
-    # with from_basis on each sweep and the residual, this is all refine checks
+    # with the checks on each sweep and the residual, this is all refine checks
     try:
         check_blocks(defect, swept, policy, what="sweeps")
     except ValueError as exc:
@@ -447,12 +485,12 @@ def residual(
         outside = float(np.linalg.norm(leak))
         if outside > policy.tol_zero:
             raise ProjectorError(f"{label}: sweeps leave {p.label} (norm {outside:.3e})")
-    if stacked.shape[1] == p.df:
+    if sum(s.df for s in swept) == p.df:
         return None
     if p.implicit:
-        return Projector.complement_of(np.hstack([p.w, stacked]), label)
+        return Projector.complement_of(list(p.parts) + list(swept), label)
     complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
-    return Projector.from_basis(mul(p.basis, complement), label, policy)
+    return spanned(p, complement, label, policy)
 
 
 # --- structure balance of a whole family -------------------------------------
@@ -547,41 +585,59 @@ def is_structure_balanced(
     EfficiencyMatrix on success, a ViolationReport on failure.
 
     For each row P one Gram S'PS of the stacked explicit bases S = [U_Q1
-    ... U_Qk] (``bilinear``) holds C'C for every source: the diagonal blocks
-    are the per-source C_i'C_i of the first-order test, the others the
-    C_a'C_b of the distinctness test.  An implicit source Q (at most one,
-    the largest) takes its first-order test from ``_implicit_gram`` and its
-    distinctness blocks from the norms of Q P S, since U_Q'PU_Qa has the
-    norm of Q P U_Qa.
+    ... U_Qk] (``bilinear_of``, on class coordinates) holds C'C for every
+    source: the diagonal blocks are the per-source C_i'C_i of the
+    first-order test, the others the C_a'C_b of the distinctness test.  An
+    implicit source Q on the whole space (at most one, the largest) takes
+    its first-order test from ``_implicit_gram`` and its distinctness blocks
+    from the norms of Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.
     """
     rows = _elements_of(against)
-    cols = s.elements
+    # Only the largest stratum as source_projectors and lift make it, I - WW'
+    # on the whole space listing every other source, is held; any other
+    # implicit source is taken in its explicit form (complemented on m rows).
+    cols = [q.explicit() if q.classes is not None else q for q in s.elements]
+    explicit = [q for q in cols if not q.implicit]
+    cols = [q if not q.implicit or _lists(q, explicit) else q.explicit() for q in cols]
     plain = [i for i, q in enumerate(cols) if not q.implicit]
     held = [i for i, q in enumerate(cols) if q.implicit]
-    dfs = [cols[i].df for i in plain]
+    stacked = [cols[i] for i in plain]
+    dfs = [q.df for q in stacked]
     edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
-    stacked = np.hstack([cols[i].basis for i in plain]) if plain else np.zeros((s.n, 0))
+    family = None  # S'S, formed once for the rows held implicitly on the whole space
+    on_classes: dict = {}  # S's coordinates on each row's classes
     violations = []
     results = {}
     blocks = {}  # kept for the report only; dropped when the check passes
-    for p in rows:
-        gram = bilinear(stacked, p, stacked)
+    for row in rows:
+        p = _held_whole(row)
         norms = np.zeros((len(cols), len(cols)))
-        if plain:
-            norms[np.ix_(plain, plain)] = _block_norms(gram, dfs)
         res_of = {}
+        if stacked:
+            # c = V'S for P's side V: its basis, or the listed bases of an implicit P
+            side = list(p.parts) if p.implicit else [p]
+            if side:
+                c = np.vstack([cross(v, stacked, on_classes) for v in side])
+            else:
+                c = np.zeros((0, edges[-1]))
+            if p.implicit:
+                if family is None:
+                    family = family_gram(stacked)
+                gram_ = family - mul(c.T, c)
+            else:
+                gram_ = mul(c.T, c)
+            norms[np.ix_(plain, plain)] = _block_norms(gram_, dfs)
         for k, i in enumerate(plain):
-            block = gram[edges[k] : edges[k + 1], edges[k] : edges[k + 1]]
+            block = gram_[edges[k] : edges[k + 1], edges[k] : edges[k + 1]]
             res_of[i] = _classify(p.label, p.df, cols[i], block, policy)
             if res_of[i].status != "orthogonal":
                 blocks[(p.label, cols[i].label)] = block
         for i in held:
-            small, fill = _implicit_gram(p, cols[i])
+            small, fill = _implicit_gram(p, cols[i], c if stacked else None)
             res_of[i] = _classify(p.label, p.df, cols[i], small, policy, fill)
-            if plain:
-                meet = project(cols[i], project(p, stacked))
-                sq = np.add.reduceat((meet * meet).sum(axis=0), edges[:-1])
-                norms[i, plain] = norms[plain, i] = np.sqrt(sq)
+            if stacked:
+                meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero)
+                norms[i, plain] = norms[plain, i] = meet
         for i, q in enumerate(cols):
             res = res_of[i]
             results[(p.label, q.label)] = res
@@ -622,19 +678,66 @@ def is_structure_balanced(
     return em
 
 
-def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0) -> BalanceResult:
+def _lists(q: Projector, xs: list) -> bool:
+    """Does the implicit ``q`` list exactly the projectors ``xs``, in order?"""
+    return len(q.parts) == len(xs) and all(a is b for a, b in zip(q.parts, xs))
+
+
+def _col_block_norms(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each column block of ``c`` cut at ``edges``."""
+    if c.shape[0] == 0:
+        return np.zeros(edges.size - 1)
+    return np.sqrt(np.add.reduceat((c * c).sum(axis=0), edges[:-1]))
+
+
+def _meet_norms(
+    q: Projector, p: Projector, xs: list, xs_p_xs: np.ndarray, c: np.ndarray, tol: float
+) -> np.ndarray:
+    """||Q P U_x||_F for each explicit x in ``xs``, where Q = I - WW' lists
+    exactly ``xs``; with X = [U_x1 ... U_xk], ``xs_p_xs`` is X'PX and ``c``
+    is V'X for P's side V (U_P, or the listed bases of an implicit P).
+
+    QPX = PX - W(W'PX) is formed on the rows, W'PX being ``xs_p_xs``; for an
+    implicit P = I - VV' it is -QV(V'X), since QX = 0, so no basis of X is
+    formed.  Only the columns of an x whose bound on the norm, ||V'U_x||_F,
+    passes ``tol`` are formed; the others read 0, being within ``tol`` of it.
+    """
+    edges = np.concatenate(([0], np.cumsum([x.df for x in xs]))).astype(np.intp)
+    keep = np.flatnonzero(_col_block_norms(c, edges) > tol)
+    norms = np.zeros(len(xs))
+    if keep.size == 0:
+        return norms
+    cols = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in keep])
+    if p.implicit:
+        starts = np.cumsum([0] + [v.df for v in p.parts])
+        y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
+        wy = -mul(c.T, c[:, cols])
+    else:
+        y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
+    for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
+        y = y - span(x, wy[a:b])
+    kept_edges = np.concatenate(([0], np.cumsum(np.diff(edges)[keep]))).astype(np.intp)
+    norms[keep] = _col_block_norms(y, kept_edges)
+    return norms
+
+
+def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0, ones: int = 0) -> BalanceResult:
     """Classify (P, Q) from gram = C'C, C = U_P' U_Q.
 
     lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
     U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
     largest entry; QPQ is U_Q C'C U_Q', bounded the same way.  A ``gram``
-    smaller than df_Q stands for C'C with its missing eigenvalues equal to
-    ``fill`` (see ``_implicit_gram``); each norm then adds their share.
+    smaller than df_Q stands for C'C with ``ones`` of its missing
+    eigenvalues equal to 1 and the rest equal to ``fill`` (see
+    ``_implicit_gram`` and ``balance_of_sum``); each norm then adds their
+    share.
     """
-    pad = q.df - gram.shape[0]
-    lam = (float(np.trace(gram)) + pad * fill) / q.df
+    pad = q.df - gram.shape[0] - ones
+    lam = (float(np.trace(gram)) + ones + pad * fill) / q.df
     if abs(lam) <= policy.tol_zero:
         gap = float(np.hypot(np.linalg.norm(gram), fill * np.sqrt(pad)))
+        if ones:
+            gap = math.hypot(gap, math.sqrt(ones))
         if gap <= policy.tol_idem:
             return BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
         # QPQ is positive semidefinite, so a vanishing trace alongside
@@ -644,6 +747,8 @@ def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0) -> BalanceResul
         )
     shifted = gram - lam * np.eye(gram.shape[0])
     gap = float(np.hypot(np.linalg.norm(shifted), (fill - lam) * np.sqrt(pad)))
+    if ones:
+        gap = math.hypot(gap, (1.0 - lam) * math.sqrt(ones))
     if gap <= policy.tol_idem:
         value = snap_rational(lam, policy)
         if 1.0 - lam <= policy.tol_zero:
@@ -652,7 +757,7 @@ def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0) -> BalanceResul
             if p_df == q.df:
                 return BalanceResult(status="aliased", efficiency=value)
         return BalanceResult(status="balanced", efficiency=value, residual_norm=gap)
-    eigs = np.concatenate((np.linalg.eigvalsh(gram), np.full(pad, fill)))
+    eigs = np.concatenate((np.linalg.eigvalsh(gram), np.ones(ones), np.full(pad, fill)))
     return BalanceResult(
         status="unbalanced",
         eigenvalues=_cluster_eigenvalues(eigs, policy),
@@ -766,8 +871,8 @@ def refine(
     caller has already computed it; otherwise it is computed here.
 
     The refined family is not validated again as a whole; each property is
-    checked where it is made.  Every sweep and residual passes
-    ``Projector.from_basis``.  ``residual`` proves the sweeps of one node
+    checked where it is made.  Every sweep and residual has its basis
+    checked orthonormal (on class coordinates when it is held on classes).  ``residual`` proves the sweeps of one node
     orthonormal, inside it and mutually orthogonal, and the residual is
     their exact complement there.  Children of different nodes are U_P A
     with ||A||_2 = 1, so they inherit their parents' orthogonality to first
@@ -851,12 +956,14 @@ def _commutator_norm(pb: Projector, pc: Projector) -> float:
     cos * sin over the principal angles.  The sines are the column norms of
     (U_c - U_b M) Z, computed directly so that angles near 0 stay exact.
     """
-    m = mul(pb.basis.T, pc.basis)
+    pb, pc = pb.explicit(), pc.explicit()
+    m = gram(pb, pc)
     _, cos, zt = np.linalg.svd(m)
     if cos.size == 0:
         return 0.0
-    outside = pc.basis - mul(pb.basis, m)
-    sin = np.linalg.norm(mul(outside, zt[: cos.size].T), axis=0)
+    z = zt[: cos.size].T
+    outside = span(pc, z) - span(pb, mul(m, z))
+    sin = np.linalg.norm(outside, axis=0)
     return float(np.max(cos * sin))
 
 
@@ -887,14 +994,13 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
     n = b_nodes[0].projector.n if b_nodes else 0
     nodes = []
     for nb in b_nodes:
+        pb = nb.projector.explicit()
         for nc in c_nodes:
-            y, cos, _ = np.linalg.svd(mul(nb.projector.basis.T, nc.projector.basis))
+            y, cos, _ = np.linalg.svd(gram(pb, nc.projector.explicit()))
             shared = int(np.sum(cos > 0.5))
             if shared == 0:
                 continue
-            proj = Projector.from_basis(
-                mul(nb.projector.basis, y[:, :shared]), f"{nb.label} ⊓ {nc.label}", policy
-            )
+            proj = spanned(pb, y[:, :shared], f"{nb.label} ⊓ {nc.label}", policy)
             extra = tuple(
                 e for e in nc.lineage if e not in nb.lineage
             )

@@ -6,6 +6,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -22,6 +23,13 @@ SMALL = [name for name in COHERENT if name != "corn"]  # n <= 64
 
 _designs: dict = {}
 _builds: dict = {}
+
+
+def design_matrix(alloc) -> np.ndarray:
+    """The 0/1 design matrix X (rows x objects) of an AllocationMap."""
+    x = np.zeros((alloc.n_rows, len(alloc.objects)))
+    x[np.arange(alloc.n_rows), alloc.assignment] = 1.0
+    return x
 
 
 def spec_path(name: str) -> Path:

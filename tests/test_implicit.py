@@ -5,6 +5,8 @@ build never materializes a basis on the unit space, closed forms on
 crossed units, and oracle agreement on random block designs.
 """
 
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,13 +19,15 @@ from tierdecomp import (
     Projector,
     build_decomposition,
     cross_check,
+    diagnose_incoherence,
     efficiency,
     layout,
     load_design,
     render,
     residual,
 )
-from tierdecomp.projlin import ProjectorError, bilinear, project
+from tierdecomp import projlin, randomize, structure
+from tierdecomp.projlin import ProjectorError, bilinear_of, project
 from tierdecomp.structure import _classify, _implicit_gram
 
 import gen
@@ -56,10 +60,13 @@ class TestImplicitProjector:
 
     def test_primitives_agree_with_the_explicit_form(self):
         explicit = Projector.from_basis(self.p.basis, "rest")
+        rng = np.random.default_rng(5)
+        a = Projector.from_basis(orthonormal(rng, 9, 4), "a")
+        b = Projector.from_basis(orthonormal(rng, 9, 2), "b")
         for q in (self.p, explicit):
             assert np.allclose(project(q, self.x), self.p.matrix @ self.x, atol=1e-13)
             assert np.allclose(
-                bilinear(self.x, q, self.y), self.x.T @ self.p.matrix @ self.y, atol=1e-13
+                bilinear_of([a], q, [b]), a.basis.T @ self.p.matrix @ b.basis, atol=1e-13
             )
 
     def test_whole_space(self):
@@ -70,7 +77,7 @@ class TestImplicitProjector:
 
     def test_relabel_keeps_the_form(self):
         q = self.p.relabel("other")
-        assert q.implicit and q.w is self.p.w and q.label == "other"
+        assert q.implicit and q.parts is self.p.parts and q.label == "other"
 
     def test_implicit_gram_matches_the_explicit_gram(self):
         rng = np.random.default_rng(11)
@@ -117,32 +124,71 @@ def build_and_render(spec):
 
 
 def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
-    # The largest strata stay I - WW' from the units structure to the table.
-    # Only a lift with r > 1 materializes, on the tier's own m = n / r objects.
-    original = Projector._complement_basis
+    # Tier sources and their lifts stay in class form from the tier to the
+    # table: no n-row basis of one is materialized (``Projector.basis``,
+    # ``projlin.span`` without coefficients), made dense (``from_basis``), or
+    # completed by an n-row QR.  Only the sweeps and residuals of a step are
+    # n-row bases, and an implicit source on classes is complemented on its
+    # m < n classes.  The one exception is a sweep by an implicit node
+    # (``_through``): its basis P U_Q is formed as U_Q minus the listed
+    # bases' shares, on the rows.
+    original_complement = Projector._complement_basis
+    original_from_basis = Projector.from_basis.__func__
+    original_basis = Projector.basis
+    original_span = projlin.span
     units = {}
     made = []
+    through = []
 
-    def guarded(self):
-        if self.n == units["n"]:
+    def guarded_complement(self):
+        block = original_complement(self)
+        if block.shape[0] == units["n"]:
+            raise AssertionError(f"complement of {self.label} taken on the unit space")
+        made.append((self.label, block.shape[0]))
+        return block
+
+    def guarded_from_basis(cls, basis, label, policy=DEFAULT_POLICY):
+        if len(basis) == units["n"] and not any(mark in label for mark in ("▷", "⊢", "⊓")):
+            raise AssertionError(f"dense n-row basis made for {label}")
+        return original_from_basis(cls, basis, label, policy)
+
+    def guarded_basis(self):
+        if self.n == units["n"] and (self.implicit or self.classes is not None):
             raise AssertionError(f"basis of {self.label} materialized on the unit space")
-        made.append((self.label, self.n))
-        return original(self)
+        return original_basis.fget(self)
 
-    monkeypatch.setattr(Projector, "_complement_basis", guarded)
+    def guarded_span(p, a=None):
+        if a is None and p.n == units["n"] and p.classes is not None:
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "_through":
+                raise AssertionError(f"basis of {p.label} spanned on the unit space in {caller}")
+            through.append(p.label)
+        return original_span(p, a)
+
+    monkeypatch.setattr(Projector, "_complement_basis", guarded_complement)
+    monkeypatch.setattr(Projector, "from_basis", classmethod(guarded_from_basis))
+    monkeypatch.setattr(Projector, "basis", property(guarded_basis))
+    for module in (projlin, structure, randomize):
+        monkeypatch.setattr(module, "span", guarded_span)
     cases = [
-        (spec_path("corn"), {("Temperature#Moistures", 9), ("Harvesters", 3)}),
-        (gen.write("lattice", 7, 3, tmp_path), {("Treatments", 49)}),
+        (spec_path("corn"), {("Temperature#Moistures", 9), ("Harvesters", 3)}, set()),
+        (gen.write("lattice", 7, 3, tmp_path), {("Treatments", 49)}, {"Treatments"}),
     ]
-    for spec, sources in cases:
+    for spec, sources, swept in cases:
         units["n"] = load_design(spec).n
         made.clear()
+        through.clear()
         result, text = build_and_render(spec)
         assert sum(node.df for node in result.decomposition.nodes) == units["n"]
         assert text
         assert sources <= set(made)
-        assert all(n < units["n"] for _, n in made)
+        assert set(through) == swept
         assert any(node.projector.implicit for node in result.decomposition.nodes)
+    # the benchmark's cyclic design (v = 96): the diagnose route
+    design = load_design(gen.write("cyclic", 96, 1, tmp_path))
+    units["n"] = design.n
+    report = diagnose_incoherence(design)
+    assert report and report.items[0].kind == "first-order"
 
 
 def latin_square(dest, t):
@@ -192,3 +238,36 @@ def test_random_block_designs_agree_with_the_oracle(tmp_path, case):
     except IncoherenceError:
         return
     assert report.ok, report.render_text()
+
+
+def test_pooled_balance_of_an_implicit_source_forms_no_basis(monkeypatch, tmp_path):
+    # r = 1: each of the 48 treatment combinations once, so B[A] stays
+    # I - WW' on the units; its merge test sums I - W'PW over the pooled rows
+    lines = [
+        "design pooled",
+        "units plots",
+        "tier plots",
+        "  factor Blocks 6",
+        "  factor Plots 8",
+        "  formula Blocks/Plots",
+        "tier treatments",
+        "  factor A 6",
+        "  factor B 8",
+        "  formula A/B",
+        "randomize treatments -> plots type simple",
+        "allocation csv pooled.csv",
+    ]
+    (tmp_path / "pooled.spec").write_text("\n".join(lines) + "\n")
+    cells = [(a, b) for a in range(6) for b in range(8)]
+    random.Random(5).shuffle(cells)
+    rows = [f"k{i // 8},p{i % 8},a{a},b{b}" for i, (a, b) in enumerate(cells)]
+    (tmp_path / "pooled.csv").write_text("\n".join(["Blocks,Plots,A,B"] + rows) + "\n")
+
+    def forbidden(self):
+        raise AssertionError(f"complement of {self.label} taken")
+
+    monkeypatch.setattr(Projector, "_complement_basis", forbidden)
+    report = diagnose_incoherence(load_design(tmp_path / "pooled.spec"))
+    pooled = [it for it in report.items if it.kind == "first-order" and "B[A]" in it.sources]
+    assert pooled
+    assert all(it.suggestion.startswith("merge sources Blocks, Plots[Blocks]") for it in pooled)

@@ -7,6 +7,8 @@ from tierdecomp.oracle import orthonormal_basis
 from tierdecomp.projlin import DEFAULT_POLICY, Projector, snap_rational
 from tierdecomp.structure import AllocationMap
 
+from conftest import design_matrix
+
 
 @given(
     num=st.integers(min_value=0, max_value=64),
@@ -70,7 +72,7 @@ def test_complete_blocks_are_equireplicate(blocks, treatments):
     alloc = AllocationMap(
         tier="treatments", objects=list(range(treatments)), assignment=assignment
     )
-    x = alloc.design_matrix
+    x = design_matrix(alloc)
     assert x.shape == (n, treatments)
     assert x.sum() == n
     assert alloc.replication == blocks

@@ -254,6 +254,20 @@ class TestAdjustedOrthogonality:
         assert rep.holds
         assert rep.details == {"i": True, "ii": True, "iii": True}
 
+    def test_condition_i_reads_the_first_refinements_balance(self, monkeypatch):
+        # the EfficiencyMatrix of the first refinement serves condition (i)
+        calls = []
+
+        def counted(p, q, policy=None):
+            calls.append((p.label, q.label))
+            return structure.efficiency(p, q, policy)
+
+        monkeypatch.setattr(randomize, "efficiency", counted)
+        result = build_decomposition(load_design(spec_path("ex2")))
+        assert calls == []
+        checked = [r for r in result.reports if r.condition.startswith("adjusted")]
+        assert checked and all(r.holds for r in checked)
+
     def test_disagreeing_formulations_exit_2_at_the_cli(self, monkeypatch, capsys):
         # corrupt only formulation (i): every sweep now seems to meet the
         # other structure's span while (ii) and (iii) still hold

@@ -22,6 +22,8 @@ from tierdecomp import (
 )
 from tierdecomp.structure import IncompatibilityError, _cluster_eigenvalues, is_compatible
 
+from conftest import design_matrix
+
 
 def proj(matrix, label="p"):
     return Projector.validated(np.asarray(matrix, dtype=float), label)
@@ -123,7 +125,7 @@ class TestAllocationMap:
     def test_design_matrix_and_replication(self):
         alloc = AllocationMap(tier="t", objects=["a", "b"], assignment=[0, 1, 0, 1])
         assert alloc.replication == 2
-        x = alloc.design_matrix
+        x = design_matrix(alloc)
         assert x.shape == (4, 2)
         assert np.array_equal(x.sum(axis=1), np.ones(4))
 
