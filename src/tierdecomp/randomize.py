@@ -2,7 +2,13 @@
 
 Each step carries one tier's structure onto the observational units and
 refines the running decomposition, gated by a structure-balance check.
-The step kind decides which extra conditions are verified first:
+Every step reads the same way: lift (``_lift_tier``, which also records
+the lift's notices), one balance check per (structure, decomposition)
+pair (``_balance``, which raises the incoherence report when it fails),
+the pair condition, and ``refine`` from that check's EfficiencyMatrix.
+The pair conditions read the same matrices; nothing computes a balance
+a second time.  The step kind decides which extra conditions are
+verified first:
 
 * ``simple`` / ``composed`` / ``randomized_inclusive`` /
   ``unrandomized_inclusive``: plain gated refinement.  Inclusive steps need
@@ -50,7 +56,7 @@ from .structure import (
     InternalInconsistencyError,
     Structure,
     ViolationReport,
-    efficiency,
+    _elements_of,
     is_structure_balanced,
     joint,
     lift,
@@ -187,8 +193,8 @@ def check_adjusted_orthogonality(
     p: Projector,
     qs: Structure,
     rs: Structure,
+    balance: EfficiencyMatrix,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    balance: EfficiencyMatrix | None = None,
 ) -> ConditionReport:
     """Verify the three equivalent adjusted-orthogonality conditions inside P.
 
@@ -197,14 +203,14 @@ def check_adjusted_orthogonality(
     provably equivalent, so the three verdicts must agree; disagreement can
     only mean numerical breakdown and raises InternalInconsistencyError.
     ``balance`` is the EfficiencyMatrix of ``qs`` against a decomposition
-    holding P when the caller has it; (i) reads P's results from it instead
-    of calling ``efficiency`` again.
+    holding P, the one the first refinement of the pair read; (i) takes
+    each sweep's λ from it.
     """
     witnesses = []
 
     cond_i = True
     for q in qs.elements:
-        res = efficiency(p, q, policy) if balance is None else balance.results[(p.label, q.label)]
+        res = balance.results[(p.label, q.label)]
         if res.efficiency is None or res.efficiency.is_zero():
             continue
         if res.status == "unbalanced":
@@ -252,32 +258,24 @@ def check_coincident(
     against,
     qs: Structure,
     rs: Structure,
+    balances: tuple,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    balances: tuple | None = None,
 ) -> CoincidentReport:
     """Evaluate the coincident-randomization conditions against ``against``.
 
     General condition: whenever an element P meets both a Q and an R, one of
     the sweeps must give back P whole.  Special condition (per assignment):
     whenever P meets a Q and the span of the other structure, the Q-sweep
-    must give back P whole.  Both structures are assumed structure balanced
-    in relation to ``against``.  ``balances`` holds the two EfficiencyMatrix
-    results when the caller has already checked that; otherwise they are
-    computed here, and a structure that is not balanced raises ValueError.
+    must give back P whole.  ``balances`` holds the EfficiencyMatrix of
+    ``qs`` and of ``rs`` against ``against`` (a Decomposition or a
+    Structure), from the checks that found both structure balanced; every
+    verdict is read from them.
 
     A sweep gives back P whole exactly when P and Q are balanced with
     lam > 0 and df_P = df_Q (C is then square and invertible); P meets the
     span of a structure exactly when it meets one of its elements.
     """
-    if isinstance(against, Decomposition):
-        ps = [node.projector for node in against.nodes]
-    else:
-        ps = list(against.elements)
-    if balances is None:
-        balances = tuple(is_structure_balanced(s, against, policy) for s in (qs, rs))
-        for chk in balances:
-            if isinstance(chk, ViolationReport):
-                raise ValueError(chk.summary())
+    ps = _elements_of(against)
     q_res, r_res = (em.results for em in balances)
 
     def meets(p, q, results) -> bool:
@@ -394,7 +392,8 @@ def build_decomposition(design) -> BuildResult:
     structures, and allocations (see speccli).  Steps are consumed in declared
     order except that a step whose target tier has not yet contributed waits
     for it.  Raises IncoherenceError as soon as a balance or coherence check
-    fails, with the full report attached.
+    fails, with the full report attached.  The diagnostics come back once
+    each, in the order they were first raised.
 
     Each step checks what it creates (see ``refine``, ``lift`` and
     ``joint``), so the final decomposition is not validated again.
@@ -437,7 +436,9 @@ def build_decomposition(design) -> BuildResult:
             d = _run_plain(design, d, step, diagnostics)
             incorporated.add(step.from_tier)
 
-    return BuildResult(decomposition=d, diagnostics=diagnostics, reports=reports)
+    return BuildResult(
+        decomposition=d, diagnostics=list(dict.fromkeys(diagnostics)), reports=reports
+    )
 
 
 def _next_ready(pending, incorporated):
@@ -456,19 +457,25 @@ def _find_partner(step, pending):
     return None
 
 
-def _lift_tier(design, tier: str) -> Structure:
-    structure = design.tier_structure(tier)
-    alloc = design.allocation(tier)
-    return lift(structure, alloc, design.policy)
+def _lift_tier(design, tier: str, diagnostics) -> Structure:
+    """The step's lift of ``tier`` onto the units; its notices join the build's."""
+    lifted = lift(design.tier_structure(tier), design.allocation(tier), design.policy)
+    diagnostics.extend(lifted.notices)
+    return lifted
 
 
-def _refine_or_raise(design, d, s, step, diagnostics, tier=None, cells_for=None, balance=None):
-    out = refine(
-        d, s, design.policy, tier=tier or step.from_tier, cells_for=cells_for, balance=balance
-    )
-    if isinstance(out, ViolationReport):
-        raise IncoherenceError(_report_from_violations(design, d, s, out, step))
-    return out
+def _balance(design, d, s, step) -> EfficiencyMatrix:
+    """The step's one balance check of ``s`` against ``d``: its matrix, or
+    IncoherenceError carrying the report with its merge suggestions."""
+    chk = is_structure_balanced(s, d, design.policy)
+    if isinstance(chk, ViolationReport):
+        raise IncoherenceError(_report_from_violations(design, d, s, chk, step))
+    return chk
+
+
+def _checked_refine(design, d, s, step) -> Decomposition:
+    """A refinement with no pair condition: check ``s`` against ``d``, then refine."""
+    return refine(d, s, _balance(design, d, s, step), design.policy, tier=step.from_tier)
 
 
 def _report_from_violations(design, d, s, vr: ViolationReport, step) -> IncoherenceReport:
@@ -520,30 +527,23 @@ def _merge_suggestion(d, s, vr: ViolationReport, source_label, viols, policy) ->
 
 
 def _run_plain(design, d, step, diagnostics):
-    lifted = _lift_tier(design, step.from_tier)
-    diagnostics.extend(lifted.notices)
-    return _refine_or_raise(design, d, lifted, step, diagnostics)
+    return _checked_refine(design, d, _lift_tier(design, step.from_tier, diagnostics), step)
 
 
 def _run_independent_pair(design, d, first, second, diagnostics, reports):
-    q_lift = _lift_tier(design, first.from_tier)
-    r_lift = _lift_tier(design, second.from_tier)
-    diagnostics.extend(q_lift.notices)
-    diagnostics.extend(r_lift.notices)
+    policy = design.policy
+    q_lift = _lift_tier(design, first.from_tier, diagnostics)
+    r_lift = _lift_tier(design, second.from_tier, diagnostics)
 
-    # one balance computation serves the first refinement and condition (i)
-    balance = is_structure_balanced(q_lift, d, design.policy)
-    if isinstance(balance, ViolationReport):
-        raise IncoherenceError(_report_from_violations(design, d, q_lift, balance, first))
-    d1 = _refine_or_raise(design, d, q_lift, first, diagnostics, balance=balance)
+    # one balance check serves the first refinement and condition (i)
+    q_bal = _balance(design, d, q_lift, first)
+    d1 = refine(d, q_lift, q_bal, policy, tier=first.from_tier)
 
     items = []
     for node in d.nodes:
-        if node.projector.is_mean(design.policy):
+        if node.projector.is_mean(policy):
             continue
-        rep = check_adjusted_orthogonality(
-            node.projector, q_lift, r_lift, design.policy, balance=balance
-        )
+        rep = check_adjusted_orthogonality(node.projector, q_lift, r_lift, q_bal, policy)
         reports.append(rep)
         if not rep.holds:
             items.append(
@@ -560,47 +560,40 @@ def _run_independent_pair(design, d, first, second, diagnostics, reports):
     if items:
         raise IncoherenceError(IncoherenceReport(items=items))
 
-    return _refine_or_raise(design, d1, r_lift, second, diagnostics)
+    return _checked_refine(design, d1, r_lift, second)
 
 
 def _run_coincident_pair(design, d, first, second, diagnostics, reports):
     policy = design.policy
-    q_lift = _lift_tier(design, first.from_tier)
-    r_lift = _lift_tier(design, second.from_tier)
-    diagnostics.extend(q_lift.notices)
-    diagnostics.extend(r_lift.notices)
+    q_lift = _lift_tier(design, first.from_tier, diagnostics)
+    r_lift = _lift_tier(design, second.from_tier, diagnostics)
 
-    balances = []
-    for lifted, step in ((q_lift, first), (r_lift, second)):
-        chk = is_structure_balanced(lifted, d, policy)
-        if isinstance(chk, ViolationReport):
-            raise IncoherenceError(_report_from_violations(design, d, lifted, chk, step))
-        balances.append(chk)
-    q_bal, r_bal = balances
-
-    rep = check_coincident(d, q_lift, r_lift, policy, balances=(q_bal, r_bal))
+    # each structure's check against d serves the conditions and its refinement of d
+    q_bal = _balance(design, d, q_lift, first)
+    r_bal = _balance(design, d, r_lift, second)
+    rep = check_coincident(d, q_lift, r_lift, (q_bal, r_bal), policy)
     reports.append(rep)
 
     if rep.special_as_given.holds:
         rep.route = "left-to-right"
-        d1 = _refine_or_raise(design, d, q_lift, first, diagnostics, balance=q_bal)
-        return _refine_or_raise(design, d1, r_lift, second, diagnostics)
+        d1 = refine(d, q_lift, q_bal, policy, tier=first.from_tier)
+        return _checked_refine(design, d1, r_lift, second)
     if rep.special_swapped.holds:
         rep.route = "swapped"
         diagnostics.append(
             f"coincident pair ({first.from_tier}, {second.from_tier}): special "
             "case holds after swapping; refined in swapped order"
         )
-        d1 = _refine_or_raise(design, d, r_lift, second, diagnostics, balance=r_bal)
-        return _refine_or_raise(design, d1, q_lift, first, diagnostics)
+        d1 = refine(d, r_lift, r_bal, policy, tier=second.from_tier)
+        return _checked_refine(design, d1, q_lift, first)
     if rep.general.holds:
         rep.route = "joint"
         diagnostics.append(
             f"coincident pair ({first.from_tier}, {second.from_tier}): special "
             "case fails in both orders; emitting the joint decomposition"
         )
-        d_q = _refine_or_raise(design, d, q_lift, first, diagnostics, balance=q_bal)
-        d_r = _refine_or_raise(design, d, r_lift, second, diagnostics, balance=r_bal)
+        d_q = refine(d, q_lift, q_bal, policy, tier=first.from_tier)
+        d_r = refine(d, r_lift, r_bal, policy, tier=second.from_tier)
         out = joint(d_q, d_r, policy)
         out.label = d.label
         return out
@@ -646,16 +639,14 @@ def _run_double(design, d, step, diagnostics, reports):
             )
         )
 
-    lifted = lift(rs, design.allocation(step.from_tier), policy)
-    diagnostics.extend(lifted.notices)
+    lifted = _lift_tier(design, step.from_tier, diagnostics)
     cells_for = {
         r.label: ((intermediate, placement[r.label]), (step.from_tier, r.label))
         for r in lifted.elements
         if r.label in placement
     }
-    return _refine_or_raise(
-        design, d, lifted, step, diagnostics, tier=intermediate, cells_for=cells_for
-    )
+    balance = _balance(design, d, lifted, step)
+    return refine(d, lifted, balance, policy, tier=intermediate, cells_for=cells_for)
 
 
 def diagnose_incoherence(design) -> IncoherenceReport:

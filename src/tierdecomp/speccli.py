@@ -665,7 +665,8 @@ class Design:
 
     def _tier_objects(self, tier: str):
         """Distinct factor combinations of ``tier`` on the units, in first
-        appearance order, with the tier's columns restated per object."""
+        appearance order: (ids, labels, columns, combos), the tier's columns
+        restated per object and each object's tuple of factor levels."""
         if tier in self._objects:
             return self._objects[tier]
         decl = self._decl[tier]
@@ -692,7 +693,7 @@ class Design:
             combo[0] if len(combo) == 1 else "(" + ", ".join(combo) + ")"
             for combo in combos
         ]
-        out = (ids, labels, columns)
+        out = (ids, labels, columns, combos)
         self._objects[tier] = out
         return out
 
@@ -738,13 +739,13 @@ class Design:
         if tier == self.units_tier:
             return self.units_structure()
         if tier not in self._structures:
-            _, _, columns = self._tier_objects(tier)
+            _, _, columns, _ = self._tier_objects(tier)
             n = len(next(iter(columns.values())))
             self._structures[tier] = self._build_structure(self._decl[tier], columns, n)
         return self._structures[tier]
 
     def allocation(self, tier: str) -> AllocationMap:
-        ids, labels, _ = self._tier_objects(tier)
+        ids, labels, _, _ = self._tier_objects(tier)
         return AllocationMap(
             tier=tier, objects=labels, assignment=ids, space_label=self.units_tier
         )
@@ -767,13 +768,9 @@ class Design:
         table = self.intermediate
         if table is None:
             raise SpecError("design has no intermediate allocation table")
-        _, labels, _ = self._tier_objects(from_tier)
-        decl = self._decl[from_tier]
-        factor_names = [f.name for f in decl.factors]
-        index_of: dict = {}
-        _, combos = _class_ids(self.main.columns, factor_names, self.main.n)
-        for k, combo in enumerate(combos):
-            index_of[combo] = k
+        _, labels, _, combos = self._tier_objects(from_tier)
+        factor_names = [f.name for f in self._decl[from_tier].factors]
+        index_of = {combo: k for k, combo in enumerate(combos)}
         assignment = np.empty(table.n, dtype=np.intp)
         for i in range(table.n):
             key = tuple(table.columns[name][i] for name in factor_names)
@@ -803,13 +800,7 @@ class Design:
                 inter = step.to_tiers[1]
                 notices.extend(self.intermediate_tier_structure(inter).notices)
                 lift(structure, self.intermediate_allocation(inter, step.from_tier), self.policy)
-        seen = set()
-        unique = []
-        for n in notices:
-            if n not in seen:
-                seen.add(n)
-                unique.append(n)
-        return unique
+        return list(dict.fromkeys(notices))
 
 
 def _policy_from(tolerances) -> TolerancePolicy:
@@ -913,11 +904,7 @@ def _cmd_decompose(args) -> int:
     except IncoherenceError as exc:
         print(exc.report.summary(), file=sys.stderr)
         return 1
-    notes = []
-    for note in result.diagnostics:
-        if note not in notes:
-            notes.append(note)
-    table = layout(result.decomposition, design.tier_order, footnotes=notes)
+    table = layout(result.decomposition, design.tier_order, footnotes=result.diagnostics)
     data = render(table, fmt=args.format, ascii_only=args.ascii)
     if args.out:
         Path(args.out).write_bytes(data)

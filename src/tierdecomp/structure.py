@@ -34,7 +34,6 @@ decomposition, with each element remembering its lineage for table output.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,10 +350,10 @@ def efficiency(
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
     if q.implicit:
-        gram_, fill = _implicit_gram(p, q)
+        gram_, ones = _implicit_gram(p, q)
     else:
-        gram_, fill = bilinear_of([q], p), 0.0
-    return _classify(p.label, p.df, q, gram_, policy, fill)
+        gram_, ones = bilinear_of([q], p), 0
+    return _classify(p.label, p.df, q, gram_, policy, ones)
 
 
 def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POLICY) -> BalanceResult:
@@ -389,8 +388,8 @@ def _held_whole(p: Projector) -> Projector:
 
 
 def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None):
-    """(G, fill) for an implicit Q = NN' - WW': C'C (df_Q x df_Q) has the
-    eigenvalues of the small G and df_Q - len(G) more equal to fill.
+    """(G, ones) for an implicit Q = NN' - WW': C'C (df_Q x df_Q) has the
+    eigenvalues of the small G, ``ones`` more equal to 1 and the rest 0.
 
     Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - VV':
     C'C = I - E'E with E = V'U_Q and EE' = V' Q V, so G = I - V' Q V and
@@ -402,7 +401,7 @@ def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None)
     p = _held_whole(p)
     side = list(p.parts) if p.implicit else [p]
     if sum(v.df for v in side) > q.df:
-        return bilinear_of([q.explicit()], p), 0.0
+        return bilinear_of([q.explicit()], p), 0
     if not side:
         g = np.zeros((0, 0))
     elif side_w is not None:
@@ -410,10 +409,10 @@ def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None)
     else:
         g = bilinear_of(side, q)
     if not p.implicit:
-        return g, 0.0
+        return g, 0
     g = -g
     g[np.diag_indices_from(g)] += 1.0
-    return g, 1.0
+    return g, q.df - g.shape[0]
 
 
 def _through(p: Projector, q: Projector) -> np.ndarray:
@@ -633,8 +632,8 @@ def is_structure_balanced(
             if res_of[i].status != "orthogonal":
                 blocks[(p.label, cols[i].label)] = block
         for i in held:
-            small, fill = _implicit_gram(p, cols[i], c if stacked else None)
-            res_of[i] = _classify(p.label, p.df, cols[i], small, policy, fill)
+            small, ones = _implicit_gram(p, cols[i], c if stacked else None)
+            res_of[i] = _classify(p.label, p.df, cols[i], small, policy, ones)
             if stacked:
                 meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero)
                 norms[i, plain] = norms[plain, i] = meet
@@ -721,23 +720,20 @@ def _meet_norms(
     return norms
 
 
-def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0, ones: int = 0) -> BalanceResult:
+def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
     """Classify (P, Q) from gram = C'C, C = U_P' U_Q.
 
     lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
     U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
     largest entry; QPQ is U_Q C'C U_Q', bounded the same way.  A ``gram``
     smaller than df_Q stands for C'C with ``ones`` of its missing
-    eigenvalues equal to 1 and the rest equal to ``fill`` (see
-    ``_implicit_gram`` and ``balance_of_sum``); each norm then adds their
-    share.
+    eigenvalues equal to 1 and the rest equal to 0 (see ``_implicit_gram``
+    and ``balance_of_sum``); each norm then adds their share.
     """
-    pad = q.df - gram.shape[0] - ones
-    lam = (float(np.trace(gram)) + ones + pad * fill) / q.df
+    zeros = q.df - gram.shape[0] - ones
+    lam = (float(np.trace(gram)) + ones) / q.df
     if abs(lam) <= policy.tol_zero:
-        gap = float(np.hypot(np.linalg.norm(gram), fill * np.sqrt(pad)))
-        if ones:
-            gap = math.hypot(gap, math.sqrt(ones))
+        gap = float(np.hypot(np.linalg.norm(gram), np.sqrt(ones)))
         if gap <= policy.tol_idem:
             return BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
         # QPQ is positive semidefinite, so a vanishing trace alongside
@@ -746,9 +742,8 @@ def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0, ones: int = 0) 
             f"QPQ for ({p_label}, {q.label}) has zero trace but norm {gap:.3e}"
         )
     shifted = gram - lam * np.eye(gram.shape[0])
-    gap = float(np.hypot(np.linalg.norm(shifted), (fill - lam) * np.sqrt(pad)))
-    if ones:
-        gap = math.hypot(gap, (1.0 - lam) * math.sqrt(ones))
+    gap = np.hypot(np.linalg.norm(shifted), lam * np.sqrt(zeros))
+    gap = float(np.hypot(gap, (1.0 - lam) * np.sqrt(ones)))
     if gap <= policy.tol_idem:
         value = snap_rational(lam, policy)
         if 1.0 - lam <= policy.tol_zero:
@@ -757,7 +752,7 @@ def _classify(p_label, p_df, q, gram, policy, fill: float = 0.0, ones: int = 0) 
             if p_df == q.df:
                 return BalanceResult(status="aliased", efficiency=value)
         return BalanceResult(status="balanced", efficiency=value, residual_norm=gap)
-    eigs = np.concatenate((np.linalg.eigvalsh(gram), np.ones(ones), np.full(pad, fill)))
+    eigs = np.concatenate((np.linalg.eigvalsh(gram), np.ones(ones), np.zeros(zeros)))
     return BalanceResult(
         status="unbalanced",
         eigenvalues=_cluster_eigenvalues(eigs, policy),
@@ -852,46 +847,40 @@ class Decomposition:
 def refine(
     d: Decomposition,
     s: Structure,
+    balance: EfficiencyMatrix,
     policy: TolerancePolicy = DEFAULT_POLICY,
     tier: str | None = None,
     cells_for: dict | None = None,
-    balance: EfficiencyMatrix | None = None,
-):
+) -> Decomposition:
     """Refine every node of ``d`` by the structure ``s``.
 
-    Returns the refined Decomposition, or the ViolationReport when ``s`` is
-    not structure balanced in relation to ``d`` (nothing is refined then).
-    Nodes completely orthogonal to ``s`` pass through untouched; a node that
-    is partly swept gains a residual child for whatever is left.
+    ``balance`` is the EfficiencyMatrix that ``is_structure_balanced(s, d)``
+    returned: the check is the caller's, made once, and every sweep's λ
+    and route is read from it here.  Nodes completely orthogonal to ``s``
+    pass through untouched; a node that is partly swept gains a residual
+    child for whatever is left.
 
     ``cells_for`` optionally maps a structure element's label to the lineage
     cells recorded for sweeps by that element (used when an element carries
     labels from two tiers after a collapsed double randomization).
-    ``balance`` is the EfficiencyMatrix of ``s`` against ``d`` when the
-    caller has already computed it; otherwise it is computed here.
 
     The refined family is not validated again as a whole; each property is
     checked where it is made.  Every sweep and residual has its basis
-    checked orthonormal (on class coordinates when it is held on classes).  ``residual`` proves the sweeps of one node
-    orthonormal, inside it and mutually orthogonal, and the residual is
-    their exact complement there.  Children of different nodes are U_P A
-    with ||A||_2 = 1, so they inherit their parents' orthogonality to first
-    order.  The df sum and the single Mean hold by construction.
+    checked orthonormal (on class coordinates when it is held on classes).
+    ``residual`` proves the sweeps of one node orthonormal, inside it and
+    mutually orthogonal, and the residual is their exact complement there.
+    Children of different nodes are U_P A with ||A||_2 = 1, so they inherit
+    their parents' orthogonality to first order.  The df sum and the single
+    Mean hold by construction.
     """
     tier = tier or s.space_label or "tier"
-    if balance is None:
-        balance = is_structure_balanced(s, d, policy)
-        if isinstance(balance, ViolationReport):
-            return balance
-    em: EfficiencyMatrix = balance
-
     new_nodes = []
     for node in d.nodes:
         p = node.projector
         swept_children = []
         whole = False
         for q in s.elements:
-            res = em.results[(p.label, q.label)]
+            res = balance.results[(p.label, q.label)]
             if res.efficiency is None or res.efficiency.is_zero():
                 continue
             lam = res.efficiency.value

@@ -123,12 +123,10 @@ def test_criterion_2_plant_coincident():
         d0 = Decomposition.from_structure(d.tier_structure("positions"), "positions")
         q = lift(d.tier_structure("seedlings"), d.allocation("seedlings"), d.policy)
         r = lift(d.tier_structure("regimes"), d.allocation("regimes"), d.policy)
-        ltr = refine(refine(d0, q, d.policy, tier="seedlings"), r, d.policy, tier="regimes")
-        dj = joint(
-            refine(d0, q, d.policy, tier="seedlings"),
-            refine(d0, r, d.policy, tier="regimes"),
-            d.policy,
-        )
+        d_q = refine(d0, q, is_structure_balanced(q, d0, d.policy), d.policy, tier="seedlings")
+        d_r = refine(d0, r, is_structure_balanced(r, d0, d.policy), d.policy, tier="regimes")
+        ltr = refine(d_q, r, is_structure_balanced(r, d_q, d.policy), d.policy, tier="regimes")
+        dj = joint(d_q, d_r, d.policy)
         assert isinstance(ltr, Decomposition) and isinstance(dj, Decomposition)
         node_sets_match(ltr, dj, tol=1e-9)
         node_sets_match(ltr, res.decomposition, tol=1e-9)

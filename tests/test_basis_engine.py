@@ -19,7 +19,6 @@ from tierdecomp import (
     layout,
     lift,
     load_design,
-    refine,
     render,
 )
 from tierdecomp import formula
@@ -216,15 +215,9 @@ class TestBalanceReuse:
         self.q = lift(self.d.tier_structure("seedlings"), self.d.allocation("seedlings"))
         self.r = lift(self.d.tier_structure("regimes"), self.d.allocation("regimes"))
 
-    def test_refine_with_given_balance_matches(self):
-        em = is_structure_balanced(self.q, self.d0)
-        given = refine(self.d0, self.q, tier="seedlings", balance=em)
-        computed = refine(self.d0, self.q, tier="seedlings")
-        assert [(n.label, n.df) for n in given.nodes] == [(n.label, n.df) for n in computed.nodes]
-
     def test_check_coincident_reads_the_matrices(self):
         balances = (is_structure_balanced(self.q, self.d0), is_structure_balanced(self.r, self.d0))
-        rep = check_coincident(self.d0, self.q, self.r, balances=balances)
+        rep = check_coincident(self.d0, self.q, self.r, balances)
         assert rep.general.holds
         assert rep.general.witnesses == [
             "Mean: fully swept by Mean or Mean",
@@ -237,10 +230,3 @@ class TestBalanceReuse:
             "Mean ▷ Mean = Mean",
             "Benches meets Regimes and the positions span, but the sweep does not return it whole",
         ]
-
-    def test_check_coincident_rejects_an_unbalanced_structure(self):
-        design = load_design(spec_path("uneven"))
-        units = Decomposition.from_structure(design.units_structure(), design.units_tier)
-        lifted = lift(design.tier_structure("treatments"), design.allocation("treatments"))
-        with pytest.raises(ValueError, match="not structure balanced"):
-            check_coincident(units, lifted, lifted)

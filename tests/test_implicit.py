@@ -83,10 +83,11 @@ class TestImplicitProjector:
         rng = np.random.default_rng(11)
         small = Projector.from_basis(orthonormal(rng, 9, 2), "small")
         for p in (small, Projector.complement_of(orthonormal(rng, 9, 2), "big")):
-            gram, fill = _implicit_gram(p, self.p)
+            gram, ones = _implicit_gram(p, self.p)
             c = p.basis.T @ self.p.basis
             full = np.linalg.eigvalsh(c.T @ c)
-            got = np.sort(np.concatenate([np.linalg.eigvalsh(gram), [fill] * (6 - len(gram))]))
+            padding = [1.0] * ones + [0.0] * (6 - len(gram) - ones)
+            got = np.sort(np.concatenate([np.linalg.eigvalsh(gram), padding]))
             assert np.allclose(got, full, atol=1e-13)
             want = _classify(p.label, p.df, self.p, c.T @ c, DEFAULT_POLICY)
             res = efficiency(p, self.p)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import gen
-from conftest import block_designs, spec_path, write_block_design
+from conftest import COHERENT, block_designs, spec_path, write_block_design
 from tierdecomp import (
     STEP_KINDS,
     AllocationMap,
@@ -25,6 +25,7 @@ from tierdecomp import (
     cli_main,
     diagnose_incoherence,
     efficiency,
+    is_structure_balanced,
     lift,
     load_design,
 )
@@ -191,6 +192,45 @@ class TestDiagnoseFromTheFailedCheck:
         )
 
 
+def test_each_step_checks_balance_once_and_refines_from_that_check(monkeypatch, tmp_path):
+    # every coherent shipped build and both incoherent diagnoses: no
+    # (structure, decomposition) pair is checked twice, refine checks
+    # nothing itself, and no pair is tested on its own with ``efficiency``
+    checked, refining = [], []
+    original_check, original_refine = structure.is_structure_balanced, structure.refine
+
+    def counted_check(s, against, *args, **kwargs):
+        assert not refining, "refine computed a balance"
+        assert not any(s is a and against is b for a, b in checked), "pair checked twice"
+        checked.append((s, against))
+        return original_check(s, against, *args, **kwargs)
+
+    def counted_refine(*args, **kwargs):
+        refining.append(True)
+        try:
+            return original_refine(*args, **kwargs)
+        finally:
+            refining.pop()
+
+    def no_efficiency(p, q, *args, **kwargs):
+        raise AssertionError(f"efficiency({p.label}, {q.label}) called")
+
+    for module in (structure, randomize):
+        monkeypatch.setattr(module, "is_structure_balanced", counted_check)
+        monkeypatch.setattr(module, "refine", counted_refine)
+        if hasattr(module, "efficiency"):
+            monkeypatch.setattr(module, "efficiency", no_efficiency)
+    for name in COHERENT:
+        checked.clear()
+        design = load_design(spec_path(name))
+        build_decomposition(design)
+        assert len(checked) >= len(design.steps), name
+    for name in ("uneven", "cyclic"):
+        checked.clear()
+        assert diagnose_incoherence(load_design(incoherent_spec(name, tmp_path)))
+        assert checked, name
+
+
 def direct_suggestion(design, items):
     """The merge suggestion of each first-order source of a one-step design's
     report, recomputed from a fresh lift with ``efficiency`` and ``balance_of_sum``."""
@@ -244,29 +284,22 @@ def factor_structure(ids, label, n):
     )
 
 
+def balance_within(p, qs):
+    """The EfficiencyMatrix of ``qs`` against the decomposition {Mean, P} of R^4."""
+    mean = Projector.validated(np.full((4, 4), 0.25), "Mean")
+    whole = Structure(elements=[mean, p], total=Projector.validated(np.eye(4), "all"))
+    return is_structure_balanced(qs, whole)
+
+
 class TestAdjustedOrthogonality:
     def test_holds_for_orthogonal_partitions(self):
         # rows and columns of a 2x2 grid
         qs = factor_structure([0, 0, 1, 1], "Rows", 4)
         rs = factor_structure([0, 1, 0, 1], "Cols", 4)
         p = Projector.validated(np.eye(4) - np.full((4, 4), 0.25), "P")
-        rep = check_adjusted_orthogonality(p, qs, rs)
+        rep = check_adjusted_orthogonality(p, qs, rs, balance_within(p, qs))
         assert rep.holds
         assert rep.details == {"i": True, "ii": True, "iii": True}
-
-    def test_condition_i_reads_the_first_refinements_balance(self, monkeypatch):
-        # the EfficiencyMatrix of the first refinement serves condition (i)
-        calls = []
-
-        def counted(p, q, policy=None):
-            calls.append((p.label, q.label))
-            return structure.efficiency(p, q, policy)
-
-        monkeypatch.setattr(randomize, "efficiency", counted)
-        result = build_decomposition(load_design(spec_path("ex2")))
-        assert calls == []
-        checked = [r for r in result.reports if r.condition.startswith("adjusted")]
-        assert checked and all(r.holds for r in checked)
 
     def test_disagreeing_formulations_exit_2_at_the_cli(self, monkeypatch, capsys):
         # corrupt only formulation (i): every sweep now seems to meet the
@@ -281,7 +314,7 @@ class TestAdjustedOrthogonality:
         qs = factor_structure([0, 0, 1, 1], "Rows", 4)
         rs = factor_structure([0, 0, 1, 1], "Copy", 4)
         p = Projector.validated(np.eye(4) - np.full((4, 4), 0.25), "P")
-        rep = check_adjusted_orthogonality(p, qs, rs)
+        rep = check_adjusted_orthogonality(p, qs, rs, balance_within(p, qs))
         assert not rep.holds
         assert rep.witnesses
 

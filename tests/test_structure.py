@@ -244,7 +244,7 @@ class TestRefineOnDesigns:
         units = rcbd.units_structure()
         d0 = Decomposition.from_structure(units, rcbd.units_tier)
         lifted = lift(rcbd.tier_structure("treatments"), rcbd.allocation("treatments"))
-        out = refine(d0, lifted, tier="treatments")
+        out = refine(d0, lifted, is_structure_balanced(lifted, d0), tier="treatments")
         assert isinstance(out, Decomposition)
         labels = [n.label for n in out.nodes]
         assert "Plots[Blocks] ▷ Treatments" in labels
@@ -255,7 +255,7 @@ class TestRefineOnDesigns:
         units = uneven.units_structure()
         d0 = Decomposition.from_structure(units, uneven.units_tier)
         lifted = lift(uneven.tier_structure("treatments"), uneven.allocation("treatments"))
-        out = refine(d0, lifted, tier="treatments")
+        out = is_structure_balanced(lifted, d0)
         assert isinstance(out, ViolationReport)
         assert out
         assert "not structure balanced" in out.summary()
