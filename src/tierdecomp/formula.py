@@ -632,10 +632,11 @@ def source_projectors(
     is held as N_F times the complement of A's columns in R^m_F, from a
     complete QR, and no n-row basis is formed.  At a finest term with one
     row per class N_F = I, and the source is held implicitly as I minus the
-    lower sources, with no QR, as is the structure's total, NN' on the
-    finest classes.  Zero-df sources (all df absorbed below) are dropped
-    with a notice.  Failure of orthogonality means the tier's partitions do
-    not form an orthogonal system and is reported as such.
+    lower sources, with no QR, as is the structure's total, I.  (A finest
+    term that does not separate the rows would make the total N_F I_m,
+    explicit.)  Zero-df sources (all df absorbed below) are dropped with a
+    notice.  Failure of orthogonality means the tier's partitions do not
+    form an orthogonal system and is reported as such.
 
     A'A - I is held to tol_idem as a whole and to the block rule of
     ``Structure.validate``.  The finest term lies above every other, so its
@@ -708,7 +709,7 @@ def source_projectors(
     if finest.m == n:
         total = Projector.complement_of(np.zeros((n, 0)), total_label)
     else:
-        total = Projector.complement_of((), total_label, finest)
+        total = Projector.on_classes(finest, np.eye(finest.m), total_label)
     return Structure(
         elements=elements,
         total=total,

@@ -2,18 +2,18 @@
 
 Everything downstream works with plain float64 numpy arrays.  Every
 subspace the build makes lies in the span of the class indicators of a
-generalized factor, so a projector is held on normalised class indicators
-N (``Classes``: class ids and scales, n x m): explicitly, with basis U =
-NA for a small coefficient block A (m x df), or implicitly, as NN' minus
-listed explicit projectors (the largest stratum, I - WW', has N = I).  A
-dense basis is the case N = I.  It is never held as an n x n matrix.
-``Projector.from_basis`` and ``Projector.on_classes`` check U'U = A'A = I,
-``Projector.complement_of`` takes its listed bases as checked, and
-``Projector.validated`` is the gate for callers holding a symmetric
-idempotent matrix.  ``project`` (P X), ``gram`` (U_p'U_q) and
-``bilinear_of`` (X' P Y for stacked bases) apply either form on class
-coordinates, through contingency tables N_F'N_G, so the hot
-kernels need not know which one they hold.  Spaces of at most
+generalized factor, so an explicit projector is held on normalised class
+indicators N (``Classes``: class ids and scales, n x m), with basis U = NA
+for a small coefficient block A (m x df); a dense basis is the case N = I.
+The one implicit form is the largest stratum of a structure, I - WW' on
+the whole space, held by its listed explicit bases W.  A projector is
+never held as an n x n matrix.  ``Projector.from_basis`` and
+``Projector.on_classes`` check U'U = A'A = I, ``Projector.complement_of``
+takes its listed bases as checked, and ``Projector.validated`` is the gate
+for callers holding a symmetric idempotent matrix.  ``project`` (P X),
+``gram`` (U_p'U_q) and ``bilinear_of`` (X' P Y for stacked bases) apply
+either form on class coordinates, through contingency tables N_F'N_G, so
+the hot kernels need not know which one they hold.  Spaces of at most
 ``DENSE_ROWS`` rows hold explicit bases dense, where a product on class
 coordinates costs more calls than the flops it saves.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
@@ -254,20 +254,20 @@ class Classes:
 class Projector:
     """An orthogonal projector with a label, held in one of two forms.
 
-    Both forms sit on normalised class indicators N (``Classes``, n x m),
-    or on the whole space (N = I, m = n, no classes held).  Explicit: P =
-    UU' with U = NA and A (m x df) orthonormal; a dense basis is the case
-    N = I.  Implicit: P = NN' minus listed explicit projectors that lie
-    inside span(N) and are mutually orthogonal, so df = m minus theirs.
-    The largest stratum of a structure, I - WW', is the implicit case N =
-    I; a lifted one keeps the lift's classes.  ``project``, ``gram`` and
-    ``bilinear_of`` apply either form, working on class
-    coordinates, so no n-row basis is formed for them.  On a space of at
-    most ``DENSE_ROWS`` rows an explicit basis is held dense (N = I).
+    Explicit: P = UU' with U = NA, on normalised class indicators N
+    (``Classes``, n x m) and A (m x df) orthonormal; a dense basis is the
+    case N = I (no classes held).  On a space of at most ``DENSE_ROWS``
+    rows an explicit basis is held dense.  Implicit: P = I - WW' on the
+    whole space, W the stacked bases of listed explicit projectors that
+    are mutually orthogonal, so df = n minus theirs.  This is the largest
+    stratum of a structure, and of its lifts with r = 1; a lift with r > 1
+    carries its explicit form instead.  ``project``, ``gram`` and
+    ``bilinear_of`` apply either form, working on class coordinates, so no
+    n-row basis is formed for them.
 
     ``basis`` materializes U on first use (from a complete QR of the listed
-    bases' class coordinates, for an implicit projector); ``matrix`` forms
-    UU', or I - WW', on first use.  All arrays are read-only and cached.
+    bases, for an implicit projector); ``matrix`` forms UU', or I - WW', on
+    first use.  All arrays are read-only and cached.
     """
 
     label: str
@@ -323,14 +323,13 @@ class Projector:
         return cls(label=label, _n=n, _cls=classes, _coef=_freeze(coef))
 
     @classmethod
-    def complement_of(cls, w, label: str, classes: Classes | None = None) -> "Projector":
-        """NN' minus the listed bases: I - WW' for an n x k array W, or, for a
-        sequence of explicit projectors, NN' (I when ``classes`` is None)
-        minus their sum.
+    def complement_of(cls, w, label: str) -> "Projector":
+        """I - WW': for an n x k array W, or for a non-empty sequence of
+        explicit projectors, I minus their sum.
 
-        The listed bases must be orthonormal, mutually orthogonal and inside
-        span(N), checked where they were made; nothing is checked here.  An
-        n x 0 W gives I.
+        The listed bases must be orthonormal and mutually orthogonal,
+        checked where they were made; nothing is checked here.  An n x 0 W
+        gives I.
         """
         if isinstance(w, np.ndarray):
             w = np.asarray(w, dtype=np.float64)
@@ -338,8 +337,8 @@ class Projector:
             parts = (cls.on_classes(None, w, label, n=n),) if w.shape[1] else ()
         else:
             parts = tuple(w)
-            n = classes.n if classes is not None else parts[0].n
-        return cls(label=label, _n=n, _cls=classes, _parts=parts)
+            n = parts[0].n
+        return cls(label=label, _n=n, _parts=parts)
 
     @classmethod
     def validated(
@@ -376,7 +375,8 @@ class Projector:
 
     @property
     def classes(self) -> Classes | None:
-        """N: the class indicators this projector sits on; None for N = I."""
+        """N: the class indicators an explicit projector sits on; None for N
+        = I and for an implicit projector."""
         return self._cls
 
     @property
@@ -396,23 +396,21 @@ class Projector:
         return self._basis
 
     def explicit(self) -> "Projector":
-        """This projector in explicit form, on the same classes.  An implicit
-        one takes its A from a complete QR of its listed bases' class
-        coordinates (m rows), once."""
+        """This projector in explicit form.  An implicit one takes its dense
+        basis from a complete QR of its listed bases (n rows), once."""
         if self._parts is None:
             return self
         if self._explicit is None:
-            held = Projector.on_classes(self._cls, self._complement_basis(), self.label, n=self._n)
+            held = Projector.on_classes(None, self._complement_basis(), self.label, n=self._n)
             object.__setattr__(self, "_explicit", held)
         return self._explicit
 
     def _complement_basis(self) -> np.ndarray:
-        """Orthonormal basis of the complement of the listed bases in class
-        space: the trailing columns of a complete QR of their coordinates."""
-        m = self.n if self._cls is None else self._cls.m
+        """Orthonormal basis of the complement of the listed bases: the
+        trailing columns of a complete QR of their stacked bases."""
         if not self._parts:
-            return np.eye(m)
-        w = np.hstack([coords(q, self._cls) for q in self._parts])
+            return np.eye(self._n)
+        w = np.hstack([coords(q, None) for q in self._parts])
         return np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
 
     @property
@@ -421,8 +419,7 @@ class Projector:
             if self._parts is None:
                 df = self._coef.shape[1]
             else:
-                m = self._n if self._cls is None else self._cls.m
-                df = m - sum(q.df for q in self._parts)
+                df = self._n - sum(q.df for q in self._parts)
             object.__setattr__(self, "_df", df)
         return self._df
 
@@ -433,7 +430,7 @@ class Projector:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            if self._parts is not None and self._cls is None:
+            if self._parts is not None:
                 # I - WW' for the listed bases W, stacked (n x k)
                 parts = self._parts
                 if len(parts) == 1:
@@ -471,40 +468,38 @@ class Projector:
         new space is object ``rows[i]``, r rows per object.
 
         Class ids compose, ids[rows], and scales become scale/sqrt(r), so A is
-        kept and nothing is checked: the lift is an isometry.  With r = 1 and
-        no classes, NN' = I, so an implicit projector stays I minus its
-        carried listed bases.  On a space of at most ``DENSE_ROWS`` rows the
-        result is held dense, an implicit one on classes through its explicit
-        form.  ``memo`` maps id() of projectors already carried to their
-        carried form, so that a structure's implicit source lists the very
-        projectors its other elements became, and ("classes", id(N)) to the
-        carried N (N = None for a dense projector), so that projectors that
-        shared classes share the carried ones and their products skip the
-        contingency table.
+        kept and nothing is checked: the lift is an isometry; on a space of
+        at most ``DENSE_ROWS`` rows the result is held dense.  With r = 1 the
+        lift is a permutation, so an implicit projector stays I minus its
+        carried listed bases.  With r > 1 it is carried through its explicit
+        form, complemented once on the m objects and cached on this
+        projector.  ``memo`` maps id() of projectors already carried to
+        their carried form, so that a structure's implicit source lists the
+        very projectors its other elements became, and ("classes", id(N))
+        to the carried N (N = None for a dense projector), so that
+        projectors that shared classes share the carried ones and their
+        products skip the contingency table.
         """
         memo = {} if memo is None else memo
         if label is None and id(self) in memo:
             return memo[id(self)]
-        factor = 1.0 / np.sqrt(r)
         out_label = self.label if label is None else label
-        if self._cls is None and self._parts is not None and r == 1:
-            classes = None
+        if self._parts is not None and r == 1:
+            parts = tuple(q.carried(rows, r, memo=memo) for q in self._parts)
+            out = Projector(label=out_label, _n=rows.size, _parts=parts)
+        elif self._parts is not None:
+            out = self.explicit().carried(rows, r, out_label, memo)
         else:
             key = ("classes", id(self._cls))
             classes = memo.get(key)
             if classes is None:
+                factor = 1.0 / np.sqrt(r)
                 if self._cls is None:
                     classes = Classes(rows, np.full(self._n, factor))
                 else:
                     classes = self._cls.carried(rows, factor)
                 memo[key] = classes
-        if self._parts is None:
             out = Projector.on_classes(classes, self._coef, out_label, n=rows.size)
-        elif classes is not None and rows.size <= DENSE_ROWS:
-            out = self.explicit().carried(rows, r, out_label, memo)
-        else:
-            parts = tuple(q.carried(rows, r, memo=memo) for q in self._parts)
-            out = Projector(label=out_label, _n=rows.size, _cls=classes, _parts=parts)
         if label is None:
             memo[id(self)] = out
         return out
@@ -564,11 +559,11 @@ def _down(p: Projector, x: np.ndarray) -> np.ndarray:
 
 
 def project(p: Projector, x: np.ndarray) -> np.ndarray:
-    """P X for a dense X (n x c): U(U'X), or NN'X minus each listed part's
-    projection when P is implicit."""
+    """P X for a dense X (n x c): U(U'X), or X minus each listed part's
+    projection when P = I - WW' is implicit."""
     if p._parts is None:
         return span(p, mul(p._coef.T, _down(p, x)))
-    out = x if p._cls is None else p._cls.up(p._cls.down(x))
+    out = x
     for q in p._parts:
         out = out - project(q, x)
     return out
@@ -614,8 +609,8 @@ def bilinear_of(xs, p: Projector, ys=None) -> np.ndarray:
     """X' P Y for the stacked bases X, Y of the explicit projectors ``xs``
     and ``ys`` (``ys`` defaults to ``xs``), on class coordinates.
 
-    Explicit P: C_X'C_Y with C_X = U_P'X.  Implicit P = NN' - WW': (N'X)'(N'Y)
-    minus (W'X)'(W'Y); with N = I the first term is ``family_gram``.
+    Explicit P: C_X'C_Y with C_X = U_P'X.  Implicit P = I - WW': X'Y
+    (``family_gram``) minus (W'X)'(W'Y).
     """
     same = ys is None
     ys = xs if same else ys
@@ -623,12 +618,7 @@ def bilinear_of(xs, p: Projector, ys=None) -> np.ndarray:
         cx = cross(p, xs)
         cy = cx if same else cross(p, ys)
         return mul(cx.T, cy)
-    if p._cls is None:
-        out = family_gram(xs, None if same else ys)
-    else:
-        bx = np.hstack([coords(x, p._cls) for x in xs])
-        by = bx if same else np.hstack([coords(y, p._cls) for y in ys])
-        out = mul(bx.T, by)
+    out = family_gram(xs, None if same else ys)
     if p._parts:
         cx = np.vstack([cross(w, xs) for w in p._parts])
         cy = cx if same else np.vstack([cross(w, ys) for w in p._parts])

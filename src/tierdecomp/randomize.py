@@ -61,6 +61,7 @@ from .structure import (
     joint,
     lift,
     refine,
+    sweep,
 )
 
 __all__ = [
@@ -204,7 +205,7 @@ def check_adjusted_orthogonality(
     only mean numerical breakdown and raises InternalInconsistencyError.
     ``balance`` is the EfficiencyMatrix of ``qs`` against a decomposition
     holding P, the one the first refinement of the pair read; (i) takes
-    each sweep's λ from it.
+    each sweep's λ from it and builds the sweep as ``refine`` did.
     """
     witnesses = []
 
@@ -217,8 +218,8 @@ def check_adjusted_orthogonality(
             cond_i = False
             witnesses.append(f"{p.label} is not balanced against {q.label}")
             continue
-        swept = project(p, span(q.explicit())) / np.sqrt(res.lam)
-        gap = np.linalg.norm(project(rs.total, swept))
+        swept = sweep(p, q, res.lam, policy)
+        gap = np.linalg.norm(project(rs.total, span(swept)))
         if gap > policy.tol_zero:
             cond_i = False
             witnesses.append(

@@ -17,8 +17,8 @@ element Q (all idempotents on the unit space):
 * residual: P minus all its sweeps against one structure; what is left of
   P once every partly-confounded source is removed.
 
-Every element is held in class form, explicitly as U = NA or implicitly
-as NN' minus listed bases (see ``projlin``), so all of this runs on C =
+Every element is held explicitly in class form, U = NA, or implicitly as
+I - WW' on the whole space (see ``projlin``), so all of this runs on C =
 U_P' U_Q (df_P x df_Q), formed on class coordinates by ``gram``, and never
 on n x n matrices: QPQ = lam*Q holds iff C'C = U_Q' P U_Q = lam*I, the
 sweep's basis is P U_Q / sqrt(lam), which for an explicit P is U_P C /
@@ -230,9 +230,10 @@ def lift(
     An equireplicate allocation composes class ids: each source's classes
     become ids[assignment] with scales over sqrt(r) (``Projector.carried``),
     the lifted form of (1/r) X Q X', for every r, so nothing is checked and,
-    above ``DENSE_ROWS`` rows, nothing is gathered or formed.  An implicit
-    source stays implicit; with r = 1 it is I minus its carried listed
-    bases.  Anything else must satisfy U_i'
+    above ``DENSE_ROWS`` rows, nothing is gathered or formed.  With r = 1 an
+    implicit source stays I minus its carried listed bases; with r > 1 it,
+    and the total, are carried in their explicit form, complemented on the
+    tier's m objects.  Anything else must satisfy U_i'
     diag(counts) U_j = 0 for distinct elements, in which case each lifted
     element is the orthonormalised span of X U; a notice marks the general
     route.  Degrees of freedom must survive the trip.
@@ -368,7 +369,7 @@ def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POL
     zeros, are dropped instead.
     """
     label, df = " + ".join(p.label for p in ps), sum(p.df for p in ps)
-    if not (q.implicit and q.classes is None and q.parts):
+    if not (q.implicit and q.parts):
         qe = q.explicit()
         return _classify(label, df, q, sum(bilinear_of([qe], p) for p in ps), policy)
     small = -sum(bilinear_of(q.parts, p) for p in ps)
@@ -381,24 +382,16 @@ def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POL
     return _classify(label, df, q, np.diag(eigs), policy, ones=max(df - m, 0))
 
 
-def _held_whole(p: Projector) -> Projector:
-    """``p``, or its explicit form when it is implicit on classes: the
-    kernels below hold implicitly only I - WW' on the whole space."""
-    return p.explicit() if p.implicit and p.classes is not None else p
-
-
 def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None):
-    """(G, ones) for an implicit Q = NN' - WW': C'C (df_Q x df_Q) has the
+    """(G, ones) for an implicit Q = I - WW': C'C (df_Q x df_Q) has the
     eigenvalues of the small G, ``ones`` more equal to 1 and the rest 0.
 
     Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - VV':
     C'C = I - E'E with E = V'U_Q and EE' = V' Q V, so G = I - V' Q V and
     C'C adds ones.  When G would be the larger side, Q is taken in its
     explicit form and C'C formed directly.  ``side_w`` is V'W (U_P'W for an
-    explicit P) when the caller has it and Q = I - WW'; then V'QV is
-    V'V - (V'W)(V'W)'.
+    explicit P) when the caller has it; then V'QV is V'V - (V'W)(V'W)'.
     """
-    p = _held_whole(p)
     side = list(p.parts) if p.implicit else [p]
     if sum(v.df for v in side) > q.df:
         return bilinear_of([q.explicit()], p), 0
@@ -437,7 +430,7 @@ def sweep(
     if lam <= policy.tol_zero:
         raise ValueError(f"sweep of {p.label} by {q.label} needs a nonzero efficiency")
     label = label or f"{p.label} ▷ {q.label}"
-    p, q = _held_whole(p), q.explicit()
+    q = q.explicit()
     if p.implicit:
         return Projector.from_basis(_through(p, q) / np.sqrt(lam), label, policy)
     return spanned(p, gram(p, q) / np.sqrt(lam), label, policy)
@@ -463,7 +456,6 @@ def residual(
     label = label or f"{p.label} residual"
     if not swept:
         return p.relabel(label)
-    p = _held_whole(p)
     if p.implicit:
         leak = family_gram(p.parts, swept) if p.parts else np.zeros((0, sum(s.df for s in swept)))
         defect = family_gram(swept) - mul(leak.T, leak)
@@ -587,29 +579,27 @@ def is_structure_balanced(
     ... U_Qk] (``bilinear_of``, on class coordinates) holds C'C for every
     source: the diagonal blocks are the per-source C_i'C_i of the
     first-order test, the others the C_a'C_b of the distinctness test.  An
-    implicit source Q on the whole space (at most one, the largest) takes
-    its first-order test from ``_implicit_gram`` and its distinctness blocks
-    from the norms of Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.
+    implicit source Q (at most one, the largest) takes its first-order test
+    from ``_implicit_gram`` and its distinctness blocks from the norms of
+    Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.
     """
     rows = _elements_of(against)
     # Only the largest stratum as source_projectors and lift make it, I - WW'
-    # on the whole space listing every other source, is held; any other
-    # implicit source is taken in its explicit form (complemented on m rows).
-    cols = [q.explicit() if q.classes is not None else q for q in s.elements]
-    explicit = [q for q in cols if not q.implicit]
-    cols = [q if not q.implicit or _lists(q, explicit) else q.explicit() for q in cols]
+    # listing every other source, is held; any other implicit source is
+    # taken in its explicit form.
+    explicit = [q for q in s.elements if not q.implicit]
+    cols = [q if not q.implicit or _lists(q, explicit) else q.explicit() for q in s.elements]
     plain = [i for i, q in enumerate(cols) if not q.implicit]
     held = [i for i, q in enumerate(cols) if q.implicit]
     stacked = [cols[i] for i in plain]
     dfs = [q.df for q in stacked]
     edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
-    family = None  # S'S, formed once for the rows held implicitly on the whole space
+    family = None  # S'S, formed once for the implicit rows
     on_classes: dict = {}  # S's coordinates on each row's classes
     violations = []
     results = {}
     blocks = {}  # kept for the report only; dropped when the check passes
-    for row in rows:
-        p = _held_whole(row)
+    for p in rows:
         norms = np.zeros((len(cols), len(cols)))
         res_of = {}
         if stacked:
@@ -938,22 +928,22 @@ def refine(
     return Decomposition(nodes=new_nodes, n=d.n, label=d.label)
 
 
-def _commutator_norm(pb: Projector, pc: Projector) -> float:
-    """Spectral norm of BC - CB, from the principal angles of the two images.
+def _principal(pb: Projector, pc: Projector):
+    """(Y, cos, ||BC - CB||) for explicit ``pb`` and ``pc``, from one SVD.
 
-    With M = U_b' U_c = Y diag(cos) Z', ||BC - CB|| is the largest
-    cos * sin over the principal angles.  The sines are the column norms of
-    (U_c - U_b M) Z, computed directly so that angles near 0 stay exact.
+    With M = U_b' U_c = Y diag(cos) Z', the cosines are those of the
+    principal angles of the two images, and ||BC - CB|| is the largest
+    cos * sin over them.  The sines are the column norms of (U_c - U_b M)
+    Z, computed directly so that angles near 0 stay exact.
     """
-    pb, pc = pb.explicit(), pc.explicit()
     m = gram(pb, pc)
-    _, cos, zt = np.linalg.svd(m)
+    y, cos, zt = np.linalg.svd(m)
     if cos.size == 0:
-        return 0.0
+        return y, cos, 0.0
     z = zt[: cos.size].T
     outside = span(pc, z) - span(pb, mul(m, z))
     sin = np.linalg.norm(outside, axis=0)
-    return float(np.max(cos * sin))
+    return y, cos, float(np.max(cos * sin))
 
 
 def is_compatible(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -963,7 +953,7 @@ def is_compatible(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """
     for pb in _elements_of(b):
         for pc in _elements_of(c):
-            if _commutator_norm(pb, pc) > policy.tol_zero:
+            if _principal(pb.explicit(), pc.explicit())[2] > policy.tol_zero:
                 return False
     return True
 
@@ -972,12 +962,9 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
     """Common refinement of two compatible decompositions: nonzero products BC.
 
     For commuting B and C the image of BC is the span of the principal
-    vectors of singular value 1 of U_b' U_c.
+    vectors of singular value 1 of U_b' U_c.  Each node pair takes one SVD,
+    which both tests that the pair commutes and gives its product.
     """
-    if not is_compatible(b, c, policy):
-        raise IncompatibilityError(
-            "decompositions do not commute; no joint refinement exists"
-        )
     b_nodes = b.nodes if isinstance(b, Decomposition) else Decomposition.from_structure(b, b.space_label).nodes
     c_nodes = c.nodes if isinstance(c, Decomposition) else Decomposition.from_structure(c, c.space_label).nodes
     n = b_nodes[0].projector.n if b_nodes else 0
@@ -985,7 +972,11 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
     for nb in b_nodes:
         pb = nb.projector.explicit()
         for nc in c_nodes:
-            y, cos, _ = np.linalg.svd(gram(pb, nc.projector.explicit()))
+            y, cos, commutator = _principal(pb, nc.projector.explicit())
+            if commutator > policy.tol_zero:
+                raise IncompatibilityError(
+                    "decompositions do not commute; no joint refinement exists"
+                )
             shared = int(np.sum(cos > 0.5))
             if shared == 0:
                 continue

@@ -129,8 +129,8 @@ def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
     # table: no n-row basis of one is materialized (``Projector.basis``,
     # ``projlin.span`` without coefficients), made dense (``from_basis``), or
     # completed by an n-row QR.  Only the sweeps and residuals of a step are
-    # n-row bases, and an implicit source on classes is complemented on its
-    # m < n classes.  The one exception is a sweep by an implicit node
+    # n-row bases, and an implicit tier source lifted with r > 1 is
+    # complemented on the tier's m < n objects.  The one exception is a sweep by an implicit node
     # (``_through``): its basis P U_Q is formed as U_Q minus the listed
     # bases' shares, on the rows.
     original_complement = Projector._complement_basis
@@ -192,6 +192,42 @@ def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
     assert report and report.items[0].kind == "first-order"
 
 
+def test_lifts_hold_no_implicit_form_on_classes(monkeypatch, tmp_path):
+    # "implicit" means I - WW' on the whole space: a lift with r > 1 carries
+    # an implicit tier source, and the tier's total, in explicit form
+    lifts = []
+    original = randomize.lift
+
+    def recorded(s, alloc, policy=DEFAULT_POLICY):
+        out = original(s, alloc, policy)
+        lifts.append((out, alloc.replication))
+        return out
+
+    def on_classes(p):
+        return p.implicit and p.classes is not None
+
+    monkeypatch.setattr(randomize, "lift", recorded)
+    cases = [
+        (spec_path("corn"), {"Temperature#Moistures", "Harvesters"}),
+        (gen.write("lattice", 7, 3, tmp_path), {"Treatments"}),
+        # not balanced: the build lifts, then raises the report
+        (gen.write("cyclic", 96, 1, tmp_path), {"Treatments"}),
+    ]
+    for spec, sources in cases:
+        lifts.clear()
+        try:
+            nodes = build_decomposition(load_design(spec)).decomposition.nodes
+        except IncoherenceError:
+            nodes = []
+        for s, r in lifts:
+            held = s.elements + [s.total]
+            assert not any(on_classes(p) for p in held)
+            if r > 1:
+                assert not any(p.implicit for p in held), [p.label for p in held if p.implicit]
+        assert sources <= {p.label for s, r in lifts if r > 1 for p in s.elements}
+        assert not any(on_classes(node.projector) for node in nodes)
+
+
 def latin_square(dest, t):
     """A cyclic t x t Latin square on units Rows*Columns."""
     lines = [
@@ -228,6 +264,57 @@ def test_latin_square_closed_form(tmp_path, t):
     (entry,) = nodes["Rows#Columns ▷ Treatments"].lineage
     assert Fraction(*entry.efficiency.rational) == 1
     assert nodes["Rows#Columns ⊢ treatments"].projector.implicit
+
+
+def youden_square(dest, base, v):
+    """A Youden square from the cyclic difference set ``base`` mod v: row i
+    holds treatments base + i, a block of a symmetric BIBD, and each of the
+    k columns holds every treatment once."""
+    k = len(base)
+    lines = [
+        f"design youden{v}",
+        "units plots",
+        "tier plots",
+        f"  factor Rows {v}",
+        f"  factor Columns {k}",
+        "  formula Rows*Columns",
+        "tier treatments",
+        f"  factor Treatments {v}",
+        "randomize treatments -> plots type simple",
+        f"allocation csv youden{v}.csv",
+    ]
+    (dest / f"youden{v}.spec").write_text("\n".join(lines) + "\n")
+    rows = [f"r{i},c{j},t{(d + i) % v}" for i in range(v) for j, d in enumerate(base)]
+    (dest / f"youden{v}.csv").write_text("\n".join(["Rows,Columns,Treatments"] + rows) + "\n")
+    return dest / f"youden{v}.spec"
+
+
+@pytest.mark.parametrize(
+    "base, v", [((0, 1, 3), 7), ((0, 1, 3, 9), 13), ((0, 1, 4, 14, 16), 21)]
+)
+def test_youden_square_closed_form(tmp_path, base, v):
+    # n = 21, 52, 105; at n = 105 Treatments lifts with r = 5 above
+    # DENSE_ROWS.  Treatments split 1 - E between rows and E within, with
+    # E = v(k-1)/(k(v-1)); the complete columns are orthogonal to them.
+    k = len(base)
+    e = Fraction(v * (k - 1), k * (v - 1))
+    design = load_design(youden_square(tmp_path, base, v))
+    result = build_decomposition(design)
+    nodes = {n.label: n for n in result.decomposition.nodes}
+    assert {label: n.df for label, n in nodes.items()} == {
+        "Mean": 1,
+        "Rows ▷ Treatments": v - 1,
+        "Columns": k - 1,
+        "Rows#Columns ▷ Treatments": v - 1,
+        "Rows#Columns ⊢ treatments": (v - 1) * (k - 2),
+    }
+    (between,) = nodes["Rows ▷ Treatments"].lineage
+    (within,) = nodes["Rows#Columns ▷ Treatments"].lineage
+    assert Fraction(*between.efficiency.rational) == 1 - e
+    assert Fraction(*within.efficiency.rational) == e
+    assert nodes["Columns"].lineage == ()
+    report = cross_check(design, max_units=design.n)
+    assert report.ok, report.render_text()
 
 
 @given(block_designs())

@@ -237,6 +237,27 @@ class TestJoint:
         with pytest.raises(IncompatibilityError):
             joint(sa, su)
 
+    def test_one_svd_per_node_pair(self, monkeypatch, design):
+        # plant's criterion-2 decompositions: the commutation test and the
+        # product of each node pair come from the same SVD
+        d = design("plant")
+        d0 = Decomposition.from_structure(d.tier_structure("positions"), "positions")
+        q = lift(d.tier_structure("seedlings"), d.allocation("seedlings"), d.policy)
+        r = lift(d.tier_structure("regimes"), d.allocation("regimes"), d.policy)
+        d_q = refine(d0, q, is_structure_balanced(q, d0, d.policy), d.policy, tier="seedlings")
+        d_r = refine(d0, r, is_structure_balanced(r, d0, d.policy), d.policy, tier="regimes")
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        dj = joint(d_q, d_r, d.policy)
+        assert len(calls) == len(d_q.nodes) * len(d_r.nodes)
+        assert sum(node.df for node in dj.nodes) == d.n
+
 
 class TestRefineOnDesigns:
     def test_refine_produces_sweeps_and_residuals(self, design):
