@@ -358,11 +358,14 @@ def check_double(
     lifted = lift(rs, g_alloc, policy)
     report = ConditionReport(condition="double-randomization collapse", holds=True)
     placement: dict = {}
-    for r in lifted.elements:
+    for source, r in zip(rs.elements, lifted.elements):
+        # equally many objects, so g_alloc is a permutation (r = 1) and U_r is
+        # the tier source's explicit form carried by it: an implicit source
+        # is complemented once, on the tier, where the step's lift reuses it
+        u = span(source.explicit().carried(g_alloc.assignment, 1))
         homes = []
         for q in qs.elements:
             # R sits inside Q iff Q U_r = U_r
-            u = span(r.explicit())
             gap = np.linalg.norm(project(q, u) - u)
             if gap <= policy.tol_idem:
                 homes.append(q.label)

@@ -109,9 +109,11 @@ def check_blocks(
     """The block rule on a Gram defect G - I cut by the members' dfs.
 
     Diagonal blocks (each member orthonormal) must lie within tol_idem, the
-    others (members mutually orthogonal) within tol_zero; ``cross_only``
-    skips the diagonal.  Raises ValueError naming the first failure,
-    diagonal blocks first.
+    others (members mutually orthogonal) within tol_zero.  Raises
+    ValueError naming the first failure, diagonal blocks first.
+    ``cross_only`` skips the diagonal, for a weighted Gram that is not a
+    Gram defect: ``lift`` names the pair of sources that fails the lifting
+    condition with it.
     """
     norms = _block_norms(defect, [m.df for m in members])
     for i, p in enumerate(members):
@@ -151,8 +153,10 @@ class Structure:
     def validate(self, policy: TolerancePolicy = DEFAULT_POLICY) -> None:
         """One Mean, the df sum, and the block rule on the whole family.
 
-        For tests and callers; the build validates only the families it
-        cannot vouch for otherwise (a general lift, a joint refinement).
+        For tests and callers; the build calls it on no structure, since
+        ``source_projectors`` checks each tier family where it makes it and
+        a lift keeps that family's Gram.  The one family the build validates
+        whole is a joint refinement (``Decomposition.validate``).
         """
         n = self.n
         for p in self.elements:
@@ -180,7 +184,8 @@ class AllocationMap:
     ``assignment[i]`` is the index into ``objects`` for row i: the design
     matrix X, the 0/1 indicator (rows x objects), held as its column ids.
     ``replication`` is the common column sum when the allocation is
-    equireplicate, else None.
+    equireplicate, else None; ``lift`` carries a structure only through an
+    equireplicate allocation.
     """
 
     tier: str
@@ -211,15 +216,6 @@ class AllocationMap:
         return None
 
 
-def _orth_columns(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span of ``a`` (SVD rank cut)."""
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * max(a.shape) * (s[0] if s.size else 1.0)))
-    return u[:, :rank]
-
-
 def lift(
     tier_structure: Structure,
     alloc: AllocationMap,
@@ -227,22 +223,22 @@ def lift(
 ) -> Structure:
     """Carry a tier structure up to the allocation's row space.
 
-    An equireplicate allocation composes class ids: each source's classes
-    become ids[assignment] with scales over sqrt(r) (``Projector.carried``),
-    the lifted form of (1/r) X Q X', for every r, so nothing is checked and,
-    above ``DENSE_ROWS`` rows, nothing is gathered or formed.  With r = 1 an
-    implicit source stays I minus its carried listed bases; with r > 1 it,
-    and the total, are carried in their explicit form, complemented on the
-    tier's m objects.  Anything else must satisfy U_i'
-    diag(counts) U_j = 0 for distinct elements, in which case each lifted
-    element is the orthonormalised span of X U; a notice marks the general
-    route.  Degrees of freedom must survive the trip.
-
-    The composition is an isometry (X'X = rI, and N'N = I on the composed
+    The allocation must be equireplicate.  It composes class ids: each
+    source's classes become ids[assignment] with scales over sqrt(r)
+    (``Projector.carried``), the lifted form of (1/r) X Q X', for every r,
+    so nothing is checked and, above ``DENSE_ROWS`` rows, nothing is
+    gathered or formed.  With r = 1 an implicit source stays I minus its
+    carried listed bases; with r > 1 it, and the total, are carried in
+    their explicit form, complemented on the tier's m objects.  The
+    composition is an isometry (X'X = rI, and N'N = I on the composed
     classes), so the lifted family has the tier family's Gram, which
-    ``source_projectors`` checked; only the general route, whose bases are
-    new, checks each lifted basis and validates the lifted structure as a
-    whole.
+    ``source_projectors`` checked.
+
+    Any other allocation raises LiftingError.  A structure that sums to I
+    and holds the Mean lifts only when U_a' D U_b = 0 for distinct
+    sources, D = diag(counts); that makes every source D-invariant, so D1
+    is a multiple of 1 and the counts are equal.  The weighted cross Gram
+    is still formed, on the tier's m objects, to name a clashing pair.
     """
     if len(tier_structure.elements) == 0:
         raise ValueError("cannot lift an empty structure")
@@ -253,14 +249,8 @@ def lift(
             f"structure lives on {m}"
         )
     rows = alloc.assignment
-    notices = []
     r = alloc.replication
-    total_label = f"{alloc.tier} span"
-    if r is not None:
-        memo: dict = {}
-        lifted = [q.carried(rows, r, memo=memo) for q in tier_structure.elements]
-        total = tier_structure.total.carried(rows, r, total_label, memo)
-    else:
+    if r is None:
         counts = np.bincount(rows, minlength=m).astype(float)
         elements = tier_structure.elements
         # the tier's own objects: m rows, not the units
@@ -273,33 +263,17 @@ def lift(
                 f"allocation to tier {alloc.tier!r} is not equireplicate and fails "
                 f"the lifting condition: {exc}"
             ) from None
-        notices.append(
-            f"tier {alloc.tier!r}: unequal replication; general lifting applied"
-        )
-        lifted = [_lifted_projector(_orth_columns(q.basis[rows]), q, policy) for q in elements]
-        total = Projector.from_basis(np.hstack([p.basis for p in lifted]), total_label, policy)
-
-    out = Structure(
-        elements=lifted,
-        total=total,
-        space_label=alloc.space_label,
-        notices=notices + list(tier_structure.notices),
-    )
-    if r is None:
-        out.validate(policy)
-    return out
-
-
-def _lifted_projector(basis: np.ndarray, q: Projector, policy: TolerancePolicy) -> Projector:
-    if basis.shape[1] != q.df:
         raise LiftingError(
-            f"lift of {q.label} changed its df from {q.df} to {basis.shape[1]}; "
-            "some objects are unreplicated"
+            f"allocation to tier {alloc.tier!r} is not equireplicate; "
+            "only an equireplicate allocation lifts"
         )
-    try:
-        return Projector.from_basis(basis, q.label, policy)
-    except ProjectorError as exc:
-        raise LiftingError(f"lift of {q.label} failed: {exc}") from None
+    memo: dict = {}
+    return Structure(
+        elements=[q.carried(rows, r, memo=memo) for q in tier_structure.elements],
+        total=tier_structure.total.carried(rows, r, f"{alloc.tier} span", memo),
+        space_label=alloc.space_label,
+        notices=list(tier_structure.notices),
+    )
 
 
 # --- first-order balance ----------------------------------------------------

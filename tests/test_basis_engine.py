@@ -140,8 +140,8 @@ def test_build_never_forms_a_dense_projector(monkeypatch):
 
 
 def test_build_never_revalidates_a_whole_family(monkeypatch):
-    # each property is checked where it is made; only a general lift and a
-    # joint refinement, which none of these takes, validate a whole family
+    # each property is checked where it is made; only a joint refinement,
+    # which none of these takes, validates a whole family
     def forbidden(self, policy=None):
         raise AssertionError(f"{type(self).__name__}.validate called in the build")
 

@@ -12,6 +12,7 @@ import pytest
 from tierdecomp import (
     AllocationMap,
     Decomposition,
+    LiftingError,
     Projector,
     Structure,
     TolerancePolicy,
@@ -125,17 +126,18 @@ class TestKeptChecks:
             total=Projector.from_basis(np.hstack([mean, within]), "span"),
             space_label="t",
         )
+        # the weighted cross Gram vanishes, yet an unequal allocation is
+        # rejected, and no lift validates a family
         unequal = AllocationMap(tier="t", objects=list(range(4)), assignment=[0, 1, 2, 2, 3, 3])
         equal = AllocationMap(tier="t", objects=list(range(4)), assignment=[0, 1, 2, 3] * 2)
-        assert [p.df for p in lift(s, unequal).elements] == [1, 2]
 
         def refuse(self, policy=None):
             raise AssertionError("validated")
 
         monkeypatch.setattr(Structure, "validate", refuse)
-        with pytest.raises(AssertionError, match="validated"):
+        with pytest.raises(LiftingError, match="not equireplicate"):
             lift(s, unequal)
-        lift(s, equal)
+        assert [p.df for p in lift(s, equal).elements] == [1, 2]
 
     def test_joint_validates_its_new_family(self, monkeypatch):
         def refuse(self, policy=None):

@@ -23,11 +23,14 @@ from tierdecomp import (
     check_adjusted_orthogonality,
     check_double,
     cli_main,
+    cross_check,
     diagnose_incoherence,
     efficiency,
     is_structure_balanced,
+    layout,
     lift,
     load_design,
+    render,
 )
 from tierdecomp import randomize, structure
 from tierdecomp.speccli import Design
@@ -344,6 +347,21 @@ class TestCheckDouble:
             "Availability#Rotations": "Paddocks",
         }
 
+    def test_one_complement_per_double_step(self, monkeypatch):
+        # the collapse check and the r = 5 lift onto the cows share the
+        # implicit treatments source's complement, taken once on its tier
+        calls = []
+        original = Projector._complement_basis
+
+        def counted(self):
+            if self._parts:
+                calls.append((self.label, self.n))
+            return original(self)
+
+        monkeypatch.setattr(Projector, "_complement_basis", counted)
+        build_decomposition(load_design(spec_path("grazing")))
+        assert calls == [("Availability#Rotations", 12)]
+
     def test_straddling_source_fails_the_collapse(self):
         # the lifted H contrast (+,-,+,-) is orthogonal to the G source
         # (+,+,-,-), so it sits in no single intermediate source
@@ -373,6 +391,36 @@ class TestOrderInvariance:
         )
         res_swapped = build_decomposition(swapped)
         match_node_sets(res.decomposition, res_swapped.decomposition)
+
+    def test_coincident_pair_declared_in_reverse_takes_the_swapped_route(
+        self, design, built
+    ):
+        # plant's special case holds with seedlings first; declared the other
+        # way round, the pair refines in swapped order and says so
+        plant = design("plant")
+        res = built("plant")
+        swapped = Design(
+            dataclasses.replace(plant.spec, steps=tuple(reversed(plant.spec.steps))),
+            plant.main,
+        )
+        res_swapped = build_decomposition(swapped)
+        assert [rep.route for rep in res_swapped.reports] == ["swapped"]
+        note = (
+            "coincident pair (regimes, seedlings): special case holds after "
+            "swapping; refined in swapped order"
+        )
+        assert res.diagnostics == []
+        assert res_swapped.diagnostics == [note]
+        match_node_sets(res.decomposition, res_swapped.decomposition)
+
+        def text(result):
+            table = layout(result.decomposition, plant.tier_order, footnotes=result.diagnostics)
+            return render(table, fmt="text").decode()
+
+        assert text(res_swapped) == text(res) + f"notes:\n  (1) {note}\n"
+        report = cross_check(swapped)
+        assert report.ok
+        assert len(report.checks) == 5
 
 
 def match_node_sets(a: Decomposition, b: Decomposition, tol=1e-9):

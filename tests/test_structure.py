@@ -16,13 +16,14 @@ from tierdecomp import (
     is_structure_balanced,
     joint,
     lift,
+    load_design,
     refine,
     residual,
     sweep,
 )
 from tierdecomp.structure import IncompatibilityError, _cluster_eigenvalues, is_compatible
 
-from conftest import design_matrix
+from conftest import ALL_SPECS, design_matrix, spec_path
 
 
 def proj(matrix, label="p"):
@@ -158,15 +159,15 @@ class TestLift:
         assert lifted.notices == []
 
     def test_general_route_with_notice(self):
-        # replication differs between the two pairs, but every cross product
-        # through the replication weights vanishes, so lifting still works
+        # replication differs between the two pairs and every cross product
+        # through the replication weights vanishes (the structure does not
+        # span its space), but only an equireplicate allocation lifts
         s = two_group_structure()
         alloc = AllocationMap(
             tier="t", objects=list(range(4)), assignment=[0, 1, 2, 2, 3, 3]
         )
-        lifted = lift(s, alloc)
-        assert [p.df for p in lifted.elements] == [1, 2]
-        assert any("general lifting" in note for note in lifted.notices)
+        with pytest.raises(LiftingError, match="not equireplicate; only an equireplicate"):
+            lift(s, alloc)
 
     def test_unliftable_allocation_rejected(self):
         mean = proj(np.full((2, 2), 0.5), "Mean")
@@ -181,6 +182,36 @@ class TestLift:
         alloc = AllocationMap(tier="t", objects=[0, 1], assignment=[0, 1])
         with pytest.raises(LiftingError, match="4"):
             lift(s, alloc)
+
+
+@pytest.mark.parametrize("name", ALL_SPECS)
+def test_spec_structures_lift_only_equireplicate(name):
+    # a structure that sums to I and holds the Mean meets the lifting
+    # condition U_a' D U_b = 0 only for D = diag(counts) a multiple of I,
+    # which is why lift has no route for unequal counts; checked on each
+    # tier structure a step lifts and on the intermediate tier of a double step
+    d = load_design(spec_path(name))
+    structures = [d.tier_structure(step.from_tier) for step in d.steps] + [
+        d.intermediate_tier_structure(step.to_tiers[1]) for step in d.steps if step.kind == "double"
+    ]
+    rng = np.random.default_rng(20100)
+    for s in structures:
+        m = s.n
+        assert sum(p.df for p in s.elements) == m
+        assert sum(p.is_mean() for p in s.elements) == 1
+        for _ in range(20):
+            counts = rng.integers(1, 4, size=m)
+            while counts.min() == counts.max():
+                counts = rng.integers(1, 4, size=m)
+            alloc = AllocationMap(
+                tier=s.space_label, objects=list(range(m)), assignment=np.repeat(np.arange(m), counts)
+            )
+            with pytest.raises(LiftingError, match="lifting condition"):
+                lift(s, alloc)
+        equal = AllocationMap(
+            tier=s.space_label, objects=list(range(m)), assignment=np.repeat(np.arange(m), 2)
+        )
+        assert [p.df for p in lift(s, equal).elements] == [p.df for p in s.elements]
 
 
 class TestDecompositionValidate:
