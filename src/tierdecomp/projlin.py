@@ -265,9 +265,9 @@ class Projector:
     ``bilinear_of`` apply either form, working on class coordinates, so no
     n-row basis is formed for them.
 
-    ``basis`` materializes U on first use (from a complete QR of the listed
-    bases, for an implicit projector); ``matrix`` forms UU', or I - WW', on
-    first use.  All arrays are read-only and cached.
+    ``matrix`` forms UU', or I - WW', on first use, spanning U (``span`` of
+    the explicit form) or each listed W.  All arrays are read-only and
+    cached.
     """
 
     label: str
@@ -275,7 +275,6 @@ class Projector:
     _cls: Classes | None = field(default=None, repr=False)
     _coef: np.ndarray | None = field(default=None, repr=False)
     _parts: tuple | None = field(default=None, repr=False)
-    _basis: np.ndarray | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _explicit: "Projector | None" = field(default=None, repr=False)
     _df: int | None = field(default=None, repr=False)
@@ -386,15 +385,6 @@ class Projector:
             raise AttributeError(f"{self.label} is held by its own basis, not as a complement")
         return self._parts
 
-    @property
-    def basis(self) -> np.ndarray:
-        """U (n x df), materialized on first use unless held as a dense basis."""
-        if self._cls is None and self._coef is not None:
-            return self._coef
-        if self._basis is None:
-            object.__setattr__(self, "_basis", _freeze(span(self.explicit())))
-        return self._basis
-
     def explicit(self) -> "Projector":
         """This projector in explicit form.  An implicit one takes its dense
         basis from a complete QR of its listed bases (n rows), once."""
@@ -432,16 +422,12 @@ class Projector:
         if self._matrix is None:
             if self._parts is not None:
                 # I - WW' for the listed bases W, stacked (n x k)
-                parts = self._parts
-                if len(parts) == 1:
-                    w = parts[0].basis
-                else:
-                    w = np.hstack([q.basis for q in parts] or [np.zeros((self._n, 0))])
+                w = np.hstack([span(q) for q in self._parts] or [np.zeros((self._n, 0))])
                 m = mul(w, w.T)
                 np.negative(m, out=m)
                 m[np.diag_indices_from(m)] += 1.0
             else:
-                u = self.basis
+                u = span(self)
                 m = mul(u, u.T)
             object.__setattr__(self, "_matrix", _freeze(m))
         return self._matrix

@@ -457,13 +457,15 @@ class AllocationTable:
 
 
 def _read_text(path: Path, what: str) -> str:
-    """A file's text as UTF-8; undecodable bytes are a SpecError naming the line."""
+    """A file's text as UTF-8, without a leading byte-order mark (spreadsheet
+    exports write one); undecodable bytes are a SpecError naming the line
+    and the byte, counted from the start of the file."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise SpecError(f"cannot read {what} file {path}: {exc.strerror}") from None
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise SpecError(

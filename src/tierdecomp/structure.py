@@ -50,6 +50,7 @@ from .projlin import (
     gram,
     gram_defect,
     mul,
+    project,
     snap_rational,
     span,
     spanned,
@@ -104,20 +105,16 @@ def check_blocks(
     members,
     policy: TolerancePolicy,
     what: str = "elements",
-    cross_only: bool = False,
 ) -> None:
     """The block rule on a Gram defect G - I cut by the members' dfs.
 
     Diagonal blocks (each member orthonormal) must lie within tol_idem, the
     others (members mutually orthogonal) within tol_zero.  Raises
     ValueError naming the first failure, diagonal blocks first.
-    ``cross_only`` skips the diagonal, for a weighted Gram that is not a
-    Gram defect: ``lift`` names the pair of sources that fails the lifting
-    condition with it.
     """
     norms = _block_norms(defect, [m.df for m in members])
     for i, p in enumerate(members):
-        if not cross_only and norms[i, i] > policy.tol_idem:
+        if norms[i, i] > policy.tol_idem:
             raise ValueError(f"{p.label}: basis is not orthonormal (gap {norms[i, i]:.3e})")
     for i, j in itertools.combinations(range(len(members)), 2):
         if norms[i, j] > policy.tol_zero:
@@ -127,9 +124,20 @@ def check_blocks(
             )
 
 
-def _check_family(projectors, policy: TolerancePolicy, what: str = "elements") -> None:
-    """The block rule on one Gram of the stacked bases of ``projectors``
-    (an implicit member in its explicit form)."""
+def _check_whole(projectors, n: int, df: int, owner: str, what: str, policy) -> None:
+    """Every member on the n-row space, the members' df sum ``df``, exactly
+    one Mean, and the block rule on one Gram of their stacked bases (an
+    implicit member in its explicit form): the whole-family check of
+    ``Structure.validate`` and ``Decomposition.validate``."""
+    for p in projectors:
+        if p.n != n:
+            raise ValueError(f"{owner}: {p.label} lives on the wrong space")
+    total_df = sum(p.df for p in projectors)
+    if total_df != df:
+        raise ValueError(f"{owner}: {what} df sum {total_df} != {df}")
+    mean_count = sum(p.is_mean(policy) for p in projectors)
+    if mean_count != 1:
+        raise ValueError(f"{owner} must contain exactly one Mean, found {mean_count}")
     members = [p.explicit() for p in projectors if p.df > 0]
     if members:
         defect = family_gram(members)
@@ -151,30 +159,16 @@ class Structure:
         return self.total.n
 
     def validate(self, policy: TolerancePolicy = DEFAULT_POLICY) -> None:
-        """One Mean, the df sum, and the block rule on the whole family.
+        """The df sum (the span's df), one Mean, and the block rule on the
+        whole family.
 
         For tests and callers; the build calls it on no structure, since
         ``source_projectors`` checks each tier family where it makes it and
         a lift keeps that family's Gram.  The one family the build validates
         whole is a joint refinement (``Decomposition.validate``).
         """
-        n = self.n
-        for p in self.elements:
-            if p.n != n:
-                raise ValueError(f"element {p.label} lives on the wrong space")
-        mean_count = sum(p.is_mean(policy) for p in self.elements)
-        if mean_count != 1:
-            raise ValueError(
-                f"structure {self.space_label!r} must contain exactly one Mean "
-                f"element, found {mean_count}"
-            )
-        _check_family(self.elements, policy)
-        total_df = sum(p.df for p in self.elements)
-        if total_df != self.total.df:
-            raise ValueError(
-                f"structure {self.space_label!r}: element df sum {total_df} "
-                f"!= span df {self.total.df}"
-            )
+        owner = f"structure {self.space_label!r}"
+        _check_whole(self.elements, self.n, self.total.df, owner, "elements", policy)
 
 
 @dataclass
@@ -237,8 +231,13 @@ def lift(
     Any other allocation raises LiftingError.  A structure that sums to I
     and holds the Mean lifts only when U_a' D U_b = 0 for distinct
     sources, D = diag(counts); that makes every source D-invariant, so D1
-    is a multiple of 1 and the counts are equal.  The weighted cross Gram
-    is still formed, on the tier's m objects, to name a clashing pair.
+    is a multiple of 1 and the counts are equal.  The clashing pair is
+    named from the first element's row of that weighted cross Gram,
+    ||U_b' D u|| = ||Q_b D u|| (``project``, on the tier's m objects) for
+    each later source in order.  The first element, which must be
+    explicit, is the Mean of every structure ``source_projectors`` builds,
+    and the Mean clashes with some source whenever the counts differ, so no
+    other row is needed.
     """
     if len(tier_structure.elements) == 0:
         raise ValueError("cannot lift an empty structure")
@@ -251,18 +250,17 @@ def lift(
     rows = alloc.assignment
     r = alloc.replication
     if r is None:
+        first, *rest = tier_structure.elements
         counts = np.bincount(rows, minlength=m).astype(float)
-        elements = tier_structure.elements
-        # the tier's own objects: m rows, not the units
-        stacked = np.hstack([q.basis for q in elements])
-        weighted = mul(stacked.T, stacked * counts[:, None])
-        try:
-            check_blocks(weighted, elements, policy, what="lifted sources", cross_only=True)
-        except ValueError as exc:
-            raise LiftingError(
-                f"allocation to tier {alloc.tier!r} is not equireplicate and fails "
-                f"the lifting condition: {exc}"
-            ) from None
+        weighted = span(first) * counts[:, None]
+        for q in rest:
+            norm = float(np.linalg.norm(project(q, weighted)))
+            if norm > policy.tol_zero:
+                raise LiftingError(
+                    f"allocation to tier {alloc.tier!r} is not equireplicate and fails "
+                    f"the lifting condition: lifted sources {first.label} and {q.label} "
+                    f"are not orthogonal (cross Gram norm {norm:.3e})"
+                )
         raise LiftingError(
             f"allocation to tier {alloc.tier!r} is not equireplicate; "
             "only an equireplicate allocation lifts"
@@ -338,22 +336,16 @@ def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POL
     an implicit Q = I - WW' (W with m columns) it is not formed either: CC'
     = U_P'QU_P = I - E'E with E = W'U_P, and EE' = W'PW is summed over the
     pooled rows, so C'C has the spectrum of the small I - W'PW with df_P - m
-    more ones, and df_Q - df_P more zeros.  Where a count is negative,
-    that many of the small matrix's eigenvalues, which are then ones or
-    zeros, are dropped instead.
+    more ones, and df_Q - df_P more zeros (a negative count drops
+    eigenvalues instead, see ``_classify``).
     """
     label, df = " + ".join(p.label for p in ps), sum(p.df for p in ps)
-    if not (q.implicit and q.parts):
-        qe = q.explicit()
-        return _classify(label, df, q, sum(bilinear_of([qe], p) for p in ps), policy)
+    if not q.implicit:
+        return _classify(label, df, q, sum(bilinear_of([q], p) for p in ps), policy)
+    m = sum(w.df for w in q.parts)
     small = -sum(bilinear_of(q.parts, p) for p in ps)
     small[np.diag_indices_from(small)] += 1.0
-    m = small.shape[0]
-    if m <= df <= q.df:
-        return _classify(label, df, q, small, policy, ones=df - m)
-    eigs = np.linalg.eigvalsh(small)  # ascending
-    eigs = eigs[max(df - q.df, 0) : eigs.size - max(m - df, 0)]
-    return _classify(label, df, q, np.diag(eigs), policy, ones=max(df - m, 0))
+    return _classify(label, df, q, small, policy, ones=df - m)
 
 
 def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None):
@@ -362,13 +354,13 @@ def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None)
 
     Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - VV':
     C'C = I - E'E with E = V'U_Q and EE' = V' Q V, so G = I - V' Q V and
-    C'C adds ones.  When G would be the larger side, Q is taken in its
-    explicit form and C'C formed directly.  ``side_w`` is V'W (U_P'W for an
-    explicit P) when the caller has it; then V'QV is V'V - (V'W)(V'W)'.
+    C'C adds ones.  G is P's side whichever side is larger: when V has
+    more columns than df_Q, the count of zeros, or of ones, comes out
+    negative and ``_classify`` drops that many of G's eigenvalues.
+    ``side_w`` is V'W (U_P'W for an explicit P) when the caller has it;
+    then V'QV is V'V - (V'W)(V'W)'.
     """
     side = list(p.parts) if p.implicit else [p]
-    if sum(v.df for v in side) > q.df:
-        return bilinear_of([q.explicit()], p), 0
     if not side:
         g = np.zeros((0, 0))
     elif side_w is not None:
@@ -553,16 +545,22 @@ def is_structure_balanced(
     ... U_Qk] (``bilinear_of``, on class coordinates) holds C'C for every
     source: the diagonal blocks are the per-source C_i'C_i of the
     first-order test, the others the C_a'C_b of the distinctness test.  An
-    implicit source Q (at most one, the largest) takes its first-order test
-    from ``_implicit_gram`` and its distinctness blocks from the norms of
-    Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.
+    implicit source Q = I - WW' takes its first-order test from
+    ``_implicit_gram`` and its distinctness blocks from the norms of Q P S,
+    since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W must list every other
+    source of ``s``, in order, as it does in every structure
+    ``source_projectors`` and ``lift`` make; any other implicit source
+    raises ValueError.
     """
     rows = _elements_of(against)
-    # Only the largest stratum as source_projectors and lift make it, I - WW'
-    # listing every other source, is held; any other implicit source is
-    # taken in its explicit form.
-    explicit = [q for q in s.elements if not q.implicit]
-    cols = [q if not q.implicit or _lists(q, explicit) else q.explicit() for q in s.elements]
+    cols = s.elements
+    explicit = [q for q in cols if not q.implicit]
+    for q in cols:
+        if q.implicit and list(q.parts) != explicit:
+            raise ValueError(
+                f"implicit source {q.label} must list every other source of "
+                f"{s.space_label or 'the structure'}, in order"
+            )
     plain = [i for i, q in enumerate(cols) if not q.implicit]
     held = [i for i, q in enumerate(cols) if q.implicit]
     stacked = [cols[i] for i in plain]
@@ -641,11 +639,6 @@ def is_structure_balanced(
     return em
 
 
-def _lists(q: Projector, xs: list) -> bool:
-    """Does the implicit ``q`` list exactly the projectors ``xs``, in order?"""
-    return len(q.parts) == len(xs) and all(a is b for a, b in zip(q.parts, xs))
-
-
 def _col_block_norms(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Frobenius norm of each column block of ``c`` cut at ``edges``."""
     if c.shape[0] == 0:
@@ -690,11 +683,19 @@ def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
     lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
     U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
     largest entry; QPQ is U_Q C'C U_Q', bounded the same way.  A ``gram``
-    smaller than df_Q stands for C'C with ``ones`` of its missing
-    eigenvalues equal to 1 and the rest equal to 0 (see ``_implicit_gram``
-    and ``balance_of_sum``); each norm then adds their share.
+    of another size than df_Q stands for C'C with ``ones`` more eigenvalues
+    equal to 1 and ``zeros`` = df_Q - size - ones more equal to 0 (see
+    ``_implicit_gram`` and ``balance_of_sum``); each norm then adds their
+    share.  A negative count means ``gram`` has that many eigenvalues
+    equal to 1, or to 0, that C'C lacks: they are its largest, or its
+    smallest, and are dropped, and ``gram`` is then the diagonal of the
+    rest.
     """
     zeros = q.df - gram.shape[0] - ones
+    if ones < 0 or zeros < 0:
+        eigs = np.linalg.eigvalsh(gram)  # ascending
+        gram = np.diag(eigs[max(-zeros, 0) : eigs.size - max(-ones, 0)])
+        ones, zeros = max(ones, 0), max(zeros, 0)
     lam = (float(np.trace(gram)) + ones) / q.df
     if abs(lam) <= policy.tol_zero:
         gap = float(np.hypot(np.linalg.norm(gram), np.sqrt(ones)))
@@ -783,15 +784,8 @@ class Decomposition:
     def validate(self, policy: TolerancePolicy = DEFAULT_POLICY) -> None:
         """df sum n, one Mean, and the block rule on the whole family (see
         ``Structure.validate``)."""
-        total_df = sum(node.df for node in self.nodes)
-        if total_df != self.n:
-            raise ValueError(
-                f"decomposition df sum {total_df} != space dimension {self.n}"
-            )
-        mean_count = sum(node.projector.is_mean(policy) for node in self.nodes)
-        if mean_count != 1:
-            raise ValueError(f"decomposition must have exactly one Mean node, found {mean_count}")
-        _check_family([node.projector for node in self.nodes], policy, what="nodes")
+        projectors = [node.projector for node in self.nodes]
+        _check_whole(projectors, self.n, self.n, "decomposition", "nodes", policy)
 
     @classmethod
     def from_structure(cls, s: Structure, tier: str) -> "Decomposition":

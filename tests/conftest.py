@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tierdecomp import build_decomposition, load_design
+from tierdecomp.projlin import span
 
 ROOT = Path(__file__).resolve().parent.parent
 DESIGNS = ROOT / "designs"
@@ -30,6 +31,13 @@ def design_matrix(alloc) -> np.ndarray:
     x = np.zeros((alloc.n_rows, len(alloc.objects)))
     x[np.arange(alloc.n_rows), alloc.assignment] = 1.0
     return x
+
+
+def basis_of(p) -> np.ndarray:
+    """U (n x df), an orthonormal basis of a Projector's image: its explicit
+    form spanned on the rows (for an implicit one, from a complete QR of
+    its listed bases)."""
+    return span(p.explicit())
 
 
 def spec_path(name: str) -> Path:

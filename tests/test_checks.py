@@ -90,8 +90,6 @@ class TestBlockRule:
         members = [unit(3, 0, "a"), Projector.from_basis(np.eye(3)[:, 1:], "b")]
         with pytest.raises(ValueError, match="a and b are not orthogonal"):
             check_blocks(self.defect(1e-8), members, SPLIT_POLICY)
-        with pytest.raises(ValueError, match="a and b are not orthogonal"):
-            check_blocks(self.defect(1e-8), members, SPLIT_POLICY, cross_only=True)
         check_blocks(self.defect(1e-11), members, SPLIT_POLICY)
 
     def test_diagonal_block_held_to_tol_idem(self):
@@ -102,7 +100,6 @@ class TestBlockRule:
         d[1, 2] = d[2, 1] = 1e-5
         with pytest.raises(ValueError, match="b: basis is not orthonormal"):
             check_blocks(d, members, SPLIT_POLICY)
-        check_blocks(d, members, SPLIT_POLICY, cross_only=True)
 
     def test_structure_validate_uses_it(self):
         mean = Projector.from_basis(np.full((3, 1), 3 ** -0.5), "Mean")

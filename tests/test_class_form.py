@@ -22,14 +22,14 @@ from tierdecomp import (
 from tierdecomp import projlin
 from tierdecomp.projlin import bilinear_of, gram, project
 
-from conftest import ALL_SPECS, block_designs, spec_path, write_block_design
+from conftest import ALL_SPECS, basis_of, block_designs, spec_path, write_block_design
 
 TOL = 1e-12
 
 
 def dense(p):
     """P as an n x n matrix, from its materialized basis."""
-    u = p.explicit().basis
+    u = basis_of(p)
     return u @ u.T
 
 
@@ -49,8 +49,8 @@ def test_class_form_products_match_dense_products(monkeypatch, tmp_path, case):
     explicit = [q.explicit() for q in units + lifted if q.df]
     for p in explicit:
         for q in explicit:
-            assert np.allclose(gram(p, q), p.basis.T @ q.basis, rtol=0, atol=TOL)
-    stacked = np.hstack([q.basis for q in explicit])
+            assert np.allclose(gram(p, q), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)
+    stacked = np.hstack([basis_of(q) for q in explicit])
     for p in units + lifted:
         got = bilinear_of(explicit, p)
         assert np.allclose(got, stacked.T @ dense(p) @ stacked, rtol=0, atol=TOL)
@@ -104,4 +104,4 @@ def test_gram_without_a_table_wider_than_the_rows(monkeypatch):
     p = projlin.Projector.on_classes(a, u, "p", n=12)
     q = projlin.Projector.on_classes(b, u, "q", n=12)
     assert a.m * b.m > p.n * p.df
-    assert np.allclose(gram(p, q), p.basis.T @ q.basis, rtol=0, atol=TOL)
+    assert np.allclose(gram(p, q), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)

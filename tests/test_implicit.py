@@ -18,6 +18,7 @@ from tierdecomp import (
     IncoherenceError,
     Projector,
     build_decomposition,
+    cli_main,
     cross_check,
     diagnose_incoherence,
     efficiency,
@@ -31,7 +32,7 @@ from tierdecomp.projlin import ProjectorError, bilinear_of, project
 from tierdecomp.structure import _classify, _implicit_gram
 
 import gen
-from conftest import block_designs, spec_path, write_block_design
+from conftest import basis_of, block_designs, spec_path, write_block_design
 
 
 def orthonormal(rng, n, k):
@@ -52,21 +53,23 @@ class TestImplicitProjector:
         assert not self.p.matrix.flags.writeable
 
     def test_basis_is_materialized_once_and_spans_the_complement(self):
-        assert self.p._basis is None
-        u = self.p.basis
-        assert u is self.p.basis and u.shape == (9, 6)
+        assert self.p._explicit is None
+        e = self.p.explicit()
+        assert e is self.p.explicit() and not e.implicit
+        u = basis_of(self.p)
+        assert u.shape == (9, 6)
         assert np.allclose(u.T @ u, np.eye(6), atol=1e-14)
         assert np.allclose(u @ u.T, self.p.matrix, atol=1e-14)
 
     def test_primitives_agree_with_the_explicit_form(self):
-        explicit = Projector.from_basis(self.p.basis, "rest")
+        explicit = Projector.from_basis(basis_of(self.p), "rest")
         rng = np.random.default_rng(5)
         a = Projector.from_basis(orthonormal(rng, 9, 4), "a")
         b = Projector.from_basis(orthonormal(rng, 9, 2), "b")
         for q in (self.p, explicit):
             assert np.allclose(project(q, self.x), self.p.matrix @ self.x, atol=1e-13)
             assert np.allclose(
-                bilinear_of([a], q, [b]), a.basis.T @ self.p.matrix @ b.basis, atol=1e-13
+                bilinear_of([a], q, [b]), basis_of(a).T @ self.p.matrix @ basis_of(b), atol=1e-13
             )
 
     def test_whole_space(self):
@@ -80,14 +83,24 @@ class TestImplicitProjector:
         assert q.implicit and q.parts is self.p.parts and q.label == "other"
 
     def test_implicit_gram_matches_the_explicit_gram(self):
+        # G is P's side, its basis or its listed bases, even where that side
+        # has more columns than df_Q = 6: then a negative count of zeros or
+        # of ones says how many of G's eigenvalues C'C lacks
         rng = np.random.default_rng(11)
         small = Projector.from_basis(orthonormal(rng, 9, 2), "small")
-        for p in (small, Projector.complement_of(orthonormal(rng, 9, 2), "big")):
+        wide = Projector.from_basis(orthonormal(rng, 9, 7), "wide")
+        narrow = Projector.complement_of(orthonormal(rng, 9, 7), "narrow")
+        for p in (small, Projector.complement_of(orthonormal(rng, 9, 2), "big"), wide, narrow):
             gram, ones = _implicit_gram(p, self.p)
-            c = p.basis.T @ self.p.basis
+            side = p.parts if p.implicit else [p]
+            assert len(gram) == sum(v.df for v in side)
+            zeros = 6 - len(gram) - ones
+            eigs = np.linalg.eigvalsh(gram)
+            eigs = eigs[max(-zeros, 0) : eigs.size - max(-ones, 0)]
+            padding = [1.0] * max(ones, 0) + [0.0] * max(zeros, 0)
+            c = basis_of(p).T @ basis_of(self.p)
             full = np.linalg.eigvalsh(c.T @ c)
-            padding = [1.0] * ones + [0.0] * (6 - len(gram) - ones)
-            got = np.sort(np.concatenate([np.linalg.eigvalsh(gram), padding]))
+            got = np.sort(np.concatenate([eigs, padding]))
             assert np.allclose(got, full, atol=1e-13)
             want = _classify(p.label, p.df, self.p, c.T @ c, DEFAULT_POLICY)
             res = efficiency(p, self.p)
@@ -126,16 +139,14 @@ def build_and_render(spec):
 
 def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
     # Tier sources and their lifts stay in class form from the tier to the
-    # table: no n-row basis of one is materialized (``Projector.basis``,
-    # ``projlin.span`` without coefficients), made dense (``from_basis``), or
-    # completed by an n-row QR.  Only the sweeps and residuals of a step are
+    # table: no n-row basis of one is materialized (``projlin.span`` without
+    # coefficients), made dense (``from_basis``), or completed by an n-row QR.  Only the sweeps and residuals of a step are
     # n-row bases, and an implicit tier source lifted with r > 1 is
     # complemented on the tier's m < n objects.  The one exception is a sweep by an implicit node
     # (``_through``): its basis P U_Q is formed as U_Q minus the listed
     # bases' shares, on the rows.
     original_complement = Projector._complement_basis
     original_from_basis = Projector.from_basis.__func__
-    original_basis = Projector.basis
     original_span = projlin.span
     units = {}
     made = []
@@ -153,11 +164,6 @@ def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
             raise AssertionError(f"dense n-row basis made for {label}")
         return original_from_basis(cls, basis, label, policy)
 
-    def guarded_basis(self):
-        if self.n == units["n"] and (self.implicit or self.classes is not None):
-            raise AssertionError(f"basis of {self.label} materialized on the unit space")
-        return original_basis.fget(self)
-
     def guarded_span(p, a=None):
         if a is None and p.n == units["n"] and p.classes is not None:
             caller = sys._getframe(1).f_code.co_name
@@ -168,7 +174,6 @@ def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Projector, "_complement_basis", guarded_complement)
     monkeypatch.setattr(Projector, "from_basis", classmethod(guarded_from_basis))
-    monkeypatch.setattr(Projector, "basis", property(guarded_basis))
     for module in (projlin, structure, randomize):
         monkeypatch.setattr(module, "span", guarded_span)
     cases = [
@@ -359,3 +364,46 @@ def test_pooled_balance_of_an_implicit_source_forms_no_basis(monkeypatch, tmp_pa
     pooled = [it for it in report.items if it.kind == "first-order" and "B[A]" in it.sources]
     assert pooled
     assert all(it.suggestion.startswith("merge sources Blocks, Plots[Blocks]") for it in pooled)
+
+
+EIGHT_DIAGNOSIS = """\
+randomizations are incoherent:
+  step treatments -> plots (simple): Blocks vs A [first-order]; QPQ eigenvalues 1 (x1), 0.75 (x1), 0.25 (x1); destroys part of the plots decomposition; suggestion: merge sources Blocks, Plots[Blocks] into one stratum
+  step treatments -> plots (simple): Blocks vs B[A] [first-order]; QPQ eigenvalues 0.75 (x1), 0.25 (x1); destroys part of the plots decomposition; suggestion: merge sources Blocks, Plots[Blocks] into one stratum
+  step treatments -> plots (simple): Blocks vs A & B[A] [distinctness]; destroys part of the plots decomposition
+  step treatments -> plots (simple): Plots[Blocks] vs A [first-order]; QPQ eigenvalues 1 (x2), 0.75 (x1), 0.25 (x1); destroys part of the plots decomposition; suggestion: merge sources Blocks, Plots[Blocks] into one stratum
+  step treatments -> plots (simple): Plots[Blocks] vs B[A] [first-order]; QPQ eigenvalues 0.75 (x1), 0.25 (x1); destroys part of the plots decomposition; suggestion: merge sources Blocks, Plots[Blocks] into one stratum
+  step treatments -> plots (simple): Plots[Blocks] vs A & B[A] [distinctness]; destroys part of the plots decomposition
+"""
+
+
+def test_implicit_source_smaller_than_the_row_side(monkeypatch, tmp_path, capsys):
+    # r = 1 on 8 units: B[A] stays I - WW' with 2 df, fewer than Blocks' 3
+    # and than the 4 listed bases of Plots[Blocks], so each small Gram has
+    # eigenvalues, zeros for Blocks and ones for Plots[Blocks], that C'C
+    # lacks; they are dropped instead of spanning B[A] on the units
+    lines = [
+        "design eight",
+        "units plots",
+        "tier plots",
+        "  factor Blocks 4",
+        "  factor Plots 2",
+        "  formula Blocks/Plots",
+        "tier treatments",
+        "  factor A 6",
+        "  factor B 2",
+        "  formula A/B",
+        "randomize treatments -> plots type simple",
+        "allocation csv eight.csv",
+    ]
+    (tmp_path / "eight.spec").write_text("\n".join(lines) + "\n")
+    cells = ["a0,b0", "a1,b0", "a0,b1", "a2,b0", "a1,b1", "a3,b0", "a4,b0", "a5,b0"]
+    rows = [f"k{i // 2},p{i % 2},{cell}" for i, cell in enumerate(cells)]
+    (tmp_path / "eight.csv").write_text("\n".join(["Blocks,Plots,A,B"] + rows) + "\n")
+
+    def forbidden(self):
+        raise AssertionError(f"complement of {self.label} taken")
+
+    monkeypatch.setattr(Projector, "_complement_basis", forbidden)
+    assert cli_main(["diagnose", str(tmp_path / "eight.spec")]) == 0
+    assert capsys.readouterr().out == EIGHT_DIAGNOSIS

@@ -318,6 +318,28 @@ class TestInputContract:
         assert "line 4:" in err
         assert "rcbd16.csv is not valid UTF-8" in err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # spreadsheet exports start a UTF-8 file with U+FEFF
+        spec = copy_bundle("rcbd16", tmp_path)
+        for path in (spec, tmp_path / "rcbd16.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert cli_main(["decompose", str(spec_path("rcbd16"))]) == 0
+        shipped = capsys.readouterr().out
+        assert cli_main(["decompose", str(spec)]) == 0
+        assert capsys.readouterr().out == shipped
+
+    def test_byte_order_mark_keeps_line_and_byte_of_a_bad_byte(self, tmp_path, capsys):
+        spec = copy_bundle("rcbd16", tmp_path)
+        lines = spec.read_bytes().split(b"\n")
+        lines[1] = lines[1] + b"\xff"
+        data = b"\xef\xbb\xbf" + b"\n".join(lines)
+        spec.write_bytes(data)
+        assert cli_main(["validate", str(spec)]) == 2
+        err = capsys.readouterr().err
+        byte = data.index(b"\xff") + 1  # counted from the mark
+        assert "line 2:" in err
+        assert f"rcbd16.spec is not valid UTF-8 (byte {byte})" in err
+
     def test_validate_runs_the_lift(self, tmp_path, capsys):
         # one plot switched to another treatment: every column still has its
         # declared levels, but replication is unequal and the lift fails

@@ -21,6 +21,7 @@ from tierdecomp import (
     residual,
     sweep,
 )
+from tierdecomp import projlin, structure
 from tierdecomp.structure import IncompatibilityError, _cluster_eigenvalues, is_compatible
 
 from conftest import ALL_SPECS, design_matrix, spec_path
@@ -185,20 +186,39 @@ class TestLift:
 
 
 @pytest.mark.parametrize("name", ALL_SPECS)
-def test_spec_structures_lift_only_equireplicate(name):
+def test_spec_structures_lift_only_equireplicate(name, monkeypatch):
     # a structure that sums to I and holds the Mean meets the lifting
     # condition U_a' D U_b = 0 only for D = diag(counts) a multiple of I,
     # which is why lift has no route for unequal counts; checked on each
-    # tier structure a step lifts and on the intermediate tier of a double step
+    # tier structure a step lifts and on the intermediate tier of a double step.
+    # A rejection names the clash from the Mean's row: it spans no basis but
+    # the Mean's column and takes no complement
     d = load_design(spec_path(name))
     structures = [d.tier_structure(step.from_tier) for step in d.steps] + [
         d.intermediate_tier_structure(step.to_tiers[1]) for step in d.steps if step.kind == "double"
     ]
+    spanned, complemented = [], []
+    original_span, original_complement = projlin.span, Projector._complement_basis
+
+    def recorded_span(p, a=None):
+        if a is None:
+            spanned.append(p)
+        return original_span(p, a)
+
+    def recorded_complement(self):
+        complemented.append(self.label)
+        return original_complement(self)
+
+    for module in (projlin, structure):
+        monkeypatch.setattr(module, "span", recorded_span)
+    monkeypatch.setattr(Projector, "_complement_basis", recorded_complement)
     rng = np.random.default_rng(20100)
     for s in structures:
         m = s.n
         assert sum(p.df for p in s.elements) == m
         assert sum(p.is_mean() for p in s.elements) == 1
+        spanned.clear()
+        complemented.clear()
         for _ in range(20):
             counts = rng.integers(1, 4, size=m)
             while counts.min() == counts.max():
@@ -208,6 +228,8 @@ def test_spec_structures_lift_only_equireplicate(name):
             )
             with pytest.raises(LiftingError, match="lifting condition"):
                 lift(s, alloc)
+        assert all(p is s.elements[0] and p.is_mean() for p in spanned)
+        assert complemented == []
         equal = AllocationMap(
             tier=s.space_label, objects=list(range(m)), assignment=np.repeat(np.arange(m), 2)
         )
@@ -312,6 +334,18 @@ class TestRefineOnDesigns:
         assert out
         assert "not structure balanced" in out.summary()
         assert "nonzero eigenvalues" in out.summary()
+
+    def test_implicit_source_must_list_every_other_source(self):
+        # the rest of three rows after the Mean and a contrast, held as I
+        # minus a basis of its own instead of the two sources themselves
+        mean = Projector.from_basis(np.full((3, 1), 3 ** -0.5), "Mean")
+        contrast = np.array([[1.0], [-1.0], [0.0]]) / 2 ** 0.5
+        a = Projector.from_basis(contrast, "A")
+        rest = Projector.complement_of(np.hstack([np.full((3, 1), 3 ** -0.5), contrast]), "Rest")
+        s = Structure(elements=[mean, a, rest], total=proj(np.eye(3), "span"), space_label="t")
+        d0 = Decomposition.from_structure(s, "t")
+        with pytest.raises(ValueError, match="implicit source Rest must list every other source"):
+            is_structure_balanced(s, d0)
 
 
 class TestEfficiencyMatrix:
