@@ -43,6 +43,7 @@ from .projlin import (
     coords,
     family_gram,
     gram_defect,
+    refines,
 )
 from .structure import Structure, check_blocks
 
@@ -449,16 +450,6 @@ def _class_ids(columns: dict, names, n: int):
     return ids, list(seen)
 
 
-def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
-    """True when every class of ``fine`` lies inside one class of ``coarse``:
-    map each fine class to the coarse class of its last row, then compare."""
-    if fine.size == 0:
-        return True
-    to_coarse = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
-    to_coarse[fine] = coarse
-    return bool((to_coarse[fine] == coarse).all())
-
-
 def attach_data(
     poset: SourcePoset,
     columns: dict,
@@ -500,8 +491,8 @@ def attach_data(
     below: dict = {t.constituents: set() for t in terms}
     for f, g in itertools.permutations(terms, 2):
         # g < f iff f's classes refine g's and the partitions differ
-        if _refines(ids[f.constituents], ids[g.constituents]):
-            if _refines(ids[g.constituents], ids[f.constituents]):
+        if refines(ids[f.constituents], ids[g.constituents]):
+            if refines(ids[g.constituents], ids[f.constituents]):
                 if counts[f.constituents] == counts[g.constituents]:
                     raise FormulaError(
                         f"terms {poset_label_safe(poset, f)} and "
@@ -700,7 +691,7 @@ def source_projectors(
             else:
                 complement = np.eye(classes.m)
             # checked with every other source at the finest term, above
-            proj = Projector.on_classes(classes, complement, label)
+            proj = Projector.of_terms([(classes, complement)], label)
         built[t.constituents] = proj
         elements.append(proj)
 
@@ -709,7 +700,7 @@ def source_projectors(
     if finest.m == n:
         total = Projector.complement_of(np.zeros((n, 0)), total_label)
     else:
-        total = Projector.on_classes(finest, np.eye(finest.m), total_label)
+        total = Projector.of_terms([(finest, np.eye(finest.m))], total_label)
     return Structure(
         elements=elements,
         total=total,

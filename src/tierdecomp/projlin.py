@@ -2,20 +2,26 @@
 
 Everything downstream works with plain float64 numpy arrays.  Every
 subspace the build makes lies in the span of the class indicators of a
-generalized factor, so an explicit projector is held on normalised class
-indicators N (``Classes``: class ids and scales, n x m), with basis U = NA
-for a small coefficient block A (m x df); a dense basis is the case N = I.
-The one implicit form is the largest stratum of a structure, I - WW' on
-the whole space, held by its listed explicit bases W.  A projector is
-never held as an n x n matrix.  ``Projector.from_basis`` and
-``Projector.on_classes`` check U'U = A'A = I, ``Projector.complement_of``
-takes its listed bases as checked, and ``Projector.validated`` is the gate
-for callers holding a symmetric idempotent matrix.  ``project`` (P X),
-``gram`` (U_p'U_q) and ``bilinear_of`` (X' P Y for stacked bases) apply
-either form on class coordinates, through contingency tables N_F'N_G, so
-the hot kernels need not know which one they hold.  Spaces of at most
-``DENSE_ROWS`` rows hold explicit bases dense, where a product on class
-coordinates costs more calls than the flops it saves.
+few generalized factors, so an explicit projector is held as a short list
+of terms, U = N_1 A_1 + ... + N_k A_k, each on normalised class indicators
+N (``Classes``: class ids and scales, n x m) with a small coefficient
+block A (m x df); a dense basis is the case N = I.  A tier source or a
+sweep of an explicit node is one term on its own classes; a sweep of an
+implicit node is U_Q minus its listed parts' shares, one term on Q's
+classes and one on each group of nested part classes that it fills.  The one implicit
+form is the largest stratum of a structure, I - WW' on the whole space,
+held by its listed explicit bases W.  A projector is never held as an
+n x n matrix.  ``Projector.of_terms`` (and ``from_basis``, its case of
+one dense term) checks U'U = I on class coordinates when given a policy,
+``Projector.complement_of`` takes its listed bases as checked, and
+``Projector.validated`` is the gate for callers holding a symmetric
+idempotent matrix.  ``coords`` (N'U_p), ``gram`` (U_p'U_q), ``cross``,
+``family_gram``, ``span`` and ``project`` (P X) sum termwise products
+through contingency tables N_F'N_G (``Classes.table``), and
+``bilinear_of`` (X' P Y for stacked bases) applies either form, so the
+hot kernels need not know which one they hold.  Spaces of at most
+``DENSE_ROWS`` rows hold an explicit basis as one dense term, where a
+product on class coordinates costs more calls than the flops it saves.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
 when a nearby one exists (block designs produce values like 1/6 or 5/6
 exactly, up to rounding).
@@ -45,8 +51,9 @@ __all__ = [
     "gram",
     "span",
     "spanned",
+    "folded",
     "gram_defect",
-    "orthonormality_gap",
+    "refines",
     "max_abs",
     "is_zero",
     "snap_rational",
@@ -172,19 +179,12 @@ def is_zero(a: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
 
 
 def gram_defect(basis: np.ndarray) -> np.ndarray:
-    """U'U - I."""
+    """U'U - I.  For P = UU' its Frobenius norm bounds every entry of P^2 -
+    P = U(U'U - I)U' (to first order), so it is the basis-form idempotence
+    test."""
     gram = mul(basis.T, basis)
     gram[np.diag_indices_from(gram)] -= 1.0
     return gram
-
-
-def orthonormality_gap(basis: np.ndarray) -> float:
-    """Frobenius norm of U'U - I.
-
-    For P = UU' this bounds every entry of P^2 - P = U(U'U - I)U' (to first
-    order in the gap), so it is the basis-form idempotence test.
-    """
-    return float(np.linalg.norm(gram_defect(basis)))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -250,34 +250,51 @@ class Classes:
         return t
 
 
+def refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
+    """True when every class of the ids ``fine`` lies inside one class of
+    the ids ``coarse`` (on the same rows): map each fine class to the coarse
+    class of its last row, then compare."""
+    if fine.size == 0:
+        return True
+    to_coarse = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
+    to_coarse[fine] = coarse
+    return bool((to_coarse[fine] == coarse).all())
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """An orthogonal projector with a label, held in one of two forms.
 
-    Explicit: P = UU' with U = NA, on normalised class indicators N
-    (``Classes``, n x m) and A (m x df) orthonormal; a dense basis is the
-    case N = I (no classes held).  On a space of at most ``DENSE_ROWS``
-    rows an explicit basis is held dense.  Implicit: P = I - WW' on the
-    whole space, W the stacked bases of listed explicit projectors that
-    are mutually orthogonal, so df = n minus theirs.  This is the largest
-    stratum of a structure, and of its lifts with r = 1; a lift with r > 1
-    carries its explicit form instead.  ``project``, ``gram`` and
-    ``bilinear_of`` apply either form, working on class coordinates, so no
-    n-row basis is formed for them.
+    Explicit: P = UU' with U = N_1 A_1 + ... + N_k A_k, a short list of
+    terms, each on normalised class indicators N (``Classes``, n x m) with
+    a coefficient block A (m x df); a dense term is the case N = I (no
+    classes held).  A source on its own classes is one term, with A
+    orthonormal.  The N of different terms are not orthogonal to each
+    other, so U'U sums the termwise products A_s'(N_s'N_t)A_t.  On a space
+    of at most ``DENSE_ROWS`` rows the terms are summed into one dense
+    term.  Implicit: P = I - WW' on the whole space, W the stacked bases of
+    listed explicit projectors that are mutually orthogonal, so df = n
+    minus theirs.  This is the largest stratum of a structure, and of its
+    lifts with r = 1; a lift with r > 1 carries its explicit form instead.
+    ``project``, ``gram`` and ``bilinear_of`` apply either form, working on
+    class coordinates, so no n-row basis is formed for them.
 
     ``matrix`` forms UU', or I - WW', on first use, spanning U (``span`` of
-    the explicit form) or each listed W.  All arrays are read-only and
-    cached.
+    the explicit form, one gather per term) or the listed W, but for a
+    group that fills its classes N (``folded``), whose WW' is NN'.  All arrays
+    are read-only and cached, and so are the coordinates ``coords`` takes
+    through a contingency table.
     """
 
     label: str
     _n: int = field(default=0, repr=False)
-    _cls: Classes | None = field(default=None, repr=False)
-    _coef: np.ndarray | None = field(default=None, repr=False)
+    _terms: tuple | None = field(default=None, repr=False)
     _parts: tuple | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _explicit: "Projector | None" = field(default=None, repr=False)
     _df: int | None = field(default=None, repr=False)
+    _pieces: tuple | None = field(default=None, repr=False)
+    _coords: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_basis(
@@ -292,34 +309,40 @@ class Projector:
         basis = np.array(basis, dtype=np.float64)
         if basis.ndim != 2:
             raise ProjectorError(f"{label}: basis must be 2-d, got shape {basis.shape}")
-        return cls.on_classes(None, basis, label, policy, n=basis.shape[0])
+        return cls.of_terms([(None, basis)], label, policy, n=basis.shape[0])
 
     @classmethod
-    def on_classes(
+    def of_terms(
         cls,
-        classes: Classes | None,
-        coef: np.ndarray,
+        terms,
         label: str,
         policy: TolerancePolicy | None = None,
         n: int | None = None,
     ) -> "Projector":
-        """Projector onto the span of U = N A; ``n`` is needed only when
-        ``classes`` is None (N = I).  On at most ``DENSE_ROWS`` rows U is held
-        dense instead.
+        """Projector onto the span of U = sum of N A over ``terms``, a list of
+        (``Classes`` or None for N = I, coefficient block), all of one width;
+        ``n`` is needed only when no term has classes.  On at most
+        ``DENSE_ROWS`` rows the terms are summed into one dense term instead.
 
-        With a policy, checked as A'A = I within tol_idem: N'N = I, so U'U =
-        A'A, and the check costs m df^2, not n df^2.  Without one the caller
-        vouches for A: ``source_projectors`` checks every source it makes in
-        one Gram at the finest term.
+        With a policy, checked as U'U = I within tol_idem on class
+        coordinates (``gram``): for one term N'N = I, so U'U = A'A and the
+        check costs m df^2, not n df^2.  Without one the caller vouches for
+        U: ``source_projectors`` checks every source it makes in one Gram at
+        the finest term, and ``structure.sweep`` checks a sweep of an
+        implicit node from the step's balance result.
         """
-        if classes is not None and classes.n <= DENSE_ROWS:
-            coef, classes, n = classes.up(coef), None, classes.n
+        held = [c for c, _ in terms if c is not None]
+        n = held[0].n if held else n
+        if n <= DENSE_ROWS and (len(terms) > 1 or held):
+            terms = ((None, _total([_up(c, a) for c, a in terms])),)
+        out = cls(label=label, _n=n, _terms=tuple([(c, _freeze(a)) for c, a in terms]))
         if policy is not None:
-            gap = orthonormality_gap(coef)
+            defect = gram(out, out)
+            defect[np.diag_indices_from(defect)] -= 1.0
+            gap = float(np.linalg.norm(defect))
             if gap > policy.tol_idem:
                 raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
-        n = classes.n if classes is not None else n
-        return cls(label=label, _n=n, _cls=classes, _coef=_freeze(coef))
+        return out
 
     @classmethod
     def complement_of(cls, w, label: str) -> "Projector":
@@ -333,7 +356,7 @@ class Projector:
         if isinstance(w, np.ndarray):
             w = np.asarray(w, dtype=np.float64)
             n = w.shape[0]
-            parts = (cls.on_classes(None, w, label, n=n),) if w.shape[1] else ()
+            parts = (cls.of_terms([(None, w)], label, n=n),) if w.shape[1] else ()
         else:
             parts = tuple(w)
             n = parts[0].n
@@ -365,7 +388,7 @@ class Projector:
         basis = vectors[:, values > 0.5]
         if basis.shape[1] != df:
             raise ProjectorError(f"{label}: rank {basis.shape[1]} disagrees with trace {df}")
-        held = cls.on_classes(None, basis, label, n=matrix.shape[0])
+        held = cls.of_terms([(None, basis)], label, n=matrix.shape[0])
         return replace(held, _matrix=_freeze(matrix.copy()))
 
     @property
@@ -373,10 +396,18 @@ class Projector:
         return self._parts is not None
 
     @property
+    def terms(self) -> tuple | None:
+        """The (N, A) terms of an explicit projector, N None for N = I; None
+        for an implicit projector."""
+        return self._terms
+
+    @property
     def classes(self) -> Classes | None:
-        """N: the class indicators an explicit projector sits on; None for N
-        = I and for an implicit projector."""
-        return self._cls
+        """N of an explicit projector held as one term; None for N = I, for
+        a list of several terms and for an implicit projector."""
+        if self._terms is None or len(self._terms) > 1:
+            return None
+        return self._terms[0][0]
 
     @property
     def parts(self) -> tuple:
@@ -391,7 +422,7 @@ class Projector:
         if self._parts is None:
             return self
         if self._explicit is None:
-            held = Projector.on_classes(None, self._complement_basis(), self.label, n=self._n)
+            held = Projector.of_terms([(None, self._complement_basis())], self.label, n=self._n)
             object.__setattr__(self, "_explicit", held)
         return self._explicit
 
@@ -407,7 +438,7 @@ class Projector:
     def df(self) -> int:
         if self._df is None:
             if self._parts is None:
-                df = self._coef.shape[1]
+                df = self._terms[0][1].shape[1]
             else:
                 df = self._n - sum(q.df for q in self._parts)
             object.__setattr__(self, "_df", df)
@@ -421,9 +452,14 @@ class Projector:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             if self._parts is not None:
-                # I - WW' for the listed bases W, stacked (n x k)
-                w = np.hstack([span(q) for q in self._parts] or [np.zeros((self._n, 0))])
+                # I - WW': a filled group's WW' is N N' (``folded``), set on
+                # the pairs of rows in one class; the rest stacked (n x k)
+                filled, rest = folded(self._parts)
+                w = np.hstack([span(q) for q in rest] or [np.zeros((self._n, 0))])
                 m = mul(w, w.T)
+                for c in filled:
+                    i, j = _same_class(c)
+                    m[i, j] += c.scale[c.ids[i]] ** 2
                 np.negative(m, out=m)
                 m[np.diag_indices_from(m)] += 1.0
             else:
@@ -436,13 +472,15 @@ class Projector:
         """Is this J/n, entrywise within tol_zero?
 
         For P = uu' the largest |u_i u_j - 1/n| sits at a corner of
-        [min u, max u]^2, so the entrywise test costs O(m): the entries of
-        u = N a are a times the class scales, each class non-empty.
+        [min u, max u]^2, so the entrywise test costs O(m) for one term:
+        the entries of u = N a are a times the class scales, each class
+        non-empty.  A list of several terms is spanned (n entries).
         """
         if self.df != 1:
             return False
         e = self.explicit()
-        u = e._coef[:, 0] if e._cls is None else e._coef[:, 0] * e._cls.scale
+        ((cls, a),) = e._terms if len(e._terms) == 1 else ((None, span(e)),)
+        u = a[:, 0] if cls is None else a[:, 0] * cls.scale
         lo, hi, c = float(u.min()), float(u.max()), 1.0 / self.n
         gap = max(abs(lo * lo - c), abs(hi * hi - c), abs(lo * hi - c))
         return gap <= policy.tol_zero
@@ -453,18 +491,18 @@ class Projector:
         """This projector carried by an equireplicate allocation: row i of the
         new space is object ``rows[i]``, r rows per object.
 
-        Class ids compose, ids[rows], and scales become scale/sqrt(r), so A is
-        kept and nothing is checked: the lift is an isometry; on a space of
-        at most ``DENSE_ROWS`` rows the result is held dense.  With r = 1 the
-        lift is a permutation, so an implicit projector stays I minus its
-        carried listed bases.  With r > 1 it is carried through its explicit
-        form, complemented once on the m objects and cached on this
-        projector.  ``memo`` maps id() of projectors already carried to
-        their carried form, so that a structure's implicit source lists the
-        very projectors its other elements became, and ("classes", id(N))
-        to the carried N (N = None for a dense projector), so that
-        projectors that shared classes share the carried ones and their
-        products skip the contingency table.
+        Class ids compose, ids[rows], and scales become scale/sqrt(r), term
+        by term, so each A is kept and nothing is checked: the lift is an
+        isometry; on a space of at most ``DENSE_ROWS`` rows the result is
+        held dense.  With r = 1 the lift is a permutation, so an implicit
+        projector stays I minus its carried listed bases.  With r > 1 it is
+        carried through its explicit form, complemented once on the m
+        objects and cached on this projector.  ``memo`` maps id() of
+        projectors already carried to their carried form, so that a
+        structure's implicit source lists the very projectors its other
+        elements became, and ("classes", id(N)) to the carried N (N = None
+        for a dense term), so that terms that shared classes share the
+        carried ones and their products skip the contingency table.
         """
         memo = {} if memo is None else memo
         if label is None and id(self) in memo:
@@ -476,16 +514,19 @@ class Projector:
         elif self._parts is not None:
             out = self.explicit().carried(rows, r, out_label, memo)
         else:
-            key = ("classes", id(self._cls))
-            classes = memo.get(key)
-            if classes is None:
-                factor = 1.0 / np.sqrt(r)
-                if self._cls is None:
-                    classes = Classes(rows, np.full(self._n, factor))
-                else:
-                    classes = self._cls.carried(rows, factor)
-                memo[key] = classes
-            out = Projector.on_classes(classes, self._coef, out_label, n=rows.size)
+            factor = 1.0 / np.sqrt(r)
+            terms = []
+            for cls, a in self._terms:
+                key = ("classes", id(cls))
+                classes = memo.get(key)
+                if classes is None:
+                    if cls is None:
+                        classes = Classes(rows, np.full(self._n, factor))
+                    else:
+                        classes = cls.carried(rows, factor)
+                    memo[key] = classes
+                terms.append((classes, a))
+            out = Projector.of_terms(terms, out_label)
         if label is None:
             memo[id(self)] = out
         return out
@@ -500,55 +541,128 @@ class Projector:
 # --- products on class coordinates ------------------------------------------
 
 
+def folded(parts) -> tuple:
+    """(filled, rest) for the listed parts W of an implicit P = I - WW':
+    the classes C whose nested parts fill them, and the other parts.
+
+    Parts held as one term on nested classes (Mean, Reps and Blocks of a
+    lattice) fold into the finest of them, C: N_part is N_C times the
+    table N_C'N_part.  When their df fill C's m classes, their folded
+    coefficients are square and orthonormal, so their WW' sum to N_C N_C'.
+    A product with them is then one on C's class coordinates, with no
+    product with the parts' coefficients: their W'X has the Gram and the
+    norm of N_C'X.
+    """
+    single = [w for w in parts if w.classes is not None]
+    filled, taken = [], set()
+    for c in sorted({id(w.classes): w.classes for w in single}.values(), key=lambda c: -c.m):
+        group = [w for w in single if id(w) not in taken and refines(c.ids, w.classes.ids)]
+        if sum(w.df for w in group) == c.m:
+            filled.append(c)
+            taken.update(id(w) for w in group)
+    return filled, [w for w in parts if id(w) not in taken]
+
+
+def _same_class(c: Classes) -> tuple:
+    """(i, j) for every pair of rows in one class of c: where N N' is nonzero."""
+    order = np.argsort(c.ids, kind="stable")
+    sizes = np.bincount(c.ids)
+    size = sizes[c.ids[order]]  # the class size of each sorted row
+    start = (np.cumsum(sizes) - sizes)[c.ids[order]]  # and its class's first sorted row
+    i = np.repeat(np.arange(order.size), size)
+    j = np.repeat(start, size) + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
+    return order[i], order[j]
+
+
+def _total(arrays: list) -> np.ndarray:
+    """The sum of a non-empty list of arrays; one array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else sum(arrays[1:], arrays[0])
+
+
+def _up(classes: Classes | None, a: np.ndarray) -> np.ndarray:
+    return a if classes is None else classes.up(a)
+
+
+def _down(classes: Classes | None, x: np.ndarray) -> np.ndarray:
+    return x if classes is None else classes.down(x)
+
+
+def _pieces(p: Projector) -> tuple:
+    """p's terms as one-term projectors, made once (p itself when it has one
+    term).  ``coords``, ``gram`` and ``cross`` take one term at a time and
+    sum over these."""
+    if len(p._terms) == 1:
+        return (p,)
+    if p._pieces is None:
+        pieces = tuple(Projector(label=p.label, _n=p._n, _terms=(t,)) for t in p._terms)
+        object.__setattr__(p, "_pieces", pieces)
+    return p._pieces
+
+
+def _dense(p: Projector) -> np.ndarray | None:
+    """The basis of an explicit p held as one dense term, else None."""
+    terms = p._terms
+    return terms[0][1] if len(terms) == 1 and terms[0][0] is None else None
+
+
 def coords(p: Projector, classes: Classes | None) -> np.ndarray:
     """N'U_p (m x df_p) for an explicit p: U_p's coordinates on ``classes``
-    (U_p itself when ``classes`` is None)."""
-    if p._cls is classes:
-        return p._coef
+    (U_p itself when ``classes`` is None), summed over p's terms.  A term
+    on other classes goes through the contingency table when that is
+    smaller than the term on the rows; the product is kept on p, per
+    classes, since a sweep and the balance check take the same one."""
+    if len(p._terms) > 1:
+        return _total([coords(t, classes) for t in _pieces(p)])
+    ((cls, a),) = p._terms
+    if cls is classes:
+        return a
     if classes is None:
-        return p._cls.up(p._coef)
-    if p._cls is None:
-        return classes.down(p._coef)
-    if classes.m * p._cls.m <= p.n * p.df:
-        return mul(classes.table(p._cls), p._coef)
-    return classes.down(p._cls.up(p._coef))
+        return cls.up(a)
+    if cls is None:
+        return classes.down(a)
+    if classes.m * cls.m > p.n * p.df:
+        return classes.down(cls.up(a))
+    c = p._coords.get(classes)
+    if c is None:
+        c = p._coords[classes] = _freeze(mul(classes.table(cls), a))
+    return c
 
 
 def gram(p: Projector, q: Projector) -> np.ndarray:
-    """U_p'U_q (df_p x df_q) for explicit p and q.
+    """U_p'U_q (df_p x df_q) for explicit p and q, summed over pairs of
+    their terms.
 
-    On shared classes it is A_p'A_q; across two partitions A_p'(N_p'N_q)A_q,
-    the side with fewer columns taken through the contingency table, so no
-    n-row basis is formed unless one is held.
+    For one term each: on shared classes it is A_p'A_q; across two
+    partitions A_p'(N_p'N_q)A_q, the side with fewer columns taken through
+    the contingency table, so no n-row basis is formed unless one is held.
     """
-    if p._cls is q._cls:
-        return mul(p._coef.T, q._coef)
-    if q._cls is None or (p._cls is not None and q.df <= p.df):
-        return mul(p._coef.T, coords(q, p._cls))
-    return mul(coords(p, q._cls).T, q._coef)
+    if len(p._terms) == 1 == len(q._terms):
+        (cp, ap), (cq, aq) = p._terms[0], q._terms[0]
+        if cp is cq:
+            return mul(ap.T, aq)
+        if cq is None or (cp is not None and q.df <= p.df):
+            return mul(ap.T, coords(q, cp))
+        return mul(coords(p, cq).T, aq)
+    return _total([gram(s, t) for s in _pieces(p) for t in _pieces(q)])
 
 
 def span(p: Projector, a: np.ndarray | None = None) -> np.ndarray:
-    """U_p a (n x c) for an explicit p, or U_p itself when ``a`` is None."""
-    coef = p._coef if a is None else mul(p._coef, a)
-    return coef if p._cls is None else p._cls.up(coef)
+    """U_p a (n x c) for an explicit p, or U_p itself when ``a`` is None:
+    one gather per term."""
+    return _total([_up(c, coef if a is None else mul(coef, a)) for c, coef in p._terms])
 
 
 def spanned(p: Projector, a: np.ndarray, label: str, policy: TolerancePolicy) -> Projector:
-    """The explicit projector onto span(U_p a), held on p's classes as N_p(A_p a)
-    and checked as (A_p a)'(A_p a) = I within tol_idem."""
-    return Projector.on_classes(p._cls, mul(p._coef, a), label, policy, n=p.n)
-
-
-def _down(p: Projector, x: np.ndarray) -> np.ndarray:
-    return x if p._cls is None else p._cls.down(x)
+    """The explicit projector onto span(U_p a), held on p's terms as N (A a)
+    and checked as (U_p a)'(U_p a) = I within tol_idem."""
+    return Projector.of_terms([(c, mul(coef, a)) for c, coef in p._terms], label, policy, n=p.n)
 
 
 def project(p: Projector, x: np.ndarray) -> np.ndarray:
     """P X for a dense X (n x c): U(U'X), or X minus each listed part's
     projection when P = I - WW' is implicit."""
     if p._parts is None:
-        return span(p, mul(p._coef.T, _down(p, x)))
+        return span(p, _total([mul(a.T, _down(c, x)) for c, a in p._terms]))
     out = x
     for q in p._parts:
         out = out - project(q, x)
@@ -556,30 +670,35 @@ def project(p: Projector, x: np.ndarray) -> np.ndarray:
 
 
 def cross(p: Projector, xs, memo: dict | None = None) -> np.ndarray:
-    """U_p'X for an explicit p and the stacked bases X of the explicit ``xs``:
-    on p's classes, the xs' stacked coordinates there times A_p' in one
-    product (a dense p against sources on classes takes each ``gram``
-    instead, so that no n-row basis of theirs is formed).  ``memo`` keeps
-    those coordinates per classes, for callers that take many p against
-    the same xs."""
-    if p._cls is None and any(x._cls is not None for x in xs):
+    """U_p'X for an explicit p and the stacked bases X of the explicit ``xs``,
+    summed over p's terms: for one term, the xs' stacked coordinates on its
+    classes times A_p' in one product (a dense p against sources on classes
+    takes each ``gram`` instead, so that no n-row basis of theirs is
+    formed).  ``memo`` keeps those coordinates per classes, for callers
+    that take many p against the same xs."""
+    if len(p._terms) > 1:
+        return _total([cross(t, xs, memo) for t in _pieces(p)])
+    ((cls, a),) = p._terms
+    if cls is None and any(_dense(x) is None for x in xs):
         return np.hstack([gram(p, x) for x in xs])
-    c = None if memo is None else memo.get(p._cls)
+    c = None if memo is None else memo.get(cls)
     if c is None:
-        c = [coords(x, p._cls) for x in xs]
+        c = [coords(x, cls) for x in xs]
         c = c[0] if len(c) == 1 else np.hstack(c)
         if memo is not None:
-            memo[p._cls] = c
-    return mul(p._coef.T, c)
+            memo[cls] = c
+    return mul(a.T, c)
 
 
 def family_gram(xs, ys=None) -> np.ndarray:
     """X'Y for the stacked bases of the explicit projectors ``xs`` and ``ys``
     (``ys`` defaults to ``xs``, and the lower blocks are then mirrored),
-    one row of blocks at a time; one product when every basis is dense."""
-    if all(x._cls is None for x in (xs if ys is None else [*xs, *ys])):
-        sx = np.hstack([x._coef for x in xs])
-        return mul(sx.T, sx if ys is None else np.hstack([y._coef for y in ys]))
+    one row of blocks at a time; one product when every basis is one dense
+    term."""
+    dense = [_dense(x) for x in (xs if ys is None else [*xs, *ys])]
+    if all(d is not None for d in dense):
+        sx = np.hstack(dense[: len(xs)])
+        return mul(sx.T, sx if ys is None else np.hstack(dense[len(xs):]))
     if ys is not None:
         return np.vstack([cross(x, ys) for x in xs])
     edges = np.cumsum([0] + [x.df for x in xs])

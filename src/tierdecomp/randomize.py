@@ -218,8 +218,8 @@ def check_adjusted_orthogonality(
             cond_i = False
             witnesses.append(f"{p.label} is not balanced against {q.label}")
             continue
-        swept = sweep(p, q, res.lam, policy)
-        gap = np.linalg.norm(project(rs.total, span(swept)))
+        swept = sweep(p, q, res, policy)
+        gap = np.linalg.norm(project(rs.total, span(swept.explicit())))
         if gap > policy.tol_zero:
             cond_i = False
             witnesses.append(

@@ -34,13 +34,12 @@ from .formula import (
     PseudofactorDecl,
     _ast_factors,
     _class_ids,
-    _refines,
     attach_data,
     expand_terms,
     parse_formula,
     source_projectors,
 )
-from .projlin import DEFAULT_POLICY, ProjectorError, TolerancePolicy
+from .projlin import DEFAULT_POLICY, ProjectorError, TolerancePolicy, refines
 from .randomize import (
     BuildError,
     IncoherenceError,
@@ -722,7 +721,7 @@ class Design:
             ids = poset.ids.get(frozenset(parents))
             if ids is None:
                 ids, _ = _class_ids(columns, sorted(parents), n)
-            if not _refines(ids, poset.ids[frozenset({p.name})]):
+            if not refines(ids, poset.ids[frozenset({p.name})]):
                 raise SpecError(
                     f"tier {decl.name!r}: pseudofactor {p.name!r} does not group "
                     f"whole classes of {p.splits}"

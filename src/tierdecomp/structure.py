@@ -17,14 +17,19 @@ element Q (all idempotents on the unit space):
 * residual: P minus all its sweeps against one structure; what is left of
   P once every partly-confounded source is removed.
 
-Every element is held explicitly in class form, U = NA, or implicitly as
-I - WW' on the whole space (see ``projlin``), so all of this runs on C =
-U_P' U_Q (df_P x df_Q), formed on class coordinates by ``gram``, and never
-on n x n matrices: QPQ = lam*Q holds iff C'C = U_Q' P U_Q = lam*I, the
-sweep's basis is P U_Q / sqrt(lam), which for an explicit P is U_P C /
-sqrt(lam) on P's own classes, and the residual's is U_P times the
-complement of the sweeps' coordinates in R^df_P, or I - [W, sweeps][W,
-sweeps]' when P is implicit.  Each test uses a Frobenius norm of a small
+Every element is held explicitly as a list of class-form terms, U = N_1
+A_1 + ... + N_k A_k, or implicitly as I - WW' on the whole space (see
+``projlin``), so all of this runs on C = U_P' U_Q (df_P x df_Q), formed on
+class coordinates by ``gram``, and never on n x n matrices or n-row
+bases: QPQ = lam*Q holds iff C'C = U_Q' P U_Q = lam*I.  The sweep's basis
+is P U_Q / sqrt(lam).  For an explicit P that is U_P C / sqrt(lam) on P's
+own terms.  For an implicit P it is U_Q minus each listed part's share
+W W'U_Q, the sweep by factor means of Wilkinson (1970): one term on Q's
+classes and one on each group of nested part classes that it fills, from
+contingency tables.  Its orthonormality is read from the step's balance
+result, since S'S - I = (C'C - lam*I)/lam.  The residual's basis is U_P
+times the complement of the sweeps' coordinates in R^df_P, or I - [W,
+sweeps][W, sweeps]' when P is implicit.  Each test uses a Frobenius norm of a small
 matrix, which bounds the largest entry of the n x n quantity it stands for.
 
 Refining every element of a decomposition this way yields the next, finer
@@ -45,8 +50,10 @@ from .projlin import (
     ProjectorError,
     TolerancePolicy,
     bilinear_of,
+    coords,
     cross,
     family_gram,
+    folded,
     gram,
     gram_defect,
     mul,
@@ -284,6 +291,8 @@ class BalanceResult:
     ``status`` is one of ``balanced``, ``orthogonal``, ``aliased`` (lam = 1
     with identical images) or ``unbalanced``; unbalanced results carry the
     distinct nonzero eigenvalues of QPQ with multiplicities.
+    ``residual_norm`` is ||C'C - lam*I||_F, C = U_P'U_Q, at the lam the
+    result reports (0 for an orthogonal pair).
     """
 
     status: str
@@ -374,32 +383,51 @@ def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None)
     return g, q.df - g.shape[0]
 
 
-def _through(p: Projector, q: Projector) -> np.ndarray:
-    """P U_Q (n x df_Q) for an implicit P on the whole space and explicit Q:
-    U_Q minus each listed part's share of it."""
-    out = span(q)
-    for w in p.parts:
-        out = out - span(w, gram(w, q))
-    return out
+def _share(p: Projector, q: Projector) -> list:
+    """Terms of WW'U_Q for an implicit P = I - WW' and an explicit Q, on
+    class coordinates: U_Q's coordinates on each filled group's classes
+    (``projlin.folded``), and each other part's terms times its Gram with U_Q."""
+    filled, rest = folded(p.parts)
+    terms = [(c, coords(q, c)) for c in filled]
+    for w in rest:
+        g = gram(w, q)
+        terms += [(c, mul(a, g)) for c, a in w.terms]
+    return terms
 
 
 def sweep(
     p: Projector,
     q: Projector,
-    lam: float,
+    res: BalanceResult,
     policy: TolerancePolicy = DEFAULT_POLICY,
     label: str | None = None,
 ) -> Projector:
-    """Projector onto Im(PQ), basis P U_Q / sqrt(lam); defined when balance holds.
+    """Projector onto Im(PQ), basis P U_Q / sqrt(lam), from the step's balance
+    result ``res`` for (P, Q); defined when balance holds.
 
-    For an explicit P that is U_P C / sqrt(lam), held on P's classes."""
+    For an explicit P that is U_P C / sqrt(lam), held on P's terms and
+    checked orthonormal.  For an implicit P = I - WW' it is U_Q minus the
+    listed parts' shares (``_share``), a list of terms, so no n-row basis
+    is formed.  It is not checked from a second Gram: S'S - I = (U_Q'PU_Q
+    - lam*I)/lam, whose norm is res.residual_norm/lam, and it is held to
+    tol_idem.  When Q is implicit too and lam = 1, Q lies inside P and the
+    sweep is Q itself, still I minus its listed bases.
+    """
+    lam = res.lam
     if lam <= policy.tol_zero:
         raise ValueError(f"sweep of {p.label} by {q.label} needs a nonzero efficiency")
     label = label or f"{p.label} ▷ {q.label}"
+    if p.implicit and q.implicit and res.efficiency.is_one():
+        return q.relabel(label)
     q = q.explicit()
-    if p.implicit:
-        return Projector.from_basis(_through(p, q) / np.sqrt(lam), label, policy)
-    return spanned(p, gram(p, q) / np.sqrt(lam), label, policy)
+    if not p.implicit:
+        return spanned(p, gram(p, q) / np.sqrt(lam), label, policy)
+    gap = res.residual_norm / lam
+    if gap > policy.tol_idem:
+        raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
+    scale = 1.0 / np.sqrt(lam)
+    terms = [(c, a * scale) for c, a in q.terms] + [(c, a * -scale) for c, a in _share(p, q)]
+    return Projector.of_terms(terms, label, n=p.n)
 
 
 def residual(
@@ -415,15 +443,29 @@ def residual(
     the block rule, to tol_zero between two sweeps, so the sweeps and the
     residual need no family check afterwards.  An explicit P's residual has
     basis U_P times the orthogonal complement of K = U_P'S in R^df_P, held
-    on P's classes.  An implicit P = I - WW' leaves I - [W, S][W, S]' with
+    on P's terms.  An implicit P = I - WW' leaves I - [W, S][W, S]' with
     no QR; that is a projector when, besides, W'S vanishes, which is held
-    to tol_zero.
+    to tol_zero.  Both Grams are sums of products on class coordinates; a
+    filled group of W (``projlin.folded``) enters W'S as N_C'S, with the
+    same Gram and norm.
+    An implicit sweep Q of an implicit P (see ``sweep``) is taken out
+    first: P - Q is explicit (``_outside``), and the other sweeps are taken
+    from it as from any explicit node.
     """
     label = label or f"{p.label} residual"
     if not swept:
         return p.relabel(label)
+    held = [s for s in swept if s.implicit]  # at most one: a structure has one implicit source
+    if p.implicit and held:
+        p = _outside(p, held[0], label, policy)
+        swept = [s for s in swept if not s.implicit]
+        if not swept:
+            return p if p.df else None
     if p.implicit:
-        leak = family_gram(p.parts, swept) if p.parts else np.zeros((0, sum(s.df for s in swept)))
+        filled, rest = folded(p.parts)
+        leak = [np.hstack([coords(s, c) for s in swept]) for c in filled]
+        leak += [cross(w, swept) for w in rest]
+        leak = np.vstack(leak) if leak else np.zeros((0, sum(s.df for s in swept)))
         defect = family_gram(swept) - mul(leak.T, leak)
         defect[np.diag_indices_from(defect)] -= 1.0
     else:
@@ -448,6 +490,23 @@ def residual(
         return Projector.complement_of(list(p.parts) + list(swept), label)
     complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
     return spanned(p, complement, label, policy)
+
+
+def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) -> Projector:
+    """P - Q = VV' - WW' for an implicit P = I - WW' and an implicit Q =
+    I - VV' inside it, explicit: V times the complement of E = V'W in R^b,
+    b the columns of V, held on the terms of V's listed bases.  E'E = I
+    says that W lies inside span(V), that is Q inside P; it is held to
+    tol_idem, and the result is checked orthonormal."""
+    v = list(q.parts)
+    e = family_gram(v, list(p.parts)) if p.parts else np.zeros((q.n - q.df, 0))
+    gap = float(np.linalg.norm(gram_defect(e)))
+    if gap > policy.tol_idem:
+        raise ProjectorError(f"{label}: {q.label} leaves {p.label} (gap {gap:.3e})")
+    f = np.linalg.qr(e, mode="complete")[0][:, e.shape[1]:]
+    edges = np.cumsum([0] + [x.df for x in v])
+    terms = [(c, mul(a, f[lo:hi])) for x, lo, hi in zip(v, edges, edges[1:]) for c, a in x.terms]
+    return Projector.of_terms(terms, label, policy, n=p.n)
 
 
 # --- structure balance of a whole family -------------------------------------
@@ -568,6 +627,7 @@ def is_structure_balanced(
     edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
     family = None  # S'S, formed once for the implicit rows
     on_classes: dict = {}  # S's coordinates on each row's classes
+    crossed: dict = {}  # V'S by id(V): a row is often a listed part of a later implicit row
     violations = []
     results = {}
     blocks = {}  # kept for the report only; dropped when the check passes
@@ -577,8 +637,11 @@ def is_structure_balanced(
         if stacked:
             # c = V'S for P's side V: its basis, or the listed bases of an implicit P
             side = list(p.parts) if p.implicit else [p]
+            for v in side:
+                if id(v) not in crossed:
+                    crossed[id(v)] = cross(v, stacked, on_classes)
             if side:
-                c = np.vstack([cross(v, stacked, on_classes) for v in side])
+                c = np.vstack([crossed[id(v)] for v in side])
             else:
                 c = np.zeros((0, edges[-1]))
             if p.implicit:
@@ -712,10 +775,13 @@ def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
     if gap <= policy.tol_idem:
         value = snap_rational(lam, policy)
         if 1.0 - lam <= policy.tol_zero:
+            # reported as 1, so the norm is taken at 1 (``sweep`` reads it):
+            # lam is C'C's mean eigenvalue, so ||C'C - I||^2 adds df_Q (1 - lam)^2
             value = EfficiencyValue(1.0, (1, 1))
+            gap = float(np.hypot(gap, (1.0 - lam) * np.sqrt(q.df)))
             # C'C = I with C square: the two images coincide
             if p_df == q.df:
-                return BalanceResult(status="aliased", efficiency=value)
+                return BalanceResult(status="aliased", efficiency=value, residual_norm=gap)
         return BalanceResult(status="balanced", efficiency=value, residual_norm=gap)
     eigs = np.concatenate((np.linalg.eigvalsh(gram), np.ones(ones), np.zeros(zeros)))
     return BalanceResult(
@@ -841,14 +907,13 @@ def refine(
             res = balance.results[(p.label, q.label)]
             if res.efficiency is None or res.efficiency.is_zero():
                 continue
-            lam = res.efficiency.value
             if res.status == "aliased":
                 # an aliased sweep is the node itself under a new name; keep
                 # "Mean" reading as "Mean" instead of "Mean ▷ Mean"
                 child_proj = p if q.label == p.label else p.relabel(f"{p.label} ▷ {q.label}")
                 whole = True
             else:
-                child_proj = sweep(p, q, lam, policy, label=f"{p.label} ▷ {q.label}")
+                child_proj = sweep(p, q, res, policy, label=f"{p.label} ▷ {q.label}")
             cells = None
             if cells_for and q.label in cells_for:
                 cells = tuple(

@@ -101,7 +101,7 @@ def test_gram_without_a_table_wider_than_the_rows(monkeypatch):
     a = projlin.Classes(np.arange(12) % 6)
     b = projlin.Classes(np.arange(12) // 2)
     u = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 1)))[0]
-    p = projlin.Projector.on_classes(a, u, "p", n=12)
-    q = projlin.Projector.on_classes(b, u, "q", n=12)
+    p = projlin.Projector.of_terms([(a, u)], "p")
+    q = projlin.Projector.of_terms([(b, u)], "q")
     assert a.m * b.m > p.n * p.df
     assert np.allclose(gram(p, q), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)

@@ -6,6 +6,7 @@ crossed units, and oracle agreement on random block designs.
 """
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 
 from tierdecomp import (
     DEFAULT_POLICY,
+    Decomposition,
     IncoherenceError,
     Projector,
     build_decomposition,
@@ -24,6 +26,8 @@ from tierdecomp import (
     efficiency,
     layout,
     load_design,
+    parse_table_json,
+    refine,
     render,
     residual,
 )
@@ -32,6 +36,7 @@ from tierdecomp.projlin import ProjectorError, bilinear_of, project
 from tierdecomp.structure import _classify, _implicit_gram
 
 import gen
+from checks import compare_json, lattice_table
 from conftest import basis_of, block_designs, spec_path, write_block_design
 
 
@@ -124,6 +129,25 @@ class TestImplicitResidual:
         with pytest.raises(ProjectorError, match="sweeps leave P"):
             residual(p, [s])
 
+    def test_filled_classes_in_matrix_and_residual(self, monkeypatch):
+        # P = I - NN' for three blocks of two rows, listed as the Mean and a
+        # 2-df Blocks source on the block classes N: they fill them, so the
+        # residual reads W'S as N'S
+        monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
+        blocks = projlin.Classes([0, 0, 1, 1, 2, 2])
+        a = np.linalg.qr(np.column_stack([np.ones(3), [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]))[0]
+        mean = Projector.of_terms([(blocks, a[:, :1])], "Mean")
+        source = Projector.of_terms([(blocks, a[:, 1:])], "Blocks")
+        p = Projector.complement_of([mean, source], "P")
+        # .matrix sets NN' on the pairs of rows in one block
+        assert np.allclose(p.matrix, np.eye(6) - np.kron(np.eye(3), np.full((2, 2), 0.5)), atol=1e-15)
+        inside = np.array([[1.0], [-1.0], [0.0], [0.0], [0.0], [0.0]]) / np.sqrt(2)
+        assert residual(p, [Projector.from_basis(inside, "S")]).df == 2
+        tilt = inside + 1e-6 / np.sqrt(6)
+        s = Projector.from_basis(tilt / np.linalg.norm(tilt), "S")
+        with pytest.raises(ProjectorError, match="sweeps leave P"):
+            residual(p, [s])
+
     def test_sweeps_filling_p_leave_nothing(self):
         p = Projector.complement_of(np.eye(3)[:, :1], "P")
         s = Projector.from_basis(np.eye(3)[:, 1:], "S")
@@ -138,19 +162,18 @@ def build_and_render(spec):
 
 
 def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
-    # Tier sources and their lifts stay in class form from the tier to the
-    # table: no n-row basis of one is materialized (``projlin.span`` without
-    # coefficients), made dense (``from_basis``), or completed by an n-row QR.  Only the sweeps and residuals of a step are
-    # n-row bases, and an implicit tier source lifted with r > 1 is
-    # complemented on the tier's m < n objects.  The one exception is a sweep by an implicit node
-    # (``_through``): its basis P U_Q is formed as U_Q minus the listed
-    # bases' shares, on the rows.
+    # Tier sources, their lifts and every sweep stay in class form from the
+    # tier to the table: no n-row basis of one is materialized
+    # (``projlin.span`` without coefficients), made dense (``from_basis``),
+    # or completed by an n-row QR, and no sweep is spanned on the rows at
+    # all: a sweep of an implicit node is a list of class-form terms.  An
+    # implicit tier source lifted with r > 1 is complemented on the tier's
+    # m < n objects.
     original_complement = Projector._complement_basis
     original_from_basis = Projector.from_basis.__func__
     original_span = projlin.span
     units = {}
     made = []
-    through = []
 
     def guarded_complement(self):
         block = original_complement(self)
@@ -160,41 +183,109 @@ def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
         return block
 
     def guarded_from_basis(cls, basis, label, policy=DEFAULT_POLICY):
-        if len(basis) == units["n"] and not any(mark in label for mark in ("▷", "⊢", "⊓")):
+        if len(basis) == units["n"]:
             raise AssertionError(f"dense n-row basis made for {label}")
         return original_from_basis(cls, basis, label, policy)
 
     def guarded_span(p, a=None):
-        if a is None and p.n == units["n"] and p.classes is not None:
+        if p.n == units["n"] and ("▷" in p.label or (a is None and p.classes is not None)):
             caller = sys._getframe(1).f_code.co_name
-            if caller != "_through":
-                raise AssertionError(f"basis of {p.label} spanned on the unit space in {caller}")
-            through.append(p.label)
+            raise AssertionError(f"basis of {p.label} spanned on the unit space in {caller}")
         return original_span(p, a)
 
     monkeypatch.setattr(Projector, "_complement_basis", guarded_complement)
     monkeypatch.setattr(Projector, "from_basis", classmethod(guarded_from_basis))
     for module in (projlin, structure, randomize):
         monkeypatch.setattr(module, "span", guarded_span)
+    # the implicit node's sweep by Treatments, with its number of terms:
+    # Treatments' own and one for each group of nested unit sources, the
+    # Mean, Reps and Blocks of a lattice, or the Mean and Rows and then the
+    # Columns of a Latin square
+    lattice = ("Plots[Blocks∧Reps] ▷ Treatments", 2)
     cases = [
-        (spec_path("corn"), {("Temperature#Moistures", 9), ("Harvesters", 3)}, set()),
-        (gen.write("lattice", 7, 3, tmp_path), {("Treatments", 49)}, {"Treatments"}),
+        (spec_path("corn"), {("Temperature#Moistures", 9), ("Harvesters", 3)}, None),
+        (gen.write("lattice", 7, 3, tmp_path / "k7"), {("Treatments", 49)}, lattice),
+        (gen.write("lattice", 13, 1, tmp_path / "k13"), {("Treatments", 169)}, lattice),
+        (latin_square(tmp_path, 11), set(), ("Rows#Columns ▷ Treatments", 3)),
     ]
     for spec, sources, swept in cases:
         units["n"] = load_design(spec).n
         made.clear()
-        through.clear()
         result, text = build_and_render(spec)
         assert sum(node.df for node in result.decomposition.nodes) == units["n"]
         assert text
         assert sources <= set(made)
-        assert set(through) == swept
         assert any(node.projector.implicit for node in result.decomposition.nodes)
+        if swept is not None:
+            label, terms = swept
+            (node,) = [node for node in result.decomposition.nodes if node.label == label]
+            assert len(node.projector.terms) == terms
     # the benchmark's cyclic design (v = 96): the diagnose route
     design = load_design(gen.write("cyclic", 96, 1, tmp_path))
     units["n"] = design.n
     report = diagnose_incoherence(design)
     assert report and report.items[0].kind == "first-order"
+
+
+def test_sweep_by_an_implicit_source_inside_the_node_stays_implicit(monkeypatch):
+    # plant: Seedlings[Varieties] ⊢ S1 stays I - VV' on the 60 units (r = 1)
+    # and lies inside Positions[Benches] (lambda = 1), so its sweep is the
+    # source itself, with no complete QR on the unit space
+    original = Projector._complement_basis
+    rows = []
+
+    def recorded(self):
+        block = original(self)
+        rows.append((self.label, block.shape))
+        return block
+
+    monkeypatch.setattr(Projector, "_complement_basis", recorded)
+    design = load_design(spec_path("plant"))
+    result = build_decomposition(design)
+    assert rows and all(shape[0] < design.n for _, shape in rows), rows
+    nodes = {node.label: node for node in result.decomposition.nodes}
+    swept = nodes["Positions[Benches] ▷ Seedlings[Varieties] ⊢ S1"]
+    assert swept.projector.implicit and swept.df == 50
+
+
+@pytest.mark.parametrize("k", [5, 7, 13])
+def test_lattice_sweeps_match_the_closed_form(tmp_path, k):
+    # n = 150, 392, 2366: Plots[Blocks∧Reps] is I - WW' and its sweep by
+    # Treatments (lambda = k/(k+1)) is a list of class-form terms
+    design = load_design(gen.write("lattice", k, 1, tmp_path))
+    result = build_decomposition(design)
+    table = layout(result.decomposition, design.tier_order, footnotes=result.diagnostics)
+    assert compare_json(parse_table_json(render(table, fmt="json")), lattice_table(k)) == []
+    if design.n <= 700:
+        report = cross_check(design, max_units=design.n)
+        assert report.ok, report.render_text()
+
+
+def test_tolerance_below_the_implicit_sweeps_gap_stops_the_build(monkeypatch, tmp_path):
+    # the sweep S of the implicit Plots[Blocks∧Reps] is checked from the
+    # step's balance result: ||S'S - I|| = residual_norm / lam.  A tolerance
+    # between residual_norm, which the balance check passes, and that gap
+    # stops the refinement with the error the sweep's own Gram check gave
+    spec = gen.write("lattice", 5, 1, tmp_path)
+    steps = []
+    original = randomize.refine
+
+    def recorded(d, s, balance, policy=DEFAULT_POLICY, **kw):
+        steps.append((d, s, balance))
+        return original(d, s, balance, policy, **kw)
+
+    monkeypatch.setattr(randomize, "refine", recorded)
+    build_decomposition(load_design(spec))
+    ((d, s, balance),) = steps
+    node = d.nodes[-1]
+    res = balance.results[(node.label, "Treatments")]
+    assert node.projector.implicit and 0 < res.lam < 1 and res.residual_norm > 0
+    between = res.residual_norm * (1 + 1 / res.lam) / 2
+    policy = load_design(spec, tolerance=between).policy
+    assert res.residual_norm < policy.tol_idem < res.residual_norm / res.lam
+    label = re.escape(f"{node.label} ▷ Treatments")
+    with pytest.raises(ProjectorError, match=f"^{label}: basis is not orthonormal"):
+        refine(Decomposition([node], d.n), s, balance, policy)
 
 
 def test_lifts_hold_no_implicit_form_on_classes(monkeypatch, tmp_path):

@@ -104,17 +104,18 @@ def test_cluster_eigenvalues_matches_the_loop(seed):
 class TestSweepAndResidual:
     def test_sweep_extracts_the_shared_part(self):
         q = rank_one([1, 0, 1, 0])
-        swept = sweep(P_HALF, q, 0.5)
+        swept = sweep(P_HALF, q, efficiency(P_HALF, q))
         assert swept.df == 1
         assert np.allclose(swept.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
     def test_sweep_rejects_zero_efficiency(self):
+        q = rank_one([0, 0, 0, 1])
         with pytest.raises(ValueError, match="nonzero efficiency"):
-            sweep(P_HALF, rank_one([0, 0, 0, 1]), 0.0)
+            sweep(P_HALF, q, efficiency(P_HALF, q))
 
     def test_residual_removes_sweeps(self):
         q = rank_one([1, 0, 1, 0])
-        swept = sweep(P_HALF, q, 0.5)
+        swept = sweep(P_HALF, q, efficiency(P_HALF, q))
         rem = residual(P_HALF, [swept])
         assert rem.df == 1
         assert np.allclose(rem.matrix, np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-12)
