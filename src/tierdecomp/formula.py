@@ -42,7 +42,6 @@ from .projlin import (
     TolerancePolicy,
     coords,
     family_gram,
-    gram_defect,
     refines,
 )
 from .structure import Structure, check_blocks
@@ -629,17 +628,21 @@ def source_projectors(
     notice.  Failure of orthogonality means the tier's partitions do not
     form an orthogonal system and is reported as such.
 
-    A'A - I is held to tol_idem as a whole and to the block rule of
-    ``Structure.validate``.  The finest term lies above every other, so its
-    A'A is the Gram of every source but its own, which is their complement;
-    it is formed block by block on class coordinates, A_G'(N_G'N_H)A_H, and
-    that check covers the whole structure, each source's own orthonormality
-    included.  The Mean is the universe term and the df sum holds by
-    construction, so the result is not validated again.
+    The tier family is checked once, at the finest term, which lies above
+    every other: the Gram U_low'U_low of every source but its own is formed
+    block by block on class coordinates, A_G'(N_G'N_H)A_H, and U_low'U_low
+    - I is held to tol_idem as a whole and to the block rule of
+    ``Structure.validate``.  That covers the whole structure, each source's
+    own orthonormality included; the finest source is their complement.
+    The check a lower term F could make, A'A - I, is a principal submatrix
+    of it, since U_low lies in span(N_F) and so A'A = U_low'U_low.  The
+    Mean is the universe term and the df sum holds by construction, so the
+    result is not validated again.
     """
     if not poset.has_data:
         poset = attach_data(poset, columns, n)
     order = sorted(poset.terms, key=lambda t: len(poset.below[t.constituents]))
+    top = poset.finest().constituents
     built: dict = {}
     elements = []
     notices = list(poset.notices)
@@ -651,20 +654,16 @@ def source_projectors(
         below = poset.below[t.constituents]
         lows = [built[c] for c in built if c in below]
         low_df = sum(q.df for q in lows)
-        if lows:
-            if whole:
-                defect = family_gram(lows)
-                defect[np.diag_indices_from(defect)] -= 1.0
-            else:
-                low_coords = np.hstack([coords(q, classes) for q in lows])
-                defect = gram_defect(low_coords)
+        if lows and t.constituents == top:
+            defect = family_gram(lows)
+            defect[np.diag_indices_from(defect)] -= 1.0
             gap = float(np.linalg.norm(defect))
             if gap > policy.tol_idem:
                 raise FormulaError(
                     f"source {label} is not a projector (sources below it overlap, "
                     f"gap {gap:.3e}); the tier's partitions are not orthogonal"
                 )
-            # at the finest term this is the family check of the structure and its equireplicate lifts
+            # the family check of the structure and of its equireplicate lifts
             try:
                 check_blocks(defect, lows, policy)
             except ValueError as exc:
@@ -687,15 +686,16 @@ def source_projectors(
             proj = Projector.complement_of(lows or np.zeros((n, 0)), label)
         else:
             if lows:
+                low_coords = np.hstack([coords(q, classes) for q in lows])
                 complement = np.linalg.qr(low_coords, mode="complete")[0][:, low_df:]
             else:
                 complement = np.eye(classes.m)
-            # checked with every other source at the finest term, above
+            # checked with every other source at the finest term
             proj = Projector.of_terms([(classes, complement)], label)
         built[t.constituents] = proj
         elements.append(proj)
 
-    finest = Classes(poset.ids[poset.finest().constituents])
+    finest = Classes(poset.ids[top])
     total_label = f"{space_label or 'tier'} span"
     if finest.m == n:
         total = Projector.complement_of(np.zeros((n, 0)), total_label)

@@ -11,15 +11,16 @@ implicit node is U_Q minus its listed parts' shares, one term on Q's
 classes and one on each group of nested part classes that it fills.  The one implicit
 form is the largest stratum of a structure, I - WW' on the whole space,
 held by its listed explicit bases W.  A projector is never held as an
-n x n matrix.  ``Projector.of_terms`` (and ``from_basis``, its case of
-one dense term) checks U'U = I on class coordinates when given a policy,
-``Projector.complement_of`` takes its listed bases as checked, and
-``Projector.validated`` is the gate for callers holding a symmetric
-idempotent matrix.  ``coords`` (N'U_p), ``gram`` (U_p'U_q), ``cross``,
-``family_gram``, ``span`` and ``project`` (P X) sum termwise products
-through contingency tables N_F'N_G (``Classes.table``), and
-``bilinear_of`` (X' P Y for stacked bases) applies either form, so the
-hot kernels need not know which one they hold.  Spaces of at most
+n x n matrix.  ``Projector.of_terms`` and ``complement_of`` take their
+bases as checked where they were made (see ``structure.refine`` and
+``formula.source_projectors``); ``Projector.from_basis`` is the one
+constructor that checks U'U = I itself, and ``Projector.validated`` the
+gate for callers holding a symmetric idempotent matrix.  ``coords``
+(N'U_p), ``gram`` (U_p'U_q), ``cross``, ``family_gram``, ``span`` and
+``project`` (P X) sum termwise products through contingency tables
+N_F'N_G (``Classes.table``), and ``bilinear_of`` (X' P Y for stacked
+bases) applies either form, so the hot kernels need not know which one
+they hold.  Spaces of at most
 ``DENSE_ROWS`` rows hold an explicit basis as one dense term, where a
 product on class coordinates costs more calls than the flops it saves.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
@@ -303,46 +304,36 @@ class Projector:
         label: str,
         policy: TolerancePolicy = DEFAULT_POLICY,
     ) -> "Projector":
-        """Projector onto the span of ``basis``, checked as U'U = I within tol_idem.
+        """Projector onto the span of a dense ``basis``, checked as U'U = I
+        within tol_idem: the one constructor that checks its basis.
 
         The basis is copied, so the caller's array is left writeable."""
         basis = np.array(basis, dtype=np.float64)
         if basis.ndim != 2:
             raise ProjectorError(f"{label}: basis must be 2-d, got shape {basis.shape}")
-        return cls.of_terms([(None, basis)], label, policy, n=basis.shape[0])
+        gap = float(np.linalg.norm(gram_defect(basis)))
+        if gap > policy.tol_idem:
+            raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
+        return cls.of_terms([(None, basis)], label, n=basis.shape[0])
 
     @classmethod
-    def of_terms(
-        cls,
-        terms,
-        label: str,
-        policy: TolerancePolicy | None = None,
-        n: int | None = None,
-    ) -> "Projector":
+    def of_terms(cls, terms, label: str, n: int | None = None) -> "Projector":
         """Projector onto the span of U = sum of N A over ``terms``, a list of
         (``Classes`` or None for N = I, coefficient block), all of one width;
         ``n`` is needed only when no term has classes.  On at most
         ``DENSE_ROWS`` rows the terms are summed into one dense term instead.
 
-        With a policy, checked as U'U = I within tol_idem on class
-        coordinates (``gram``): for one term N'N = I, so U'U = A'A and the
-        check costs m df^2, not n df^2.  Without one the caller vouches for
-        U: ``source_projectors`` checks every source it makes in one Gram at
-        the finest term, and ``structure.sweep`` checks a sweep of an
-        implicit node from the step's balance result.
+        Nothing is checked: the caller vouches for U.  ``source_projectors``
+        checks every tier source in one Gram at the finest term,
+        ``structure.sweep`` checks a sweep from the step's balance result,
+        and a child U_P F of a checked U_P, F with orthonormal columns, is
+        checked by U_P's check, since ||F'(U_P'U_P - I)F|| <= ||U_P'U_P - I||.
         """
         held = [c for c, _ in terms if c is not None]
         n = held[0].n if held else n
         if n <= DENSE_ROWS and (len(terms) > 1 or held):
             terms = ((None, _total([_up(c, a) for c, a in terms])),)
-        out = cls(label=label, _n=n, _terms=tuple([(c, _freeze(a)) for c, a in terms]))
-        if policy is not None:
-            defect = gram(out, out)
-            defect[np.diag_indices_from(defect)] -= 1.0
-            gap = float(np.linalg.norm(defect))
-            if gap > policy.tol_idem:
-                raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
-        return out
+        return cls(label=label, _n=n, _terms=tuple([(c, _freeze(a)) for c, a in terms]))
 
     @classmethod
     def complement_of(cls, w, label: str) -> "Projector":
@@ -652,10 +643,12 @@ def span(p: Projector, a: np.ndarray | None = None) -> np.ndarray:
     return _total([_up(c, coef if a is None else mul(coef, a)) for c, coef in p._terms])
 
 
-def spanned(p: Projector, a: np.ndarray, label: str, policy: TolerancePolicy) -> Projector:
-    """The explicit projector onto span(U_p a), held on p's terms as N (A a)
-    and checked as (U_p a)'(U_p a) = I within tol_idem."""
-    return Projector.of_terms([(c, mul(coef, a)) for c, coef in p._terms], label, policy, n=p.n)
+def spanned(p: Projector, a: np.ndarray, label: str) -> Projector:
+    """The explicit projector onto span(U_p a), held on p's terms as N (A a).
+    Not checked: for an ``a`` with orthonormal columns it inherits p's check
+    (see ``Projector.of_terms``), and a sweep's ``a`` is checked by
+    ``structure.sweep``."""
+    return Projector.of_terms([(c, mul(coef, a)) for c, coef in p._terms], label, n=p.n)
 
 
 def project(p: Projector, x: np.ndarray) -> np.ndarray:
@@ -669,25 +662,19 @@ def project(p: Projector, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross(p: Projector, xs, memo: dict | None = None) -> np.ndarray:
+def cross(p: Projector, xs) -> np.ndarray:
     """U_p'X for an explicit p and the stacked bases X of the explicit ``xs``,
     summed over p's terms: for one term, the xs' stacked coordinates on its
-    classes times A_p' in one product (a dense p against sources on classes
-    takes each ``gram`` instead, so that no n-row basis of theirs is
-    formed).  ``memo`` keeps those coordinates per classes, for callers
-    that take many p against the same xs."""
+    classes (each kept on its projector by ``coords``) times A_p' in one
+    product.  A dense p against sources on classes takes each ``gram``
+    instead, so that no n-row basis of theirs is formed."""
     if len(p._terms) > 1:
-        return _total([cross(t, xs, memo) for t in _pieces(p)])
+        return _total([cross(t, xs) for t in _pieces(p)])
     ((cls, a),) = p._terms
     if cls is None and any(_dense(x) is None for x in xs):
         return np.hstack([gram(p, x) for x in xs])
-    c = None if memo is None else memo.get(cls)
-    if c is None:
-        c = [coords(x, cls) for x in xs]
-        c = c[0] if len(c) == 1 else np.hstack(c)
-        if memo is not None:
-            memo[cls] = c
-    return mul(a.T, c)
+    c = [coords(x, cls) for x in xs]
+    return mul(a.T, c[0] if len(c) == 1 else np.hstack(c))
 
 
 def family_gram(xs, ys=None) -> np.ndarray:

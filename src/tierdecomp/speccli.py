@@ -678,18 +678,14 @@ class Design:
             for k, name in enumerate(factor_names)
         }
         for p in decl.pseudos:
-            values = [None] * len(combos)
+            if not refines(ids, _class_ids(self.main.columns, [p.name], self.main.n)[0]):
+                raise SpecError(
+                    f"column {p.name!r} is not constant on the objects of "
+                    f"tier {tier!r}"
+                )
+            # ids count up by first appearance: np.unique gives each object's first row
             col = self.main.columns[p.name]
-            for row in range(self.main.n):
-                obj = ids[row]
-                if values[obj] is None:
-                    values[obj] = col[row]
-                elif values[obj] != col[row]:
-                    raise SpecError(
-                        f"column {p.name!r} is not constant on the objects of "
-                        f"tier {tier!r}"
-                    )
-            columns[p.name] = values
+            columns[p.name] = [col[row] for row in np.unique(ids, return_index=True)[1]]
         labels = [
             combo[0] if len(combo) == 1 else "(" + ", ".join(combo) + ")"
             for combo in combos

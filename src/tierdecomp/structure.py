@@ -405,13 +405,13 @@ def sweep(
     """Projector onto Im(PQ), basis P U_Q / sqrt(lam), from the step's balance
     result ``res`` for (P, Q); defined when balance holds.
 
-    For an explicit P that is U_P C / sqrt(lam), held on P's terms and
-    checked orthonormal.  For an implicit P = I - WW' it is U_Q minus the
-    listed parts' shares (``_share``), a list of terms, so no n-row basis
-    is formed.  It is not checked from a second Gram: S'S - I = (U_Q'PU_Q
-    - lam*I)/lam, whose norm is res.residual_norm/lam, and it is held to
-    tol_idem.  When Q is implicit too and lam = 1, Q lies inside P and the
-    sweep is Q itself, still I minus its listed bases.
+    For an explicit P that is U_P C / sqrt(lam), held on P's terms.  For an
+    implicit P = I - WW' it is U_Q minus the listed parts' shares
+    (``_share``), a list of terms, so no n-row basis is formed.  Either way
+    it is not checked from a second Gram: S'S - I = (U_Q'PU_Q - lam*I)/lam,
+    whose norm is res.residual_norm/lam, and it is held to tol_idem.  When
+    Q is implicit too and lam = 1, Q lies inside P and the sweep is Q
+    itself, still I minus its listed bases.
     """
     lam = res.lam
     if lam <= policy.tol_zero:
@@ -419,12 +419,12 @@ def sweep(
     label = label or f"{p.label} ▷ {q.label}"
     if p.implicit and q.implicit and res.efficiency.is_one():
         return q.relabel(label)
-    q = q.explicit()
-    if not p.implicit:
-        return spanned(p, gram(p, q) / np.sqrt(lam), label, policy)
     gap = res.residual_norm / lam
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
+    q = q.explicit()
+    if not p.implicit:
+        return spanned(p, gram(p, q) / np.sqrt(lam), label)
     scale = 1.0 / np.sqrt(lam)
     terms = [(c, a * scale) for c, a in q.terms] + [(c, a * -scale) for c, a in _share(p, q)]
     return Projector.of_terms(terms, label, n=p.n)
@@ -442,12 +442,13 @@ def residual(
     inside P iff K'K = I.  K'K - I is held to tol_idem as a whole and, by
     the block rule, to tol_zero between two sweeps, so the sweeps and the
     residual need no family check afterwards.  An explicit P's residual has
-    basis U_P times the orthogonal complement of K = U_P'S in R^df_P, held
-    on P's terms.  An implicit P = I - WW' leaves I - [W, S][W, S]' with
-    no QR; that is a projector when, besides, W'S vanishes, which is held
-    to tol_zero.  Both Grams are sums of products on class coordinates; a
-    filled group of W (``projlin.folded``) enters W'S as N_C'S, with the
-    same Gram and norm.
+    basis U_P F, F the orthogonal complement of K = U_P'S in R^df_P from a
+    complete QR, held on P's terms; F is orthonormal, so U_P F needs no
+    check of its own (``Projector.of_terms``).  An implicit P = I - WW'
+    leaves I - [W, S][W, S]' with no QR; that is a projector when, besides,
+    W'S vanishes, which is held to tol_zero.  Both Grams are sums of
+    products on class coordinates; a filled group of W (``projlin.folded``)
+    enters W'S as N_C'S, with the same Gram and norm.
     An implicit sweep Q of an implicit P (see ``sweep``) is taken out
     first: P - Q is explicit (``_outside``), and the other sweeps are taken
     from it as from any explicit node.
@@ -489,7 +490,7 @@ def residual(
     if p.implicit:
         return Projector.complement_of(list(p.parts) + list(swept), label)
     complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
-    return spanned(p, complement, label, policy)
+    return spanned(p, complement, label)
 
 
 def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) -> Projector:
@@ -497,7 +498,8 @@ def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) ->
     I - VV' inside it, explicit: V times the complement of E = V'W in R^b,
     b the columns of V, held on the terms of V's listed bases.  E'E = I
     says that W lies inside span(V), that is Q inside P; it is held to
-    tol_idem, and the result is checked orthonormal."""
+    tol_idem.  The complement F is orthonormal and V was checked with its
+    structure, so V F needs no check of its own (``Projector.of_terms``)."""
     v = list(q.parts)
     e = family_gram(v, list(p.parts)) if p.parts else np.zeros((q.n - q.df, 0))
     gap = float(np.linalg.norm(gram_defect(e)))
@@ -506,7 +508,7 @@ def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) ->
     f = np.linalg.qr(e, mode="complete")[0][:, e.shape[1]:]
     edges = np.cumsum([0] + [x.df for x in v])
     terms = [(c, mul(a, f[lo:hi])) for x, lo, hi in zip(v, edges, edges[1:]) for c, a in x.terms]
-    return Projector.of_terms(terms, label, policy, n=p.n)
+    return Projector.of_terms(terms, label, n=p.n)
 
 
 # --- structure balance of a whole family -------------------------------------
@@ -626,7 +628,6 @@ def is_structure_balanced(
     dfs = [q.df for q in stacked]
     edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
     family = None  # S'S, formed once for the implicit rows
-    on_classes: dict = {}  # S's coordinates on each row's classes
     crossed: dict = {}  # V'S by id(V): a row is often a listed part of a later implicit row
     violations = []
     results = {}
@@ -639,7 +640,7 @@ def is_structure_balanced(
             side = list(p.parts) if p.implicit else [p]
             for v in side:
                 if id(v) not in crossed:
-                    crossed[id(v)] = cross(v, stacked, on_classes)
+                    crossed[id(v)] = cross(v, stacked)
             if side:
                 c = np.vstack([crossed[id(v)] for v in side])
             else:
@@ -889,13 +890,13 @@ def refine(
     labels from two tiers after a collapsed double randomization).
 
     The refined family is not validated again as a whole; each property is
-    checked where it is made.  Every sweep and residual has its basis
-    checked orthonormal (on class coordinates when it is held on classes).
-    ``residual`` proves the sweeps of one node orthonormal, inside it and
-    mutually orthogonal, and the residual is their exact complement there.
-    Children of different nodes are U_P A with ||A||_2 = 1, so they inherit
-    their parents' orthogonality to first order.  The df sum and the single
-    Mean hold by construction.
+    checked where it is made.  Every sweep is checked orthonormal from its
+    balance result (``sweep``).  ``residual`` proves the sweeps of one node
+    orthonormal, inside it and mutually orthogonal, and the residual is
+    their exact complement there.  Children of different nodes are U_P A
+    with ||A||_2 = 1, so they inherit their parents' orthogonality to first
+    order, and a residual U_P F with orthonormal F its parent's
+    orthonormality.  The df sum and the single Mean hold by construction.
     """
     tier = tier or s.space_label or "tier"
     new_nodes = []
@@ -1013,7 +1014,7 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
             shared = int(np.sum(cos > 0.5))
             if shared == 0:
                 continue
-            proj = spanned(pb, y[:, :shared], f"{nb.label} ⊓ {nc.label}", policy)
+            proj = spanned(pb, y[:, :shared], f"{nb.label} ⊓ {nc.label}")
             extra = tuple(
                 e for e in nc.lineage if e not in nb.lineage
             )

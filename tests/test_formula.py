@@ -130,6 +130,19 @@ class TestWithData:
         with pytest.raises(FormulaError, match="not orthogonal"):
             source_projectors(poset, cols, 6)
 
+    def test_overlap_below_a_lower_term_is_caught_at_the_finest(self):
+        # A and B are crossed with unequal cell counts, so they overlap
+        # inside A#B; the tier family is checked once, at the finest term
+        cols = {
+            "A": np.array([0, 0, 0, 0, 1, 1, 1, 1]),
+            "B": np.array([0, 0, 1, 2, 0, 1, 2, 2]),
+            "C": np.array([0, 1, 0, 0, 0, 0, 0, 1]),
+        }
+        fs = [Factor("A", 2), Factor("B", 3), Factor("C", 2)]
+        poset = make_poset("(A*B)/C", fs)
+        with pytest.raises(FormulaError, match=r"^source C\[B∧A\] .*not orthogonal"):
+            source_projectors(poset, cols, 8, space_label="field")
+
     def test_aliased_terms_rejected(self):
         # B refines A observationally, so A#B and B induce the same partition
         cols = {"A": np.repeat([0, 1], 2), "B": np.arange(4)}

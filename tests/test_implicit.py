@@ -262,10 +262,11 @@ def test_lattice_sweeps_match_the_closed_form(tmp_path, k):
 
 
 def test_tolerance_below_the_implicit_sweeps_gap_stops_the_build(monkeypatch, tmp_path):
-    # the sweep S of the implicit Plots[Blocks∧Reps] is checked from the
-    # step's balance result: ||S'S - I|| = residual_norm / lam.  A tolerance
-    # between residual_norm, which the balance check passes, and that gap
-    # stops the refinement with the error the sweep's own Gram check gave
+    # the sweep S of the implicit Plots[Blocks∧Reps], and of the explicit
+    # Blocks[Reps], is checked from the step's balance result: ||S'S - I|| =
+    # residual_norm / lam.  A tolerance between residual_norm, which the
+    # balance check passes, and that gap stops the refinement with the error
+    # a Gram check of the sweep's own basis gave
     spec = gen.write("lattice", 5, 1, tmp_path)
     steps = []
     original = randomize.refine
@@ -277,15 +278,17 @@ def test_tolerance_below_the_implicit_sweeps_gap_stops_the_build(monkeypatch, tm
     monkeypatch.setattr(randomize, "refine", recorded)
     build_decomposition(load_design(spec))
     ((d, s, balance),) = steps
-    node = d.nodes[-1]
-    res = balance.results[(node.label, "Treatments")]
-    assert node.projector.implicit and 0 < res.lam < 1 and res.residual_norm > 0
-    between = res.residual_norm * (1 + 1 / res.lam) / 2
-    policy = load_design(spec, tolerance=between).policy
-    assert res.residual_norm < policy.tol_idem < res.residual_norm / res.lam
-    label = re.escape(f"{node.label} ▷ Treatments")
-    with pytest.raises(ProjectorError, match=f"^{label}: basis is not orthonormal"):
-        refine(Decomposition([node], d.n), s, balance, policy)
+    for node_label, implicit in [("Plots[Blocks∧Reps]", True), ("Blocks[Reps]", False)]:
+        (node,) = [node for node in d.nodes if node.label == node_label]
+        res = balance.results[(node.label, "Treatments")]
+        assert node.projector.implicit == implicit
+        assert 0 < res.lam < 1 and res.residual_norm > 0
+        between = res.residual_norm * (1 + 1 / res.lam) / 2
+        policy = load_design(spec, tolerance=between).policy
+        assert res.residual_norm < policy.tol_idem < res.residual_norm / res.lam
+        label = re.escape(f"{node.label} ▷ Treatments")
+        with pytest.raises(ProjectorError, match=f"^{label}: basis is not orthonormal"):
+            refine(Decomposition([node], d.n), s, balance, policy)
 
 
 def test_lifts_hold_no_implicit_form_on_classes(monkeypatch, tmp_path):

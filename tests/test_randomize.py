@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import gen
-from conftest import COHERENT, block_designs, spec_path, write_block_design
+from conftest import ALL_SPECS, COHERENT, block_designs, spec_path, write_block_design
 from tierdecomp import (
     STEP_KINDS,
     AllocationMap,
@@ -32,7 +32,7 @@ from tierdecomp import (
     load_design,
     render,
 )
-from tierdecomp import randomize, structure
+from tierdecomp import formula, projlin, randomize, structure
 from tierdecomp.speccli import Design
 from tierdecomp.structure import InternalInconsistencyError, balance_of_sum
 
@@ -232,6 +232,30 @@ def test_each_step_checks_balance_once_and_refines_from_that_check(monkeypatch, 
         checked.clear()
         assert diagnose_incoherence(load_design(incoherent_spec(name, tmp_path)))
         assert checked, name
+
+
+def test_no_child_basis_is_grammed_again(monkeypatch, tmp_path):
+    # a sweep is checked from its step's balance result, the sweeps of one
+    # node together in ``residual``, and a residual U_P F (F orthonormal)
+    # inherits its parent's check: no U'U of a sweep or a residual is formed
+    original = projlin.gram
+    grammed = []
+
+    def recorded(p, q):
+        if p is q:
+            grammed.append(p.label)
+        return original(p, q)
+
+    for module in (projlin, structure, formula):
+        if hasattr(module, "gram"):
+            monkeypatch.setattr(module, "gram", recorded)
+    for spec in [spec_path(name) for name in ALL_SPECS] + [gen.write("lattice", 13, 1, tmp_path)]:
+        design = load_design(spec)
+        if spec.stem == "uneven":  # incoherent: diagnosed, not built
+            assert diagnose_incoherence(design)
+        else:
+            build_decomposition(design)
+    assert not [label for label in grammed if "▷" in label or "⊢" in label]
 
 
 def direct_suggestion(design, items):
