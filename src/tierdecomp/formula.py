@@ -42,9 +42,10 @@ from .projlin import (
     TolerancePolicy,
     coords,
     family_gram,
+    orthocomplement,
     refines,
 )
-from .structure import Structure, check_blocks
+from .structure import Structure, check_pairs
 
 __all__ = [
     "Factor",
@@ -630,10 +631,12 @@ def source_projectors(
 
     The tier family is checked once, at the finest term, which lies above
     every other: the Gram U_low'U_low of every source but its own is formed
-    block by block on class coordinates, A_G'(N_G'N_H)A_H, and U_low'U_low
-    - I is held to tol_idem as a whole and to the block rule of
-    ``Structure.validate``.  That covers the whole structure, each source's
-    own orthonormality included; the finest source is their complement.
+    block by block on class coordinates, A_G'(N_G'N_H)A_H.  The block of
+    each pair of sources is held to tol_zero first (``check_pairs``), so that
+    an overlap names its two sources, then U_low'U_low - I to tol_idem as a
+    whole, which bounds each source's own block.  That covers the whole
+    structure, each source's own orthonormality included; the finest source
+    is their complement.
     The check a lower term F could make, A'A - I, is a principal submatrix
     of it, since U_low lies in span(N_F) and so A'A = U_low'U_low.  The
     Mean is the universe term and the df sum holds by construction, so the
@@ -657,17 +660,18 @@ def source_projectors(
         if lows and t.constituents == top:
             defect = family_gram(lows)
             defect[np.diag_indices_from(defect)] -= 1.0
+            # the family check of the structure and of its equireplicate lifts;
+            # the pairs first, so that an overlap names its two sources
+            try:
+                check_pairs(defect, lows, policy)
+            except ValueError as exc:
+                raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
             gap = float(np.linalg.norm(defect))
             if gap > policy.tol_idem:
                 raise FormulaError(
                     f"source {label} is not a projector (sources below it overlap, "
                     f"gap {gap:.3e}); the tier's partitions are not orthogonal"
                 )
-            # the family check of the structure and of its equireplicate lifts
-            try:
-                check_blocks(defect, lows, policy)
-            except ValueError as exc:
-                raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
         df = classes.m - low_df
         if poset.df[t.constituents] == 0:
             if df != 0:
@@ -686,8 +690,7 @@ def source_projectors(
             proj = Projector.complement_of(lows or np.zeros((n, 0)), label)
         else:
             if lows:
-                low_coords = np.hstack([coords(q, classes) for q in lows])
-                complement = np.linalg.qr(low_coords, mode="complete")[0][:, low_df:]
+                complement = orthocomplement(np.hstack([coords(q, classes) for q in lows]))
             else:
                 complement = np.eye(classes.m)
             # checked with every other source at the finest term

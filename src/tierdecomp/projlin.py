@@ -53,6 +53,8 @@ __all__ = [
     "span",
     "spanned",
     "folded",
+    "df_edges",
+    "orthocomplement",
     "gram_defect",
     "refines",
     "max_abs",
@@ -186,6 +188,19 @@ def gram_defect(basis: np.ndarray) -> np.ndarray:
     gram = mul(basis.T, basis)
     gram[np.diag_indices_from(gram)] -= 1.0
     return gram
+
+
+def orthocomplement(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of span(x) in R^m,
+    for an m x k x of full column rank: the trailing m - k columns of a
+    complete QR."""
+    return np.linalg.qr(x, mode="complete")[0][:, x.shape[1]:]
+
+
+def df_edges(xs) -> np.ndarray:
+    """Where each projector's columns start in the stacked bases of ``xs``,
+    and where the last one ends: 0, df_1, df_1 + df_2, ..."""
+    return np.cumsum([0] + [x.df for x in xs], dtype=np.intp)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -422,8 +437,7 @@ class Projector:
         trailing columns of a complete QR of their stacked bases."""
         if not self._parts:
             return np.eye(self._n)
-        w = np.hstack([coords(q, None) for q in self._parts])
-        return np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]
+        return orthocomplement(np.hstack([coords(q, None) for q in self._parts]))
 
     @property
     def df(self) -> int:
@@ -688,7 +702,7 @@ def family_gram(xs, ys=None) -> np.ndarray:
         return mul(sx.T, sx if ys is None else np.hstack(dense[len(xs):]))
     if ys is not None:
         return np.vstack([cross(x, ys) for x in xs])
-    edges = np.cumsum([0] + [x.df for x in xs])
+    edges = df_edges(xs)
     out = np.empty((edges[-1], edges[-1]))
     for i, x in enumerate(xs):
         a, b = edges[i], edges[i + 1]

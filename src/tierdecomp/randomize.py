@@ -61,7 +61,6 @@ from .structure import (
     joint,
     lift,
     refine,
-    sweep,
 )
 
 __all__ = [
@@ -194,7 +193,7 @@ def check_adjusted_orthogonality(
     p: Projector,
     qs: Structure,
     rs: Structure,
-    balance: EfficiencyMatrix,
+    sweeps: list,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> ConditionReport:
     """Verify the three equivalent adjusted-orthogonality conditions inside P.
@@ -203,28 +202,19 @@ def check_adjusted_orthogonality(
     (ii) Q P R = 0 for every pair, and (iii) I_Q P I_R = 0.  They are
     provably equivalent, so the three verdicts must agree; disagreement can
     only mean numerical breakdown and raises InternalInconsistencyError.
-    ``balance`` is the EfficiencyMatrix of ``qs`` against a decomposition
-    holding P, the one the first refinement of the pair read; (i) takes
-    each sweep's λ from it and builds the sweep as ``refine`` did.
+    ``sweeps`` are P's sweeps by ``qs`` as the first refinement of the pair
+    made them, from its balance check, which found every pair balanced;
+    (i) reads them and builds none.
     """
     witnesses = []
 
     cond_i = True
-    for q in qs.elements:
-        res = balance.results[(p.label, q.label)]
-        if res.efficiency is None or res.efficiency.is_zero():
-            continue
-        if res.status == "unbalanced":
-            cond_i = False
-            witnesses.append(f"{p.label} is not balanced against {q.label}")
-            continue
-        swept = sweep(p, q, res, policy)
+    for swept in sweeps:
         gap = np.linalg.norm(project(rs.total, span(swept.explicit())))
         if gap > policy.tol_zero:
             cond_i = False
             witnesses.append(
-                f"({p.label} ▷ {q.label}) meets the {rs.space_label} span "
-                f"(norm {gap:.3e})"
+                f"({swept.label}) meets the {rs.space_label} span (norm {gap:.3e})"
             )
 
     cond_ii = True
@@ -536,15 +526,23 @@ def _run_independent_pair(design, d, first, second, diagnostics, reports):
     q_lift = _lift_tier(design, first.from_tier, diagnostics)
     r_lift = _lift_tier(design, second.from_tier, diagnostics)
 
-    # one balance check serves the first refinement and condition (i)
-    q_bal = _balance(design, d, q_lift, first)
-    d1 = refine(d, q_lift, q_bal, policy, tier=first.from_tier)
+    # one balance check serves the first refinement, whose sweeps condition (i) reads
+    d1 = refine(d, q_lift, _balance(design, d, q_lift, first), policy, tier=first.from_tier)
+    # a node's sweeps in d1 carry its origin and lineage, plus one sweep entry
+    sweeps: dict = {}
+    for child in d1.nodes:
+        if child.lineage and child.lineage[-1].op == "sweep":
+            key = (child.origin_tier, child.origin_source, child.lineage[:-1])
+            sweeps.setdefault(key, []).append(child.projector)
 
     items = []
     for node in d.nodes:
         if node.projector.is_mean(policy):
             continue
-        rep = check_adjusted_orthogonality(node.projector, q_lift, r_lift, q_bal, policy)
+        key = (node.origin_tier, node.origin_source, node.lineage)
+        rep = check_adjusted_orthogonality(
+            node.projector, q_lift, r_lift, sweeps.get(key, []), policy
+        )
         reports.append(rep)
         if not rep.holds:
             items.append(

@@ -20,8 +20,14 @@ element Q (all idempotents on the unit space):
 Every element is held explicitly as a list of class-form terms, U = N_1
 A_1 + ... + N_k A_k, or implicitly as I - WW' on the whole space (see
 ``projlin``), so all of this runs on C = U_P' U_Q (df_P x df_Q), formed on
-class coordinates by ``gram``, and never on n x n matrices or n-row
-bases: QPQ = lam*Q holds iff C'C = U_Q' P U_Q = lam*I.  The sweep's basis
+class coordinates, and never on n x n matrices or n-row bases: QPQ =
+lam*Q holds iff C'C = U_Q' P U_Q = lam*I.  A step's balance check forms,
+for each row P, the only balance products of the step: c = V'S, one
+``cross`` per basis V of P's side (U_P, or the listed bases of an implicit
+P) against the structure's stacked explicit sources S, and G = S'PS, c'c
+or I - c'c, since S'S = I was checked at the tier's finest term and the
+lift is an isometry.  Every C'C, the implicit source's too, is read from
+them, and so is the merge test of a failed check.  The sweep's basis
 is P U_Q / sqrt(lam).  For an explicit P that is U_P C / sqrt(lam) on P's
 own terms.  For an implicit P it is U_Q minus each listed part's share
 W W'U_Q, the sweep by factor means of Wilkinson (1970): one term on Q's
@@ -49,14 +55,15 @@ from .projlin import (
     Projector,
     ProjectorError,
     TolerancePolicy,
-    bilinear_of,
     coords,
     cross,
+    df_edges,
     family_gram,
     folded,
     gram,
     gram_defect,
     mul,
+    orthocomplement,
     project,
     snap_rational,
     span,
@@ -70,7 +77,6 @@ __all__ = [
     "lift",
     "BalanceResult",
     "efficiency",
-    "balance_of_sum",
     "EfficiencyMatrix",
     "Violation",
     "ViolationReport",
@@ -81,7 +87,6 @@ __all__ = [
     "DecompNode",
     "Decomposition",
     "refine",
-    "is_compatible",
     "joint",
     "IncompatibilityError",
 ]
@@ -99,9 +104,9 @@ class InternalInconsistencyError(RuntimeError):
     """A quantity that must be non-negative or idempotent came out otherwise."""
 
 
-def _block_norms(gram: np.ndarray, dfs) -> np.ndarray:
-    """Frobenius norm of each (i, j) block of ``gram`` cut by the sizes ``dfs``."""
-    edges = np.concatenate(([0], np.cumsum(dfs)[:-1])).astype(np.intp)
+def _block_norms(gram: np.ndarray, members) -> np.ndarray:
+    """Frobenius norm of each (i, j) block of ``gram`` cut by the members' dfs."""
+    edges = df_edges(members)[:-1]
     sq = gram * gram
     # along rows first: reduceat over axis 0 of a large C-ordered array is slow
     return np.sqrt(np.add.reduceat(np.add.reduceat(sq, edges, axis=1), edges, axis=0))
@@ -116,13 +121,32 @@ def check_blocks(
     """The block rule on a Gram defect G - I cut by the members' dfs.
 
     Diagonal blocks (each member orthonormal) must lie within tol_idem, the
-    others (members mutually orthogonal) within tol_zero.  Raises
-    ValueError naming the first failure, diagonal blocks first.
+    others (members mutually orthogonal) within tol_zero (``check_pairs``).
+    Raises ValueError naming the first failure, diagonal blocks first.
     """
-    norms = _block_norms(defect, [m.df for m in members])
-    for i, p in enumerate(members):
-        if norms[i, i] > policy.tol_idem:
-            raise ValueError(f"{p.label}: basis is not orthonormal (gap {norms[i, i]:.3e})")
+    edges = df_edges(members)
+    for p, lo, hi in zip(members, edges, edges[1:]):
+        gap = float(np.linalg.norm(defect[lo:hi, lo:hi]))
+        if gap > policy.tol_idem:
+            raise ValueError(f"{p.label}: basis is not orthonormal (gap {gap:.3e})")
+    check_pairs(defect, members, policy, what)
+
+
+def check_pairs(
+    defect: np.ndarray,
+    members,
+    policy: TolerancePolicy,
+    what: str = "elements",
+) -> None:
+    """The pair half of the block rule: each off-diagonal block of G - I
+    within tol_zero.  Raises ValueError naming the first pair that is not.
+
+    A check that also holds G - I to tol_idem as a whole runs this first:
+    an off-diagonal block of norm b adds at least sqrt(2) b to the whole
+    norm, so under equal tolerances the whole test would otherwise fire
+    first, and its message names neither member of the pair.
+    """
+    norms = _block_norms(defect, members)
     for i, j in itertools.combinations(range(len(members)), 2):
         if norms[i, j] > policy.tol_zero:
             raise ValueError(
@@ -328,59 +352,62 @@ def efficiency(
     q: Projector,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> BalanceResult:
-    """Test QPQ = lam*Q and report how P and Q sit relative to each other."""
+    """Test QPQ = lam*Q and report how P and Q sit relative to each other,
+    from the row products of ``is_structure_balanced`` for the one pair: c =
+    V'U_Q, or V'W for an implicit Q = I - WW', then ``_row_gram`` or
+    ``_implicit_gram``."""
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
     if q.implicit:
-        gram_, ones = _implicit_gram(p, q)
+        gram_, ones = _implicit_gram(p, q, _side_cross(p, list(q.parts)))
     else:
-        gram_, ones = bilinear_of([q], p), 0
+        gram_, ones = _row_gram(p, _side_cross(p, [q])), 0
     return _classify(p.label, p.df, q, gram_, policy, ones)
 
 
-def balance_of_sum(ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POLICY) -> BalanceResult:
-    """``efficiency`` of P = the sum of the mutually orthogonal ``ps`` against Q.
-
-    U_Q'PU_Q is the sum of the U_Q'P_iU_Q, so P itself is never formed.  For
-    an implicit Q = I - WW' (W with m columns) it is not formed either: CC'
-    = U_P'QU_P = I - E'E with E = W'U_P, and EE' = W'PW is summed over the
-    pooled rows, so C'C has the spectrum of the small I - W'PW with df_P - m
-    more ones, and df_Q - df_P more zeros (a negative count drops
-    eigenvalues instead, see ``_classify``).
-    """
-    label, df = " + ".join(p.label for p in ps), sum(p.df for p in ps)
-    if not q.implicit:
-        return _classify(label, df, q, sum(bilinear_of([q], p) for p in ps), policy)
-    m = sum(w.df for w in q.parts)
-    small = -sum(bilinear_of(q.parts, p) for p in ps)
-    small[np.diag_indices_from(small)] += 1.0
-    return _classify(label, df, q, small, policy, ones=df - m)
-
-
-def _implicit_gram(p: Projector, q: Projector, side_w: np.ndarray | None = None):
-    """(G, ones) for an implicit Q = I - WW': C'C (df_Q x df_Q) has the
-    eigenvalues of the small G, ``ones`` more equal to 1 and the rest 0.
-
-    Explicit P: CC' = U_P' Q U_P, and C'C adds zeros.  Implicit P = I - VV':
-    C'C = I - E'E with E = V'U_Q and EE' = V' Q V, so G = I - V' Q V and
-    C'C adds ones.  G is P's side whichever side is larger: when V has
-    more columns than df_Q, the count of zeros, or of ones, comes out
-    negative and ``_classify`` drops that many of G's eigenvalues.
-    ``side_w`` is V'W (U_P'W for an explicit P) when the caller has it;
-    then V'QV is V'V - (V'W)(V'W)'.
-    """
+def _side_cross(p: Projector, xs: list, crossed: dict | None = None) -> np.ndarray:
+    """c = V'X for P's side V, its basis U_P or the listed bases of an
+    implicit P, and the stacked bases X of the explicit ``xs``: one
+    ``cross`` per side basis.  ``crossed`` keeps each V'X by id(V), since a
+    row is often a listed part of a later implicit row."""
     side = list(p.parts) if p.implicit else [p]
-    if not side:
-        g = np.zeros((0, 0))
-    elif side_w is not None:
-        g = family_gram(side) - mul(side_w, side_w.T)
-    else:
-        g = bilinear_of(side, q)
-    if not p.implicit:
-        return g, 0
-    g = -g
+    if not side or not xs:
+        return np.zeros((sum(v.df for v in side), sum(x.df for x in xs)))
+    crossed = {} if crossed is None else crossed
+    for v in side:
+        if id(v) not in crossed:
+            crossed[id(v)] = cross(v, xs)
+    return np.vstack([crossed[id(v)] for v in side])
+
+
+def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
+    """G = X'PX from c = V'X (``_side_cross``), X orthonormal: c'c for an
+    explicit P, and I - c'c for an implicit P = I - VV', since X'X = I."""
+    g = mul(c.T, c)
+    if p.implicit:
+        np.negative(g, out=g)
+        g[np.diag_indices_from(g)] += 1.0
+    return g
+
+
+def _implicit_gram(p: Projector, q: Projector, c: np.ndarray):
+    """(G, ones) for an implicit Q = I - WW', from c = V'W for P's side V
+    (``_side_cross``): C'C (df_Q x df_Q) has the eigenvalues of the small G,
+    ``ones`` more equal to 1 and the rest 0.
+
+    V'QV = V'V - cc' = I - cc'.  Explicit P: CC' = U_P'QU_P = I - cc', and
+    C'C adds zeros.  Implicit P = I - VV': C'C = I - E'E with E = V'U_Q and
+    EE' = V'QV, so G = cc' and C'C adds ones.  G is P's side whichever side
+    is larger: when V has more columns than df_Q, the count of zeros, or of
+    ones, comes out negative and ``_classify`` drops that many of G's
+    eigenvalues.
+    """
+    g = mul(c, c.T)
+    if p.implicit:
+        return g, q.df - g.shape[0]
+    np.negative(g, out=g)
     g[np.diag_indices_from(g)] += 1.0
-    return g, q.df - g.shape[0]
+    return g, 0
 
 
 def _share(p: Projector, q: Projector) -> list:
@@ -439,9 +466,10 @@ def residual(
     """P minus its sweeps against one structure; None when nothing is left.
 
     With S = [U_S1 ... U_Sm] and K'K = S'PS, the sweeps are orthonormal and
-    inside P iff K'K = I.  K'K - I is held to tol_idem as a whole and, by
-    the block rule, to tol_zero between two sweeps, so the sweeps and the
-    residual need no family check afterwards.  An explicit P's residual has
+    inside P iff K'K = I.  K'K - I is held to tol_zero between two sweeps
+    (``check_pairs``, first, so that an overlap names its pair) and to
+    tol_idem as a whole, so the sweeps and the residual need no family
+    check afterwards.  An explicit P's residual has
     basis U_P F, F the orthogonal complement of K = U_P'S in R^df_P from a
     complete QR, held on P's terms; F is orthonormal, so U_P F needs no
     check of its own (``Projector.of_terms``).  An implicit P = I - WW'
@@ -472,15 +500,16 @@ def residual(
     else:
         k = np.hstack([gram(p, s) for s in swept])
         defect = gram_defect(k)
+    # the pairs first, so that an overlap names its two sweeps; with the
+    # checks on each sweep and the residual, this is all refine checks
+    try:
+        check_pairs(defect, swept, policy, what="sweeps")
+    except ValueError as exc:
+        raise ProjectorError(f"{label}: {exc}") from None
     gap = float(np.linalg.norm(defect))
     # also caps the sweeps' df at df_P: a K wider than tall has gap >= 1
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: not idempotent (sweep gap {gap:.3e})")
-    # with the checks on each sweep and the residual, this is all refine checks
-    try:
-        check_blocks(defect, swept, policy, what="sweeps")
-    except ValueError as exc:
-        raise ProjectorError(f"{label}: {exc}") from None
     if p.implicit:
         outside = float(np.linalg.norm(leak))
         if outside > policy.tol_zero:
@@ -489,8 +518,7 @@ def residual(
         return None
     if p.implicit:
         return Projector.complement_of(list(p.parts) + list(swept), label)
-    complement = np.linalg.qr(k, mode="complete")[0][:, k.shape[1]:]
-    return spanned(p, complement, label)
+    return spanned(p, orthocomplement(k), label)
 
 
 def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) -> Projector:
@@ -505,8 +533,8 @@ def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) ->
     gap = float(np.linalg.norm(gram_defect(e)))
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: {q.label} leaves {p.label} (gap {gap:.3e})")
-    f = np.linalg.qr(e, mode="complete")[0][:, e.shape[1]:]
-    edges = np.cumsum([0] + [x.df for x in v])
+    f = orthocomplement(e)
+    edges = df_edges(v)
     terms = [(c, mul(a, f[lo:hi])) for x, lo, hi in zip(v, edges, edges[1:]) for c, a in x.terms]
     return Projector.of_terms(terms, label, n=p.n)
 
@@ -526,24 +554,40 @@ class Violation:
 @dataclass
 class ViolationReport:
     """A failed structure-balance check: its violations, its BalanceResult
-    for every (row, column) label pair, and U_Q' P U_Q for each such pair
-    with Q explicit and not orthogonal to P."""
+    for every (row, column) label pair, and, for the merge test, the check's
+    row product G = S'PS of each row P (``grams``, by row label), S the
+    stacked explicit sources, each cut out of it by ``cuts`` (by label)."""
 
     structure_label: str
     against_label: str
     violations: list
     results: dict = field(default_factory=dict)
-    blocks: dict = field(default_factory=dict)
+    grams: dict = field(default_factory=dict)
+    cuts: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.violations)
 
     def balance_of_pooled(self, ps: list, q: Projector, policy: TolerancePolicy = DEFAULT_POLICY):
-        """``balance_of_sum`` of rows ``ps`` against column ``q``; sums stored blocks if explicit."""
-        if q.implicit:
-            return balance_of_sum(ps, q, policy)
-        gram = sum(self.blocks[(p.label, q.label)] for p in ps)
-        return _classify(" + ".join(p.label for p in ps), sum(p.df for p in ps), q, gram, policy)
+        """``efficiency`` of P = the sum of the mutually orthogonal rows ``ps``
+        against the column ``q``, from the stored row products: S'PS is the
+        sum of the S'P_iS, so P itself is never formed.
+
+        An explicit Q takes its block of it, U_Q'PU_Q = C'C.  An implicit Q =
+        I - WW' lists exactly the explicit sources, W = S: then CC' = U_P'QU_P
+        = I - E'E with E = W'U_P and EE' = W'PW, so C'C has the spectrum of
+        the small I - W'PW with df_P - m more ones, m the columns of W, and
+        df_Q - df_P more zeros (a negative count drops eigenvalues instead,
+        see ``_classify``).
+        """
+        label, df = " + ".join(p.label for p in ps), sum(p.df for p in ps)
+        cut = slice(None) if q.implicit else self.cuts[q.label]
+        gram_ = sum(self.grams[p.label][cut, cut] for p in ps)  # a new array: sum starts at 0
+        if not q.implicit:
+            return _classify(label, df, q, gram_, policy)
+        np.negative(gram_, out=gram_)
+        gram_[np.diag_indices_from(gram_)] += 1.0
+        return _classify(label, df, q, gram_, policy, ones=df - gram_.shape[0])
 
     def summary(self) -> str:
         lines = [
@@ -602,63 +646,50 @@ def is_structure_balanced(
     ``s`` must not meet inside any single element of ``against``.  Returns an
     EfficiencyMatrix on success, a ViolationReport on failure.
 
-    For each row P one Gram S'PS of the stacked explicit bases S = [U_Q1
-    ... U_Qk] (``bilinear_of``, on class coordinates) holds C'C for every
-    source: the diagonal blocks are the per-source C_i'C_i of the
+    For each row P the check forms its row products once: c = V'S, one
+    ``cross`` per side basis V (U_P, or each listed basis of an implicit P),
+    S = [U_Q1 ... U_Qk] the stacked explicit sources, and G = S'PS, which is
+    c'c for an explicit P and I - c'c for an implicit one (``_row_gram``;
+    S'S = I was checked at the tier's finest term and the lift is an
+    isometry).  G's diagonal blocks are the per-source C_i'C_i of the
     first-order test, the others the C_a'C_b of the distinctness test.  An
-    implicit source Q = I - WW' takes its first-order test from
-    ``_implicit_gram`` and its distinctness blocks from the norms of Q P S,
-    since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W must list every other
-    source of ``s``, in order, as it does in every structure
+    implicit source Q = I - WW' takes its first-order test from c as well
+    (``_implicit_gram``) and its distinctness blocks from the norms of Q P
+    S, since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W must list every
+    other source of ``s``, in order, as it does in every structure
     ``source_projectors`` and ``lift`` make; any other implicit source
-    raises ValueError.
+    raises ValueError.  A failed check keeps each row's G for the merge test
+    (``ViolationReport.balance_of_pooled``).
     """
     rows = _elements_of(against)
     cols = s.elements
-    explicit = [q for q in cols if not q.implicit]
+    stacked = [q for q in cols if not q.implicit]
     for q in cols:
-        if q.implicit and list(q.parts) != explicit:
+        if q.implicit and list(q.parts) != stacked:
             raise ValueError(
                 f"implicit source {q.label} must list every other source of "
                 f"{s.space_label or 'the structure'}, in order"
             )
     plain = [i for i, q in enumerate(cols) if not q.implicit]
     held = [i for i, q in enumerate(cols) if q.implicit]
-    stacked = [cols[i] for i in plain]
-    dfs = [q.df for q in stacked]
-    edges = np.concatenate(([0], np.cumsum(dfs))).astype(np.intp)
-    family = None  # S'S, formed once for the implicit rows
-    crossed: dict = {}  # V'S by id(V): a row is often a listed part of a later implicit row
+    edges = df_edges(stacked)
+    cuts = {q.label: slice(lo, hi) for q, lo, hi in zip(stacked, edges, edges[1:])}
+    crossed: dict = {}  # V'S by id(V), for _side_cross
     violations = []
     results = {}
-    blocks = {}  # kept for the report only; dropped when the check passes
+    grams = {}  # kept for the report only; dropped when the check passes
     for p in rows:
+        c = _side_cross(p, stacked, crossed)
+        grams[p.label] = gram_ = _row_gram(p, c)
         norms = np.zeros((len(cols), len(cols)))
-        res_of = {}
         if stacked:
-            # c = V'S for P's side V: its basis, or the listed bases of an implicit P
-            side = list(p.parts) if p.implicit else [p]
-            for v in side:
-                if id(v) not in crossed:
-                    crossed[id(v)] = cross(v, stacked)
-            if side:
-                c = np.vstack([crossed[id(v)] for v in side])
-            else:
-                c = np.zeros((0, edges[-1]))
-            if p.implicit:
-                if family is None:
-                    family = family_gram(stacked)
-                gram_ = family - mul(c.T, c)
-            else:
-                gram_ = mul(c.T, c)
-            norms[np.ix_(plain, plain)] = _block_norms(gram_, dfs)
-        for k, i in enumerate(plain):
-            block = gram_[edges[k] : edges[k + 1], edges[k] : edges[k + 1]]
-            res_of[i] = _classify(p.label, p.df, cols[i], block, policy)
-            if res_of[i].status != "orthogonal":
-                blocks[(p.label, cols[i].label)] = block
+            norms[np.ix_(plain, plain)] = _block_norms(gram_, stacked)
+        res_of = {}
+        for i in plain:
+            cut = cuts[cols[i].label]
+            res_of[i] = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
         for i in held:
-            small, ones = _implicit_gram(p, cols[i], c if stacked else None)
+            small, ones = _implicit_gram(p, cols[i], c)
             res_of[i] = _classify(p.label, p.df, cols[i], small, policy, ones)
             if stacked:
                 meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero)
@@ -692,7 +723,8 @@ def is_structure_balanced(
             against_label=_label_of(against),
             violations=violations,
             results=results,
-            blocks=blocks,
+            grams=grams,
+            cuts=cuts,
         )
     em = EfficiencyMatrix(
         rows=[p.label for p in rows],
@@ -722,38 +754,39 @@ def _meet_norms(
     formed.  Only the columns of an x whose bound on the norm, ||V'U_x||_F,
     passes ``tol`` are formed; the others read 0, being within ``tol`` of it.
     """
-    edges = np.concatenate(([0], np.cumsum([x.df for x in xs]))).astype(np.intp)
+    edges = df_edges(xs)
     keep = np.flatnonzero(_col_block_norms(c, edges) > tol)
     norms = np.zeros(len(xs))
     if keep.size == 0:
         return norms
     cols = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in keep])
     if p.implicit:
-        starts = np.cumsum([0] + [v.df for v in p.parts])
+        starts = df_edges(p.parts)
         y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
         wy = -mul(c.T, c[:, cols])
     else:
         y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
     for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
         y = y - span(x, wy[a:b])
-    kept_edges = np.concatenate(([0], np.cumsum(np.diff(edges)[keep]))).astype(np.intp)
-    norms[keep] = _col_block_norms(y, kept_edges)
+    norms[keep] = _col_block_norms(y, df_edges([xs[i] for i in keep]))
     return norms
 
 
 def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
-    """Classify (P, Q) from gram = C'C, C = U_P' U_Q.
+    """Classify (P, Q) from gram = C'C, C = U_P' U_Q: Q's diagonal block of
+    the check's row product G = S'PS, or for an implicit Q the small Gram
+    that ``_implicit_gram`` reads from the row product c.
 
     lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
     U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
     largest entry; QPQ is U_Q C'C U_Q', bounded the same way.  A ``gram``
     of another size than df_Q stands for C'C with ``ones`` more eigenvalues
     equal to 1 and ``zeros`` = df_Q - size - ones more equal to 0 (see
-    ``_implicit_gram`` and ``balance_of_sum``); each norm then adds their
-    share.  A negative count means ``gram`` has that many eigenvalues
-    equal to 1, or to 0, that C'C lacks: they are its largest, or its
-    smallest, and are dropped, and ``gram`` is then the diagonal of the
-    rest.
+    ``_implicit_gram`` and ``ViolationReport.balance_of_pooled``); each
+    norm then adds their share.  A negative count means ``gram`` has that
+    many eigenvalues equal to 1, or to 0, that C'C lacks: they are its
+    largest, or its smallest, and are dropped, and ``gram`` is then the
+    diagonal of the rest.
     """
     zeros = q.df - gram.shape[0] - ones
     if ones < 0 or zeros < 0:
@@ -978,18 +1011,6 @@ def _principal(pb: Projector, pc: Projector):
     outside = span(pc, z) - span(pb, mul(m, z))
     sin = np.linalg.norm(outside, axis=0)
     return y, cos, float(np.max(cos * sin))
-
-
-def is_compatible(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True when every element of ``b`` commutes with every element of ``c``.
-
-    Two projectors commute iff every singular value of U_b' U_c is 0 or 1.
-    """
-    for pb in _elements_of(b):
-        for pc in _elements_of(c):
-            if _principal(pb.explicit(), pc.explicit())[2] > policy.tol_zero:
-                return False
-    return True
 
 
 def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:

@@ -23,7 +23,7 @@ from tierdecomp import (
 )
 from tierdecomp import formula
 from tierdecomp.projlin import ProjectorError
-from tierdecomp.structure import is_compatible
+from tierdecomp.structure import IncompatibilityError, joint
 
 from conftest import DESIGNS, basis_of, spec_path
 
@@ -194,18 +194,29 @@ class TestProjectorBasis:
         assert not near.is_mean()
 
     def test_commutation_from_principal_angles(self):
-        a = Projector.from_basis(np.array([[1.0], [0.0], [0.0]]), "a")
-        tilt = np.array([[1.0], [1e-3], [0.0]]) / np.hypot(1.0, 1e-3)
-        b = Projector.from_basis(tilt, "b")
-        c = Projector.from_basis(np.array([[0.0], [1.0], [0.0]]), "c")
-        assert is_compatible(decomposition_of(a), decomposition_of(c))
-        assert not is_compatible(decomposition_of(a), decomposition_of(b))
+        # joint tests each node pair with one SVD: two splits of the Mean's
+        # complement in R^3 commute when they cross at right angles, and not
+        # when one is turned by 1e-3
+        a = np.array([1.0, -1.0, 0.0]) / 2 ** 0.5
+        c = np.cross(MEAN3, a)
+        b = np.cos(1e-3) * a + np.sin(1e-3) * c
+        assert len(joint(decomposition_of(a), decomposition_of(c)).nodes) == 3
+        with pytest.raises(IncompatibilityError):
+            joint(decomposition_of(a), decomposition_of(b))
 
 
-def decomposition_of(p):
-    """A one-node decomposition holding ``p``."""
-    node = DecompNode(projector=p, origin_tier="t", origin_source=p.label, origin_df=p.df)
-    return Decomposition(nodes=[node], n=p.n)
+MEAN3 = np.full(3, 3 ** -0.5)
+
+
+def decomposition_of(v):
+    """The decomposition of R^3 into the Mean, span(v) and the rest, for a
+    unit v orthogonal to the Mean."""
+    bases = {"Mean": MEAN3, "v": v, "rest": np.cross(MEAN3, v)}
+    nodes = []
+    for label, x in bases.items():
+        p = Projector.from_basis(x[:, None], label)
+        nodes.append(DecompNode(projector=p, origin_tier="t", origin_source=label, origin_df=1))
+    return Decomposition(nodes=nodes, n=3)
 
 
 class TestBalanceReuse:

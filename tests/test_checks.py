@@ -20,7 +20,7 @@ from tierdecomp import (
     lift,
     residual,
 )
-from tierdecomp.projlin import ProjectorError
+from tierdecomp.projlin import DEFAULT_POLICY, ProjectorError
 from tierdecomp.structure import check_blocks
 
 from conftest import COHERENT, spec_path
@@ -60,10 +60,10 @@ def test_every_family_the_build_makes_validates(name, design, built):
 
 class TestResidual:
     def test_sweeps_that_fill_p_must_not_overlap(self):
-        # K'K - I has gap sqrt(2) * 1e-8 > tol_idem: rejected even though
-        # the sweeps leave nothing of P
+        # the S1/S2 block of K'K - I is 1e-8 > tol_zero: rejected even though
+        # the sweeps leave nothing of P, and named by the pair
         p = Projector.from_basis(np.eye(3)[:, :2], "P")
-        with pytest.raises(ProjectorError, match="sweep gap"):
+        with pytest.raises(ProjectorError, match="sweeps S1 and S2 are not orthogonal"):
             residual(p, [unit(3, 0, "S1"), tilted(3, 1, 0, 1e-8, "S2")])
 
     def test_sweeps_wider_than_p_rejected(self):
@@ -71,13 +71,21 @@ class TestResidual:
         with pytest.raises(ProjectorError, match="sweep gap 1.000e"):
             residual(p, [unit(3, 0, "S1"), unit(3, 1, "S2")])
 
-    @pytest.mark.parametrize("size", [2, 3])
-    def test_overlapping_sweeps_rejected_under_a_split_policy(self, size):
-        # the whole gap passes tol_idem; the S1/S2 block fails tol_zero
+    @pytest.mark.parametrize(
+        "size, policy",
+        [
+            pytest.param(2, SPLIT_POLICY, id="2"),
+            pytest.param(3, SPLIT_POLICY, id="3"),
+            pytest.param(3, DEFAULT_POLICY, id="equal-tolerances"),
+        ],
+    )
+    def test_overlapping_sweeps_rejected_under_a_split_policy(self, size, policy):
+        # the S1/S2 block fails tol_zero; under the split policy the whole gap
+        # passes tol_idem, under equal tolerances the pair is checked first
         p = Projector.from_basis(np.eye(3)[:, :size], "P")
         swept = [unit(3, 0, "S1"), tilted(3, 1, 0, 1e-8, "S2")]
         with pytest.raises(ProjectorError, match="sweeps S1 and S2 are not orthogonal"):
-            residual(p, swept, SPLIT_POLICY)
+            residual(p, swept, policy)
 
 
 class TestBlockRule:

@@ -96,8 +96,9 @@ class TestImplicitProjector:
         wide = Projector.from_basis(orthonormal(rng, 9, 7), "wide")
         narrow = Projector.complement_of(orthonormal(rng, 9, 7), "narrow")
         for p in (small, Projector.complement_of(orthonormal(rng, 9, 2), "big"), wide, narrow):
-            gram, ones = _implicit_gram(p, self.p)
             side = p.parts if p.implicit else [p]
+            v = np.hstack([basis_of(x) for x in side])
+            gram, ones = _implicit_gram(p, self.p, v.T @ self.w)
             assert len(gram) == sum(v.df for v in side)
             zeros = 6 - len(gram) - ones
             eigs = np.linalg.eigvalsh(gram)

@@ -34,7 +34,8 @@ from tierdecomp import (
 )
 from tierdecomp import formula, projlin, randomize, structure
 from tierdecomp.speccli import Design
-from tierdecomp.structure import InternalInconsistencyError, balance_of_sum
+from tierdecomp.projlin import span
+from tierdecomp.structure import InternalInconsistencyError, refine
 
 
 class TestRandomizationStep:
@@ -173,19 +174,14 @@ class TestDiagnoseFromTheFailedCheck:
         assert tiers == [step.from_tier for step in design.steps]
 
     def test_explicit_source_merge_reads_the_stored_blocks(self, monkeypatch, tmp_path, name):
-        # neither the node results nor the pooled Gram may be recomputed
-        def explicit_forbidden(fn):
-            def guarded(p, q, *args, **kwargs):
-                if not q.implicit:
-                    raise AssertionError(f"{fn.__name__} recomputed against {q.label}")
-                return fn(p, q, *args, **kwargs)
-
-            return guarded
+        # neither the node results nor the pooled Gram may be recomputed, for
+        # an explicit or an implicit source: both read the check's row products
+        def forbidden(p, q, *args, **kwargs):
+            raise AssertionError(f"efficiency recomputed against {q.label}")
 
         for module in (randomize, structure):
-            for fn in (balance_of_sum, efficiency):
-                if hasattr(module, fn.__name__):
-                    monkeypatch.setattr(module, fn.__name__, explicit_forbidden(fn))
+            if hasattr(module, "efficiency"):
+                monkeypatch.setattr(module, "efficiency", forbidden)
         report = diagnose_incoherence(load_design(incoherent_spec(name, tmp_path)))
         first_order = [it for it in report.items if it.kind == "first-order"]
         assert first_order
@@ -258,9 +254,76 @@ def test_no_child_basis_is_grammed_again(monkeypatch, tmp_path):
     assert not [label for label in grammed if "▷" in label or "⊢" in label]
 
 
+def test_the_balance_check_forms_each_row_product_once(monkeypatch, tmp_path):
+    # c = V'S comes from one cross per side basis and an implicit row's S'PS
+    # is I - c'c, since S'S = I: the check forms no family Gram and no
+    # bilinear form besides
+    checking, called = [], []
+    original_check = structure.is_structure_balanced
+
+    def counted_check(*args, **kwargs):
+        checking.append(True)
+        try:
+            return original_check(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            if checking:
+                called.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (structure, randomize):
+        monkeypatch.setattr(module, "is_structure_balanced", counted_check)
+    for name in ("family_gram", "bilinear_of"):
+        original = getattr(projlin, name)
+        for module in (projlin, structure, formula, randomize):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recorded(original))
+    for spec in [spec_path(name) for name in ALL_SPECS] + [gen.write("lattice", 13, 1, tmp_path)]:
+        design = load_design(spec)
+        if spec.stem == "uneven":  # incoherent: diagnosed, not built
+            assert diagnose_incoherence(design)
+        else:
+            build_decomposition(design)
+    assert not called
+
+
+def test_adjusted_orthogonality_reads_the_first_refinements_sweeps(monkeypatch):
+    # condition (i) takes P's sweeps from the first refinement of the pair
+    # and builds none of them again
+    inside, swept = [], []
+    original_check, original_sweep = randomize.check_adjusted_orthogonality, structure.sweep
+
+    def counted_check(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recorded_sweep(p, q, *args, **kwargs):
+        if inside:
+            swept.append(f"{p.label} ▷ {q.label}")
+        return original_sweep(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(randomize, "check_adjusted_orthogonality", counted_check)
+    for module in (structure, randomize):
+        monkeypatch.setattr(module, "sweep", recorded_sweep, raising=False)
+    for name in ("ex2", "ex2_small"):
+        reports = build_decomposition(load_design(spec_path(name))).reports
+        adjusted = [r for r in reports if r.condition.startswith("adjusted orthogonality")]
+        assert adjusted and all(r.holds for r in adjusted), name
+    assert not swept
+
+
 def direct_suggestion(design, items):
     """The merge suggestion of each first-order source of a one-step design's
-    report, recomputed from a fresh lift with ``efficiency`` and ``balance_of_sum``."""
+    report, recomputed from a fresh lift with ``efficiency``, the pooled
+    stratum taken as one projector on the pooled nodes' stacked bases."""
     (step,) = design.steps
     policy = design.policy
     d = Decomposition.from_structure(design.units_structure(), design.units_tier)
@@ -274,8 +337,9 @@ def direct_suggestion(design, items):
             res = efficiency(node.projector, q, policy)
             if res.efficiency is not None and not res.efficiency.is_zero():
                 failing.add(node.label)
+        pooled = np.hstack([span(n.projector.explicit()) for n in d.nodes if n.label in failing])
         try:
-            ok = balance_of_sum([n.projector for n in d.nodes if n.label in failing], q, policy).ok
+            ok = efficiency(Projector.from_basis(pooled, "pooled"), q, policy).ok
         except InternalInconsistencyError:
             ok = False
         names = ", ".join(sorted(failing))
@@ -311,11 +375,14 @@ def factor_structure(ids, label, n):
     )
 
 
-def balance_within(p, qs):
-    """The EfficiencyMatrix of ``qs`` against the decomposition {Mean, P} of R^4."""
+def sweeps_within(p, qs):
+    """P's sweeps in the refinement by ``qs`` of the decomposition {Mean, P} of R^4."""
     mean = Projector.validated(np.full((4, 4), 0.25), "Mean")
     whole = Structure(elements=[mean, p], total=Projector.validated(np.eye(4), "all"))
-    return is_structure_balanced(qs, whole)
+    d = Decomposition.from_structure(whole, "whole")
+    d1 = refine(d, qs, is_structure_balanced(qs, d))
+    swept = [n for n in d1.nodes if n.origin_source == p.label and n.lineage]
+    return [n.projector for n in swept if n.lineage[-1].op == "sweep"]
 
 
 class TestAdjustedOrthogonality:
@@ -324,7 +391,7 @@ class TestAdjustedOrthogonality:
         qs = factor_structure([0, 0, 1, 1], "Rows", 4)
         rs = factor_structure([0, 1, 0, 1], "Cols", 4)
         p = Projector.validated(np.eye(4) - np.full((4, 4), 0.25), "P")
-        rep = check_adjusted_orthogonality(p, qs, rs, balance_within(p, qs))
+        rep = check_adjusted_orthogonality(p, qs, rs, sweeps_within(p, qs))
         assert rep.holds
         assert rep.details == {"i": True, "ii": True, "iii": True}
 
@@ -341,7 +408,7 @@ class TestAdjustedOrthogonality:
         qs = factor_structure([0, 0, 1, 1], "Rows", 4)
         rs = factor_structure([0, 0, 1, 1], "Copy", 4)
         p = Projector.validated(np.eye(4) - np.full((4, 4), 0.25), "P")
-        rep = check_adjusted_orthogonality(p, qs, rs, balance_within(p, qs))
+        rep = check_adjusted_orthogonality(p, qs, rs, sweeps_within(p, qs))
         assert not rep.holds
         assert rep.witnesses
 

@@ -22,7 +22,7 @@ from tierdecomp import (
     sweep,
 )
 from tierdecomp import projlin, structure
-from tierdecomp.structure import IncompatibilityError, _cluster_eigenvalues, is_compatible
+from tierdecomp.structure import IncompatibilityError, _cluster_eigenvalues
 
 from conftest import ALL_SPECS, design_matrix, spec_path
 
@@ -287,7 +287,9 @@ class TestJoint:
         u = rank_one([1, 0, -1, 0], "U")
         sa = Structure(elements=[mean, qa], total=proj(mean.matrix + qa.matrix, "s"))
         su = Structure(elements=[mean, u], total=proj(mean.matrix + u.matrix, "s"))
-        assert not is_compatible(sa, su)
+        rest = proj(np.eye(4) - sa.total.matrix, "R")
+        whole = Structure(elements=[mean, qa, rest], total=proj(np.eye(4), "all"))
+        assert len(joint(whole, whole).nodes) == 3
         with pytest.raises(IncompatibilityError):
             joint(sa, su)
 
