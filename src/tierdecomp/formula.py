@@ -12,13 +12,14 @@ its level classes) and a source projector
 with degrees of freedom following the same recursion on class counts.  The
 recursion is the standard Hasse-diagram method; it produces a complete set
 of mutually orthogonal idempotents whenever the tier's partitions form an
-orthogonal (geometrically balanced) system, and the construction validates
-exactly that, so a tier whose partitions fail the property is rejected with
-the offending pair named.  The build never forms M_F: it holds the
-normalised class indicators N_F (M_F = N_F N_F') as class ids and class
-sizes (``projlin.Classes``), and holds each source as N_F times the
-orthogonal complement of N_F' U_low in class space, where U_low stacks the
-lower sources; no n-row basis is formed.
+orthogonal design: pairwise orthogonal, with each pair's supremum a term
+(Tjur 1984).  The build tests exactly that, on integer count tables, so a
+tier whose partitions fail the property is rejected with the offending pair
+named.  The build never forms M_F: it holds the normalised class indicators
+N_F (M_F = N_F N_F') as class ids and class sizes (``projlin.Classes``),
+and holds each source as N_F times the orthogonal complement of N_F' U_low
+in class space, where U_low stacks the lower sources; no n-row basis is
+formed.
 
 Marginality can be declared (constituent-set inclusion) or observed: when
 unit-level data is attached, G < F holds iff F's observed level classes
@@ -35,17 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import (
-    DEFAULT_POLICY,
-    Classes,
-    Projector,
-    TolerancePolicy,
-    coords,
-    family_gram,
-    orthocomplement,
-    refines,
-)
-from .structure import Structure, check_pairs
+from .projlin import Classes, Projector, coords, orthocomplement, refines
+from .structure import Structure
 
 __all__ = [
     "Factor",
@@ -606,99 +598,109 @@ def averaging_matrix(term: GeneralizedFactor, columns: dict, n: int) -> np.ndarr
     return m
 
 
+def _check_orthogonal(poset: SourcePoset, tier: str) -> None:
+    """Tjur's condition on every two terms F and G of the tier, neither below
+    the other, with H the finest term below both.
+
+    Within each class h of H the cell counts must be proportional, n_fg n_h
+    = n_f n_g, for every f and g in h.  Testing the nonempty cells suffices:
+    summed over the cells of one f, the equation says that the g meeting f
+    fill h, so no cell of h is empty.  When it holds, F and G are orthogonal
+    and H is their supremum.  When it fails and the nonempty cells join F's
+    and G's classes into more classes than H has, their supremum is finer
+    than H and so not a term; otherwise they are not orthogonal within H.
+    The counts are integers, so the test is exact.  Nested pairs are
+    orthogonal and need no test.
+    """
+    for t, u in itertools.combinations(poset.terms, 2):
+        a, b = t.constituents, u.constituents
+        if a in poset.below[b] or b in poset.below[a]:
+            continue
+        pair = f"tier {tier}: {poset.label(t)} and {poset.label(u)}"
+        common = poset.below[a] & poset.below[b]
+        sup = [c for c in common if common <= poset.below[c] | {c}]
+        if not sup:
+            raise FormulaError(f"{pair} have no supremum among the tier's terms")
+        fi, gi, hi = poset.ids[a], poset.ids[b], poset.ids[sup[0]]
+        _, first, n_fg = np.unique(fi * len(fi) + gi, return_index=True, return_counts=True)
+        f, g, h = fi[first], gi[first], hi[first]
+        if np.array_equal(n_fg * np.bincount(hi)[h], np.bincount(fi)[f] * np.bincount(gi)[g]):
+            continue
+        # classes of the join: spread the least f label over the cells
+        label = np.arange(poset.nlevels[a])
+        while True:
+            reach = np.full(poset.nlevels[b], poset.nlevels[a])
+            np.minimum.at(reach, g, label[f])
+            spread = label.copy()
+            np.minimum.at(spread, f, reach[g])
+            if np.array_equal(spread, label):
+                break
+            label = spread
+        if np.unique(label).size > poset.nlevels[sup[0]]:
+            raise FormulaError(f"{pair} have no supremum among the tier's terms")
+        raise FormulaError(
+            f"{pair} are not orthogonal within {poset.label(poset.term(sup[0]))}"
+        )
+
+
 def source_projectors(
     poset: SourcePoset,
     columns: dict,
     n: int,
-    policy: TolerancePolicy = DEFAULT_POLICY,
     space_label: str = "",
 ) -> Structure:
     """Build the tier's complete orthogonal structure from its poset, in class form.
 
-    Walks the poset bottom-up.  Each term F has normalised class indicators
-    N_F (``Classes``, from the class ids ``attach_data`` recorded).  The
-    lower sources, stacked in build order, must have orthonormal
-    coordinates A = N_F' U_low (they sit inside span(N_F) by construction,
-    so A'A = I says exactly that they are mutually orthogonal); the source
-    is held as N_F times the complement of A's columns in R^m_F, from a
-    complete QR, and no n-row basis is formed.  At a finest term with one
-    row per class N_F = I, and the source is held implicitly as I minus the
-    lower sources, with no QR, as is the structure's total, I.  (A finest
-    term that does not separate the rows would make the total N_F I_m,
-    explicit.)  Zero-df sources (all df absorbed below) are dropped with a
-    notice.  Failure of orthogonality means the tier's partitions do not
-    form an orthogonal system and is reported as such.
+    The tier's terms must form an orthogonal design (Tjur 1984): every two
+    terms F and G, neither below the other, must be orthogonal partitions
+    whose supremum, the finest partition below both, is a term H of the
+    tier.  ``_check_orthogonal`` tests that exactly on the class ids
+    ``attach_data`` recorded, and a failure names both generalized factors.
+    It is the tier's one check.  Tjur's theorem then makes the sources
+    mutually orthogonal, each term's span the sum of its own and the lower
+    sources, and each df what the recursion in ``_recompute_df`` gave.
 
-    The tier family is checked once, at the finest term, which lies above
-    every other: the Gram U_low'U_low of every source but its own is formed
-    block by block on class coordinates, A_G'(N_G'N_H)A_H.  The block of
-    each pair of sources is held to tol_zero first (``check_pairs``), so that
-    an overlap names its two sources, then U_low'U_low - I to tol_idem as a
-    whole, which bounds each source's own block.  That covers the whole
-    structure, each source's own orthonormality included; the finest source
-    is their complement.
-    The check a lower term F could make, A'A - I, is a principal submatrix
-    of it, since U_low lies in span(N_F) and so A'A = U_low'U_low.  The
-    Mean is the universe term and the df sum holds by construction, so the
-    result is not validated again.
+    Walks the poset bottom-up.  Each term F has normalised class indicators
+    N_F (``Classes``, from the class ids).  The lower sources, stacked in
+    build order, have orthonormal coordinates A = N_F' U_low, since they
+    are orthogonal and sit inside span(N_F); the source is held as N_F
+    times the complement of A's columns in R^m_F, from a complete QR, which
+    is orthonormal by construction, and no n-row basis is formed.  At a
+    finest term with one row per class N_F = I, and the source is held
+    implicitly as I minus the lower sources, with no QR, as is the
+    structure's total, I.  (A finest term that does not separate the rows
+    would make the total N_F I_m, explicit.)  Zero-df sources (all df
+    absorbed below) are dropped with a notice.  A lift is an isometry, so
+    the lifted structure needs no check of its own either.
     """
     if not poset.has_data:
         poset = attach_data(poset, columns, n)
+    _check_orthogonal(poset, space_label or "tier")
     order = sorted(poset.terms, key=lambda t: len(poset.below[t.constituents]))
-    top = poset.finest().constituents
     built: dict = {}
     elements = []
     notices = list(poset.notices)
     for t in order:
-        classes = Classes(poset.ids[t.constituents])
-        # one row per class: N_F = I, with ids numbering the rows in order
-        whole = classes.m == n
         label = poset.label(t)
-        below = poset.below[t.constituents]
-        lows = [built[c] for c in built if c in below]
-        low_df = sum(q.df for q in lows)
-        if lows and t.constituents == top:
-            defect = family_gram(lows)
-            defect[np.diag_indices_from(defect)] -= 1.0
-            # the family check of the structure and of its equireplicate lifts;
-            # the pairs first, so that an overlap names its two sources
-            try:
-                check_pairs(defect, lows, policy)
-            except ValueError as exc:
-                raise FormulaError(f"tier {space_label or 'tier'}: {exc}") from None
-            gap = float(np.linalg.norm(defect))
-            if gap > policy.tol_idem:
-                raise FormulaError(
-                    f"source {label} is not a projector (sources below it overlap, "
-                    f"gap {gap:.3e}); the tier's partitions are not orthogonal"
-                )
-        df = classes.m - low_df
         if poset.df[t.constituents] == 0:
-            if df != 0:
-                raise FormulaError(
-                    f"source {label}: zero df but {df} dimensions remain; "
-                    "the tier's partitions are not orthogonal"
-                )
             notices.append(f"source {label} has no degrees of freedom; dropped")
             continue
-        if df != poset.df[t.constituents]:
-            raise FormulaError(
-                f"source {label}: trace {df} disagrees with the Hasse "
-                f"df {poset.df[t.constituents]}"
-            )
-        if whole:
+        classes = Classes(poset.ids[t.constituents])
+        below = poset.below[t.constituents]
+        lows = [built[c] for c in built if c in below]
+        # one row per class: N_F = I, with ids numbering the rows in order
+        if classes.m == n:
             proj = Projector.complement_of(lows or np.zeros((n, 0)), label)
         else:
             if lows:
                 complement = orthocomplement(np.hstack([coords(q, classes) for q in lows]))
             else:
                 complement = np.eye(classes.m)
-            # checked with every other source at the finest term
             proj = Projector.of_terms([(classes, complement)], label)
         built[t.constituents] = proj
         elements.append(proj)
 
-    finest = Classes(poset.ids[top])
+    finest = Classes(poset.ids[poset.finest().constituents])
     total_label = f"{space_label or 'tier'} span"
     if finest.m == n:
         total = Projector.complement_of(np.zeros((n, 0)), total_label)

@@ -339,7 +339,7 @@ class Projector:
         ``DENSE_ROWS`` rows the terms are summed into one dense term instead.
 
         Nothing is checked: the caller vouches for U.  ``source_projectors``
-        checks every tier source in one Gram at the finest term,
+        proves the tier's sources orthogonal on its count tables,
         ``structure.sweep`` checks a sweep from the step's balance result,
         and a child U_P F of a checked U_P, F with orthonormal columns, is
         checked by U_P's check, since ||F'(U_P'U_P - I)F|| <= ||U_P'U_P - I||.

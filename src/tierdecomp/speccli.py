@@ -39,7 +39,7 @@ from .formula import (
     parse_formula,
     source_projectors,
 )
-from .projlin import DEFAULT_POLICY, ProjectorError, TolerancePolicy, refines
+from .projlin import DEFAULT_POLICY, EfficiencyRangeError, ProjectorError, TolerancePolicy, refines
 from .randomize import (
     BuildError,
     IncoherenceError,
@@ -699,9 +699,7 @@ class Design:
         poset = expand_terms(ast, list(decl.factors))
         poset = attach_data(poset, columns, n, list(decl.pseudos))
         self._check_pseudo_containment(decl, poset, columns, n)
-        return source_projectors(
-            poset, columns, n, self.policy, space_label=decl.name
-        )
+        return source_projectors(poset, columns, n, space_label=decl.name)
 
     def _check_pseudo_containment(self, decl, poset, columns, n) -> None:
         """A pseudofactor must group whole classes of the source it splits."""
@@ -951,7 +949,7 @@ def cli_main(argv=None) -> int:
     except (SpecError, FormulaError, BuildError, LiftingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProjectorError, InternalInconsistencyError) as exc:
+    except (ProjectorError, InternalInconsistencyError, EfficiencyRangeError) as exc:
         print(
             f"error: {exc} (a numerical check failed; --tolerance may be tighter "
             "than the build's rounding)",

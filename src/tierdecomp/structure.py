@@ -25,8 +25,8 @@ lam*Q holds iff C'C = U_Q' P U_Q = lam*I.  A step's balance check forms,
 for each row P, the only balance products of the step: c = V'S, one
 ``cross`` per basis V of P's side (U_P, or the listed bases of an implicit
 P) against the structure's stacked explicit sources S, and G = S'PS, c'c
-or I - c'c, since S'S = I was checked at the tier's finest term and the
-lift is an isometry.  Every C'C, the implicit source's too, is read from
+or I - c'c, since S'S = I holds by the tier's count tables and the lift
+is an isometry.  Every C'C, the implicit source's too, is read from
 them, and so is the merge test of a failed check.  The sweep's basis
 is P U_Q / sqrt(lam).  For an explicit P that is U_P C / sqrt(lam) on P's
 own terms.  For an implicit P it is U_Q minus each listed part's share
@@ -194,9 +194,10 @@ class Structure:
         whole family.
 
         For tests and callers; the build calls it on no structure, since
-        ``source_projectors`` checks each tier family where it makes it and
-        a lift keeps that family's Gram.  The one family the build validates
-        whole is a joint refinement (``Decomposition.validate``).
+        ``source_projectors`` proves each tier family orthogonal on its
+        count tables and a lift keeps that family's Gram.  The one family
+        the build validates whole is a joint refinement
+        (``Decomposition.validate``).
         """
         owner = f"structure {self.space_label!r}"
         _check_whole(self.elements, self.n, self.total.df, owner, "elements", policy)
@@ -257,7 +258,7 @@ def lift(
     their explicit form, complemented on the tier's m objects.  The
     composition is an isometry (X'X = rI, and N'N = I on the composed
     classes), so the lifted family has the tier family's Gram, which
-    ``source_projectors`` checked.
+    ``source_projectors`` proved to be I on the tier's count tables.
 
     Any other allocation raises LiftingError.  A structure that sums to I
     and holds the Mean lifts only when U_a' D U_b = 0 for distinct
@@ -650,7 +651,7 @@ def is_structure_balanced(
     ``cross`` per side basis V (U_P, or each listed basis of an implicit P),
     S = [U_Q1 ... U_Qk] the stacked explicit sources, and G = S'PS, which is
     c'c for an explicit P and I - c'c for an implicit one (``_row_gram``;
-    S'S = I was checked at the tier's finest term and the lift is an
+    S'S = I holds by the tier's count tables and the lift is an
     isometry).  G's diagonal blocks are the per-source C_i'C_i of the
     first-order test, the others the C_a'C_b of the distinctness test.  An
     implicit source Q = I - WW' takes its first-order test from c as well

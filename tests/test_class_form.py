@@ -34,7 +34,13 @@ def dense(p):
 
 
 @given(block_designs())
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=30,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 def test_class_form_products_match_dense_products(monkeypatch, tmp_path, case):
     monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
     design = load_design(write_block_design(tmp_path, case))

@@ -1,8 +1,9 @@
-"""The CLI's error contract under mutated input files.
+"""The CLI's error contract under mutated input files and tolerances.
 
 Whatever bytes a spec or an allocation table holds, ``validate``,
 ``decompose`` and ``diagnose`` end in exit 0 (ok), 1 (incoherent) or 2
 (bad input, with one ``error:`` line) and never let an exception escape.
+So does a tolerance tighter than the build's rounding.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gen
 from conftest import DESIGNS
 from tierdecomp import cli_main
 
@@ -71,19 +73,59 @@ def mutated_bundles(draw):
     return name, files
 
 
+def run_cli(argv) -> tuple[int, str]:
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("command", ["validate", "decompose", "diagnose"])
 @given(case=mutated_bundles())
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 def test_mutated_inputs_keep_the_exit_contract(command, case):
     name, files = case
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for fname, data in files.items():
             (Path(tmp) / fname).write_bytes(data)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main([command, str(Path(tmp) / f"{name}.spec")])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
+        run_cli([command, str(Path(tmp) / f"{name}.spec")])
+
+
+# tolerances at which an efficiency factor rounds to just above 1
+BELOW_ROUNDING = [
+    ("ex2", 1e-16),
+    ("semilatin", 1e-16),
+    ("uneven", 1e-16),
+    ("lattice", 1e-16),
+    ("cyclic", 1e-16),
+    ("grazing", 3e-16),
+]
+
+
+@pytest.mark.parametrize("command", ["decompose", "diagnose"])
+@pytest.mark.parametrize("name, tolerance", BELOW_ROUNDING)
+def test_a_tolerance_below_rounding_keeps_the_exit_contract(tmp_path, command, name, tolerance):
+    if name in ("lattice", "cyclic"):
+        spec = gen.write(name, 11 if name == "lattice" else 96, 1, tmp_path)
+    else:
+        spec = tmp_path / f"{name}.spec"
+        for path in [DESIGNS / spec.name, *DESIGNS.glob(f"{name}*.csv")]:
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+    if command == "decompose":
+        argv = [command, str(spec), "--tolerance", str(tolerance)]
+    else:
+        # diagnose reads its tolerances from the spec alone
+        keys = ("tol_sym", "tol_idem", "tol_zero")
+        spec.write_text(
+            spec.read_text(encoding="utf-8") + "".join(f"tolerance {k} {tolerance}\n" for k in keys),
+            encoding="utf-8",
+        )
+        argv = [command, str(spec)]
+    code, err = run_cli(argv)
+    assert code == 2
+    assert err.endswith("(a numerical check failed; --tolerance may be tighter than the build's rounding)\n")

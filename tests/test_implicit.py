@@ -418,7 +418,13 @@ def test_youden_square_closed_form(tmp_path, base, v):
 
 
 @given(block_designs())
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 def test_random_block_designs_agree_with_the_oracle(tmp_path, case):
     design = load_design(write_block_design(tmp_path, case))
     try:
