@@ -70,6 +70,11 @@ __all__ = [
 # of 96 and 121 rows and unit spaces of 648 to 1452 rows.
 DENSE_ROWS = 64
 
+# ``Projector.matrix`` gathers the rows of a class-form projector a block of
+# about this many bytes at a time, so that a block stays in cache while its
+# terms are summed.
+GATHER_BYTES = 1 << 18
+
 
 class ProjectorError(ValueError):
     """A matrix failed symmetry/idempotency/trace validation."""
@@ -295,10 +300,14 @@ class Projector:
     ``project``, ``gram`` and ``bilinear_of`` apply either form, working on
     class coordinates, so no n-row basis is formed for them.
 
-    ``matrix`` forms UU', or I - WW', on first use, spanning U (``span`` of
-    the explicit form, one gather per term) or the listed W, but for a
-    group that fills its classes N (``folded``), whose WW' is NN'.  All arrays
-    are read-only and cached, and so are the coordinates ``coords`` takes
+    ``matrix`` forms UU', or I - WW', on first use with no n-row basis:
+    row i of UU' is the sum over terms t of row ids_t[i] of the core R_t =
+    sum_s (B_t B_s')[:, ids_s] (m_t x n, B = diag(scale) A), gathered a
+    block of rows at a time.  I - WW' takes its parts' cores with the sign
+    -1, the NN' of a group that fills its classes N (``folded``) on the
+    pairs of rows in one class, and a first part's matrix when that is
+    formed already; dense terms are one product, as U U'.  All arrays are
+    read-only and cached, and so are the coordinates ``coords`` takes
     through a contingency table.
     """
 
@@ -456,20 +465,32 @@ class Projector:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            if self._parts is not None:
-                # I - WW': a filled group's WW' is N N' (``folded``), set on
-                # the pairs of rows in one class; the rest stacked (n x k)
-                filled, rest = folded(self._parts)
-                w = np.hstack([span(q) for q in rest] or [np.zeros((self._n, 0))])
+            # UU', or I - WW' with the sign -1 on each part's share: parts
+            # held with a dense term stacked into one product (n x k), a
+            # filled group's NN' (``folded``) set on the pairs of rows in one
+            # class, and the other parts' terms gathered from their cores.  A
+            # first such part whose matrix is formed is copied instead: the
+            # gathers would repeat its bytes, negated.
+            filled, parts, sign = ((), (self,), 1.0) if self._parts is None else (*folded(self._parts), -1.0)
+            dense = [q for q in parts if any(c is None for c, _ in q._terms)]
+            rest = [q for q in parts if q not in dense]
+            m = None
+            if dense:
+                w = np.hstack([span(q) for q in dense])
                 m = mul(w, w.T)
-                for c in filled:
-                    i, j = _same_class(c)
-                    m[i, j] += c.scale[c.ids[i]] ** 2
-                np.negative(m, out=m)
+                m *= sign
+            elif rest and rest[0]._matrix is not None:
+                m = np.negative(rest.pop(0)._matrix)
+            cores = [r for q in rest for r in _cores(q, sign)]
+            add = m is not None
+            if not add:
+                m = np.empty((self._n, self._n)) if cores else np.full((self._n, self._n), 0.0)
+            _gather_rows(m, cores, add)
+            for c in filled:
+                i, j = _same_class(c)
+                m[i, j] -= c.scale[c.ids[i]] ** 2
+            if self._parts is not None:
                 m[np.diag_indices_from(m)] += 1.0
-            else:
-                u = span(self)
-                m = mul(u, u.T)
             object.__setattr__(self, "_matrix", _freeze(m))
         return self._matrix
 
@@ -577,6 +598,36 @@ def _same_class(c: Classes) -> tuple:
     i = np.repeat(np.arange(order.size), size)
     j = np.repeat(start, size) + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
     return order[i], order[j]
+
+
+def _cores(p: Projector, sign: float) -> list:
+    """(ids_t, R_t) for each term of an explicit p held on classes, where
+    R_t = sign * sum_s (B_t B_s')[:, ids_s] (m_t x n) with B = diag(scale) A:
+    row i of sign * U_pU_p' is the sum over t of row ids_t[i] of R_t."""
+    b = [(c.ids, a * c.scale[:, None]) for c, a in p._terms]
+    cores = []
+    for ids, bt in b:
+        r = np.take(mul(bt, b[0][1].T), b[0][0], axis=1)
+        for ids_s, bs in b[1:]:
+            r += np.take(mul(bt, bs.T), ids_s, axis=1)
+        r *= sign
+        cores.append((ids, r))
+    return cores
+
+
+def _gather_rows(out: np.ndarray, cores: list, add: bool) -> None:
+    """Write (or with ``add``, add) the sum of R[ids] over ``cores`` into out,
+    a block of rows at a time through one reused buffer of about
+    ``GATHER_BYTES``, so that no other n x n array is formed."""
+    step = max(1, GATHER_BYTES // (out.itemsize * len(out) + 1))
+    buf = np.empty((min(step, len(out)), len(out)))
+    for lo in range(0, len(out), step):
+        rows = out[lo : lo + step]
+        for k, (ids, r) in enumerate(cores):
+            into = rows if k == 0 and not add else buf[: rows.shape[0]]
+            np.take(r, ids[lo : lo + step], axis=0, out=into, mode="clip")
+            if into is not rows:
+                rows += into
 
 
 def _total(arrays: list) -> np.ndarray:

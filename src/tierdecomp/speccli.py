@@ -14,7 +14,8 @@ Design ready for the build loop, and ``cli_main`` wires the subcommands:
 
 Exit codes: 0 success, 1 incoherence (decompose) or mismatch (oracle),
 2 parse/IO/validation failure or a numerical check that fails (usually a
-``--tolerance`` tighter than the build's rounding).  ``diagnose`` exits 0 even when it finds
+tolerance tighter than the build's rounding: ``--tolerance`` of ``decompose``
+or a ``tolerance`` directive in the spec).  ``diagnose`` exits 0 even when it finds
 incoherence; reporting it is its job.
 """
 
@@ -950,8 +951,10 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ProjectorError, InternalInconsistencyError, EfficiencyRangeError) as exc:
+        # only decompose takes --tolerance; every command reads the spec's
+        source = "--tolerance" if args.command == "decompose" else "a tolerance directive in the spec"
         print(
-            f"error: {exc} (a numerical check failed; --tolerance may be tighter "
+            f"error: {exc} (a numerical check failed; {source} may be tighter "
             "than the build's rounding)",
             file=sys.stderr,
         )

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tierdecomp import (
     IncoherenceError,
@@ -20,8 +20,9 @@ from tierdecomp import (
     render,
 )
 from tierdecomp import projlin
-from tierdecomp.projlin import bilinear_of, gram, project
+from tierdecomp.projlin import Classes, Projector, bilinear_of, gram, orthocomplement, project, span
 
+import gen
 from conftest import ALL_SPECS, basis_of, block_designs, spec_path, write_block_design
 
 TOL = 1e-12
@@ -111,3 +112,110 @@ def test_gram_without_a_table_wider_than_the_rows(monkeypatch):
     q = projlin.Projector.of_terms([(b, u)], "q")
     assert a.m * b.m > p.n * p.df
     assert np.allclose(gram(p, q), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)
+
+
+# --- Projector.matrix from class-form cores ---------------------------------
+
+
+def random_terms(rng, classes, df):
+    return [(c, rng.normal(size=(c.m, df))) for c in classes]
+
+
+def orthonormalized(terms):
+    """The terms (N, A) with U = sum N A's R factor divided out of each A,
+    so that U has orthonormal columns."""
+    inv = np.linalg.inv(np.linalg.qr(sum(c.up(a) for c, a in terms))[1])
+    return [(c, a @ inv) for c, a in terms]
+
+
+KINDS = ["one term", "crossed", "nested", "dense", "implicit"]
+
+
+@st.composite
+def class_form_projectors(draw, kind):
+    """A random ``kind`` of explicit or implicit projector on r x c cells of k rows
+    each, listed in a random order, so n lies on both sides of DENSE_ROWS.
+
+    Explicit: one term, two terms on crossed or on nested classes, or a
+    dense basis.  Implicit: I minus the Mean and row contrasts, which fill
+    the row classes, a two-term part on columns and cells orthogonal to
+    them and, for some k > 1, a dense part within the cells."""
+    r, c = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    dense_rows = projlin.DENSE_ROWS // (r * c)
+    k = draw(st.integers(dense_rows + 1, dense_rows + 3) if draw(st.booleans()) else st.integers(1, dense_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = r * c * k
+    cell = (np.arange(n) // k)[rng.permutation(n)]
+    rows, cols, cells = Classes(cell // c), Classes(cell % c), Classes(cell)
+    if kind == "one term":
+        home = [rows, cols, cells][draw(st.integers(0, 2))]
+        a = np.linalg.qr(rng.normal(size=(home.m, draw(st.integers(1, home.m)))))[0]
+        return Projector.of_terms([(home, a)], kind)
+    if kind == "crossed":
+        return Projector.of_terms(orthonormalized(random_terms(rng, [rows, cols], draw(st.integers(1, r + c - 2)))), kind)
+    if kind == "nested":
+        return Projector.of_terms(orthonormalized(random_terms(rng, [rows, cells], draw(st.integers(1, r * c - 1)))), kind)
+    if kind == "dense":
+        return Projector.from_basis(np.linalg.qr(rng.normal(size=(n, draw(st.integers(1, n)))))[0], kind)
+    mean = Projector.of_terms([(Classes(np.zeros(n, dtype=np.intp)), np.ones((1, 1)))], "Mean")
+    contrasts = orthocomplement(np.full((r, 1), r**-0.5))
+    parts = [mean, Projector.of_terms([(rows, contrasts)], "Rows")]
+    terms = random_terms(rng, [cols, cells], draw(st.integers(1, max(1, r * (c - 1) - 1))))
+    # the row classes' share N_R N_R'U, taken out of the cells term
+    share = rows.down(sum(cl.up(a) for cl, a in terms))
+    terms[1] = (cells, terms[1][1] - cells.table(rows) @ share)
+    parts.append(Projector.of_terms(orthonormalized(terms), "Columns"))
+    if k > 1 and draw(st.booleans()):
+        x = rng.normal(size=(n, draw(st.integers(1, n - r * c))))
+        parts.append(Projector.from_basis(np.linalg.qr(x - cells.up(cells.down(x)))[0], "Within"))
+    return Projector.complement_of(parts, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+def test_matrix_matches_its_dense_reference(kind, data):
+    p = data.draw(class_form_projectors(kind))
+    if p.implicit:
+        w = np.hstack([span(q) for q in p.parts])
+        want = np.eye(p.n) - w @ w.T
+    else:
+        u = span(p)
+        want = u @ u.T
+    m = p.matrix
+    assert np.max(np.abs(m - want)) <= 1e-13
+    assert m is p.matrix and not m.flags.writeable
+    if p.implicit:
+        # with its parts' matrices formed first, the same bytes
+        for q in p.parts:
+            q.matrix
+        assert np.array_equal(Projector.complement_of(list(p.parts), p.label).matrix, m)
+
+
+def test_matrix_gathers_rows_from_class_form_cores(monkeypatch, tmp_path):
+    # each node of corn (n = 648) and of a k = 5 lattice (n = 150), the
+    # lattice's residual first so that it gathers its part rather than
+    # reading that part's matrix: no product has an n-row operand, and no
+    # n-row basis is spanned
+    calls = []
+
+    def mul(a, b):
+        calls.append(("mul", a.shape, b.shape))
+        return np.matmul(a, b)
+
+    def forbidden_span(p, a=None):
+        raise AssertionError(f"span of {p.label} in .matrix")
+
+    monkeypatch.setattr(projlin, "mul", mul)
+    for spec in (spec_path("corn"), gen.write("lattice", 5, 1, tmp_path)):
+        nodes = build_decomposition(load_design(spec)).decomposition.nodes
+        n = nodes[0].projector.n
+        assert n > projlin.DENSE_ROWS
+        with monkeypatch.context() as m:
+            m.setattr(projlin, "span", forbidden_span)
+            for node in reversed(nodes):
+                calls.clear()
+                node.projector.matrix
+                assert all(n not in a + b for _, a, b in calls), (node.projector.label, calls)
+        total = sum(node.projector.matrix for node in nodes)
+        assert np.allclose(total, np.eye(n), rtol=0, atol=1e-12)

@@ -128,4 +128,22 @@ def test_a_tolerance_below_rounding_keeps_the_exit_contract(tmp_path, command, n
         argv = [command, str(spec)]
     code, err = run_cli(argv)
     assert code == 2
-    assert err.endswith("(a numerical check failed; --tolerance may be tighter than the build's rounding)\n")
+    source = "--tolerance" if command == "decompose" else "a tolerance directive in the spec"
+    assert err.endswith(f"(a numerical check failed; {source} may be tighter than the build's rounding)\n")
+
+
+def test_the_oracle_names_the_spec_directive_below_rounding(tmp_path):
+    # oracle has no --tolerance option; the spec's directives reach its policy
+    spec = tmp_path / "ex2.spec"
+    for path in [DESIGNS / spec.name, *DESIGNS.glob("ex2*.csv")]:
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    keys = ("tol_sym", "tol_idem", "tol_zero")
+    spec.write_text(
+        spec.read_text(encoding="utf-8") + "".join(f"tolerance {k} 1e-16\n" for k in keys),
+        encoding="utf-8",
+    )
+    code, err = run_cli(["oracle", str(spec)])
+    assert code == 2
+    assert err.endswith(
+        "(a numerical check failed; a tolerance directive in the spec may be tighter than the build's rounding)\n"
+    )
