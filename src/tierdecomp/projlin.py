@@ -16,11 +16,12 @@ bases as checked where they were made (see ``structure.refine`` and
 ``formula.source_projectors``); ``Projector.from_basis`` is the one
 constructor that checks U'U = I itself, and ``Projector.validated`` the
 gate for callers holding a symmetric idempotent matrix.  ``coords``
-(N'U_p), ``gram`` (U_p'U_q), ``cross``, ``family_gram``, ``span`` and
-``project`` (P X) sum termwise products through contingency tables
-N_F'N_G (``Classes.table``), and ``bilinear_of`` (X' P Y for stacked
-bases) applies either form, so the hot kernels need not know which one
-they hold.  Spaces of at most
+(N'U_p), ``cross`` (U_p'X for stacked bases X), ``family_gram``, ``span``
+and ``project`` (P X) sum termwise products through contingency tables
+N_F'N_G (``Classes.table``); ``side_cross`` takes V'X for P's side V, its
+basis or the listed bases of an implicit P, and ``bilinear_of`` (X' P Y
+for stacked bases) applies either form from it, so the hot kernels need
+not know which one they hold.  Spaces of at most
 ``DENSE_ROWS`` rows hold an explicit basis as one dense term, where a
 product on class coordinates costs more calls than the flops it saves.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
@@ -49,7 +50,7 @@ __all__ = [
     "cross",
     "family_gram",
     "coords",
-    "gram",
+    "side_cross",
     "span",
     "spanned",
     "folded",
@@ -297,8 +298,8 @@ class Projector:
     listed explicit projectors that are mutually orthogonal, so df = n
     minus theirs.  This is the largest stratum of a structure, and of its
     lifts with r = 1; a lift with r > 1 carries its explicit form instead.
-    ``project``, ``gram`` and ``bilinear_of`` apply either form, working on
-    class coordinates, so no n-row basis is formed for them.
+    ``project`` and ``bilinear_of`` apply either form, working on class
+    coordinates, so no n-row basis is formed for them.
 
     ``matrix`` forms UU', or I - WW', on first use with no n-row basis:
     row i of UU' is the sum over terms t of row ids_t[i] of the core R_t =
@@ -645,8 +646,8 @@ def _down(classes: Classes | None, x: np.ndarray) -> np.ndarray:
 
 def _pieces(p: Projector) -> tuple:
     """p's terms as one-term projectors, made once (p itself when it has one
-    term).  ``coords``, ``gram`` and ``cross`` take one term at a time and
-    sum over these."""
+    term).  ``coords`` and ``cross`` take one term at a time and sum over
+    these."""
     if len(p._terms) == 1:
         return (p,)
     if p._pieces is None:
@@ -684,24 +685,6 @@ def coords(p: Projector, classes: Classes | None) -> np.ndarray:
     return c
 
 
-def gram(p: Projector, q: Projector) -> np.ndarray:
-    """U_p'U_q (df_p x df_q) for explicit p and q, summed over pairs of
-    their terms.
-
-    For one term each: on shared classes it is A_p'A_q; across two
-    partitions A_p'(N_p'N_q)A_q, the side with fewer columns taken through
-    the contingency table, so no n-row basis is formed unless one is held.
-    """
-    if len(p._terms) == 1 == len(q._terms):
-        (cp, ap), (cq, aq) = p._terms[0], q._terms[0]
-        if cp is cq:
-            return mul(ap.T, aq)
-        if cq is None or (cp is not None and q.df <= p.df):
-            return mul(ap.T, coords(q, cp))
-        return mul(coords(p, cq).T, aq)
-    return _total([gram(s, t) for s in _pieces(p) for t in _pieces(q)])
-
-
 def span(p: Projector, a: np.ndarray | None = None) -> np.ndarray:
     """U_p a (n x c) for an explicit p, or U_p itself when ``a`` is None:
     one gather per term."""
@@ -731,15 +714,31 @@ def cross(p: Projector, xs) -> np.ndarray:
     """U_p'X for an explicit p and the stacked bases X of the explicit ``xs``,
     summed over p's terms: for one term, the xs' stacked coordinates on its
     classes (each kept on its projector by ``coords``) times A_p' in one
-    product.  A dense p against sources on classes takes each ``gram``
-    instead, so that no n-row basis of theirs is formed."""
+    product.  A dense p against sources on classes takes (N'U_p)'A for
+    each of their terms instead, so that no n-row basis of theirs is
+    formed."""
     if len(p._terms) > 1:
         return _total([cross(t, xs) for t in _pieces(p)])
     ((cls, a),) = p._terms
     if cls is None and any(_dense(x) is None for x in xs):
-        return np.hstack([gram(p, x) for x in xs])
+        return np.hstack([_total([mul(coords(p, c).T, b) for c, b in x._terms]) for x in xs])
     c = [coords(x, cls) for x in xs]
     return mul(a.T, c[0] if len(c) == 1 else np.hstack(c))
+
+
+def side_cross(p: Projector, xs, crossed: dict | None = None) -> np.ndarray:
+    """c = V'X for P's side V, its basis U_P or the listed bases of an
+    implicit P, and the stacked bases X of the explicit ``xs``: one
+    ``cross`` per side basis.  ``crossed`` keeps each V'X by id(V), since a
+    row of a balance check is often a listed part of a later implicit row."""
+    side = p._parts if p._parts is not None else (p,)
+    if not side or not xs:
+        return np.zeros((sum(v.df for v in side), sum(x.df for x in xs)))
+    crossed = {} if crossed is None else crossed
+    for v in side:
+        if id(v) not in crossed:
+            crossed[id(v)] = cross(v, xs)
+    return np.vstack([crossed[id(v)] for v in side])
 
 
 def family_gram(xs, ys=None) -> np.ndarray:
@@ -764,20 +763,17 @@ def family_gram(xs, ys=None) -> np.ndarray:
 
 def bilinear_of(xs, p: Projector, ys=None) -> np.ndarray:
     """X' P Y for the stacked bases X, Y of the explicit projectors ``xs``
-    and ``ys`` (``ys`` defaults to ``xs``), on class coordinates.
+    and ``ys`` (``ys`` defaults to ``xs``), on class coordinates, from C_X =
+    ``side_cross(p, xs)`` and C_Y.
 
-    Explicit P: C_X'C_Y with C_X = U_P'X.  Implicit P = I - WW': X'Y
-    (``family_gram``) minus (W'X)'(W'Y).
+    Explicit P: C_X'C_Y.  Implicit P = I - WW': X'Y (``family_gram``) minus
+    C_X'C_Y, C_X = W'X.
     """
-    same = ys is None
-    ys = xs if same else ys
+    cx = side_cross(p, xs)
+    cy = cx if ys is None else side_cross(p, ys)
     if p._parts is None:
-        cx = cross(p, xs)
-        cy = cx if same else cross(p, ys)
         return mul(cx.T, cy)
-    out = family_gram(xs, None if same else ys)
+    out = family_gram(xs, ys)
     if p._parts:
-        cx = np.vstack([cross(w, xs) for w in p._parts])
-        cy = cx if same else np.vstack([cross(w, ys) for w in p._parts])
         out -= mul(cx.T, cy)
     return out

@@ -56,6 +56,7 @@ from .structure import (
     InternalInconsistencyError,
     Structure,
     ViolationReport,
+    _block_norms,
     _elements_of,
     is_structure_balanced,
     joint,
@@ -217,10 +218,14 @@ def check_adjusted_orthogonality(
                 f"({swept.label}) meets the {rs.space_label} span (norm {gap:.3e})"
             )
 
+    # every Q P R at once: one X'PY for the stacked bases of qs and of rs,
+    # cut into its (Q, R) blocks
+    q_bases, r_bases = [q.explicit() for q in qs.elements], [r.explicit() for r in rs.elements]
+    norms = _block_norms(bilinear_of(q_bases, p, r_bases), q_bases, r_bases)
     cond_ii = True
-    for q in qs.elements:
-        for r in rs.elements:
-            gap = np.linalg.norm(bilinear_of([q.explicit()], p, [r.explicit()]))
+    for i, q in enumerate(qs.elements):
+        for j, r in enumerate(rs.elements):
+            gap = norms[i, j]
             if gap > policy.tol_zero:
                 cond_ii = False
                 witnesses.append(

@@ -22,12 +22,14 @@ A_1 + ... + N_k A_k, or implicitly as I - WW' on the whole space (see
 ``projlin``), so all of this runs on C = U_P' U_Q (df_P x df_Q), formed on
 class coordinates, and never on n x n matrices or n-row bases: QPQ =
 lam*Q holds iff C'C = U_Q' P U_Q = lam*I.  A step's balance check forms,
-for each row P, the only balance products of the step: c = V'S, one
-``cross`` per basis V of P's side (U_P, or the listed bases of an implicit
-P) against the structure's stacked explicit sources S, and G = S'PS, c'c
-or I - c'c, since S'S = I holds by the tier's count tables and the lift
-is an isometry.  Every C'C, the implicit source's too, is read from
-them, and so is the merge test of a failed check.  The sweep's basis
+for each row P, the only balance products of the step: c = V'S
+(``projlin.side_cross``, one ``cross`` per basis V of P's side, U_P or
+the listed bases of an implicit P) against the structure's stacked
+explicit sources S, and G = S'PS, c'c or I - c'c, since S'S = I holds by
+the tier's count tables and the lift is an isometry.  Every C'C is read
+from G: an explicit source's is its diagonal block, and the implicit
+source I - SS' has the spectrum of I - G, padded with ones and zeros.  So
+is the merge test of a failed check.  The sweep's basis
 is P U_Q / sqrt(lam).  For an explicit P that is U_P C / sqrt(lam) on P's
 own terms.  For an implicit P it is U_Q minus each listed part's share
 W W'U_Q, the sweep by factor means of Wilkinson (1970): one term on Q's
@@ -60,11 +62,11 @@ from .projlin import (
     df_edges,
     family_gram,
     folded,
-    gram,
     gram_defect,
     mul,
     orthocomplement,
     project,
+    side_cross,
     snap_rational,
     span,
     spanned,
@@ -104,12 +106,14 @@ class InternalInconsistencyError(RuntimeError):
     """A quantity that must be non-negative or idempotent came out otherwise."""
 
 
-def _block_norms(gram: np.ndarray, members) -> np.ndarray:
-    """Frobenius norm of each (i, j) block of ``gram`` cut by the members' dfs."""
+def _block_norms(gram: np.ndarray, members, cols=None) -> np.ndarray:
+    """Frobenius norm of each (i, j) block of ``gram``, its rows cut by the
+    members' dfs and its columns by those of ``cols`` (default ``members``)."""
     edges = df_edges(members)[:-1]
+    col_edges = edges if cols is None else df_edges(cols)[:-1]
     sq = gram * gram
     # along rows first: reduceat over axis 0 of a large C-ordered array is slow
-    return np.sqrt(np.add.reduceat(np.add.reduceat(sq, edges, axis=1), edges, axis=0))
+    return np.sqrt(np.add.reduceat(np.add.reduceat(sq, col_edges, axis=1), edges, axis=0))
 
 
 def check_blocks(
@@ -355,34 +359,16 @@ def efficiency(
 ) -> BalanceResult:
     """Test QPQ = lam*Q and report how P and Q sit relative to each other,
     from the row products of ``is_structure_balanced`` for the one pair: c =
-    V'U_Q, or V'W for an implicit Q = I - WW', then ``_row_gram`` or
-    ``_implicit_gram``."""
+    V'X (``side_cross``) and G = X'PX (``_row_gram``), X = U_Q, or W for an
+    implicit Q = I - WW' (``_classify_complement``)."""
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
-    if q.implicit:
-        gram_, ones = _implicit_gram(p, q, _side_cross(p, list(q.parts)))
-    else:
-        gram_, ones = _row_gram(p, _side_cross(p, [q])), 0
-    return _classify(p.label, p.df, q, gram_, policy, ones)
-
-
-def _side_cross(p: Projector, xs: list, crossed: dict | None = None) -> np.ndarray:
-    """c = V'X for P's side V, its basis U_P or the listed bases of an
-    implicit P, and the stacked bases X of the explicit ``xs``: one
-    ``cross`` per side basis.  ``crossed`` keeps each V'X by id(V), since a
-    row is often a listed part of a later implicit row."""
-    side = list(p.parts) if p.implicit else [p]
-    if not side or not xs:
-        return np.zeros((sum(v.df for v in side), sum(x.df for x in xs)))
-    crossed = {} if crossed is None else crossed
-    for v in side:
-        if id(v) not in crossed:
-            crossed[id(v)] = cross(v, xs)
-    return np.vstack([crossed[id(v)] for v in side])
+    xs, classify = (q.parts, _classify_complement) if q.implicit else ([q], _classify)
+    return classify(p.label, p.df, q, _row_gram(p, side_cross(p, xs)), policy)
 
 
 def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
-    """G = X'PX from c = V'X (``_side_cross``), X orthonormal: c'c for an
+    """G = X'PX from c = V'X (``side_cross``), X orthonormal: c'c for an
     explicit P, and I - c'c for an implicit P = I - VV', since X'X = I."""
     g = mul(c.T, c)
     if p.implicit:
@@ -391,24 +377,18 @@ def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
     return g
 
 
-def _implicit_gram(p: Projector, q: Projector, c: np.ndarray):
-    """(G, ones) for an implicit Q = I - WW', from c = V'W for P's side V
-    (``_side_cross``): C'C (df_Q x df_Q) has the eigenvalues of the small G,
-    ``ones`` more equal to 1 and the rest 0.
+def _classify_complement(p_label, p_df, q, gram, policy) -> BalanceResult:
+    """``_classify`` for an implicit Q = I - SS' from G = S'PS, S the
+    stacked bases of Q's listed parts, for P of ``p_df`` columns.
 
-    V'QV = V'V - cc' = I - cc'.  Explicit P: CC' = U_P'QU_P = I - cc', and
-    C'C adds zeros.  Implicit P = I - VV': C'C = I - E'E with E = V'U_Q and
-    EE' = V'QV, so G = cc' and C'C adds ones.  G is P's side whichever side
-    is larger: when V has more columns than df_Q, the count of zeros, or of
-    ones, comes out negative and ``_classify`` drops that many of G's
-    eigenvalues.
+    CC' = U_P'QU_P = I - E'E with E = S'U_P and EE' = G, so C'C has the
+    spectrum of I - G with df_P - df_S more ones and df_Q - df_P more
+    zeros; a negative count drops that many eigenvalues instead (see
+    ``_classify``).  ``gram`` is left as it is.
     """
-    g = mul(c, c.T)
-    if p.implicit:
-        return g, q.df - g.shape[0]
-    np.negative(g, out=g)
-    g[np.diag_indices_from(g)] += 1.0
-    return g, 0
+    small = np.negative(gram)
+    small[np.diag_indices_from(small)] += 1.0
+    return _classify(p_label, p_df, q, small, policy, ones=p_df - small.shape[0])
 
 
 def _share(p: Projector, q: Projector) -> list:
@@ -418,7 +398,7 @@ def _share(p: Projector, q: Projector) -> list:
     filled, rest = folded(p.parts)
     terms = [(c, coords(q, c)) for c in filled]
     for w in rest:
-        g = gram(w, q)
+        g = cross(w, [q])
         terms += [(c, mul(a, g)) for c, a in w.terms]
     return terms
 
@@ -452,7 +432,7 @@ def sweep(
         raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
     q = q.explicit()
     if not p.implicit:
-        return spanned(p, gram(p, q) / np.sqrt(lam), label)
+        return spanned(p, cross(p, [q]) / np.sqrt(lam), label)
     scale = 1.0 / np.sqrt(lam)
     terms = [(c, a * scale) for c, a in q.terms] + [(c, a * -scale) for c, a in _share(p, q)]
     return Projector.of_terms(terms, label, n=p.n)
@@ -499,7 +479,7 @@ def residual(
         defect = family_gram(swept) - mul(leak.T, leak)
         defect[np.diag_indices_from(defect)] -= 1.0
     else:
-        k = np.hstack([gram(p, s) for s in swept])
+        k = cross(p, swept)
         defect = gram_defect(k)
     # the pairs first, so that an overlap names its two sweeps; with the
     # checks on each sweep and the residual, this is all refine checks
@@ -529,8 +509,8 @@ def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) ->
     says that W lies inside span(V), that is Q inside P; it is held to
     tol_idem.  The complement F is orthonormal and V was checked with its
     structure, so V F needs no check of its own (``Projector.of_terms``)."""
-    v = list(q.parts)
-    e = family_gram(v, list(p.parts)) if p.parts else np.zeros((q.n - q.df, 0))
+    v = q.parts
+    e = side_cross(q, p.parts)
     gap = float(np.linalg.norm(gram_defect(e)))
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: {q.label} leaves {p.label} (gap {gap:.3e})")
@@ -575,20 +555,14 @@ class ViolationReport:
         sum of the S'P_iS, so P itself is never formed.
 
         An explicit Q takes its block of it, U_Q'PU_Q = C'C.  An implicit Q =
-        I - WW' lists exactly the explicit sources, W = S: then CC' = U_P'QU_P
-        = I - E'E with E = W'U_P and EE' = W'PW, so C'C has the spectrum of
-        the small I - W'PW with df_P - m more ones, m the columns of W, and
-        df_Q - df_P more zeros (a negative count drops eigenvalues instead,
-        see ``_classify``).
+        I - SS' lists exactly the explicit sources and takes all of it
+        (``_classify_complement``).
         """
         label, df = " + ".join(p.label for p in ps), sum(p.df for p in ps)
-        cut = slice(None) if q.implicit else self.cuts[q.label]
-        gram_ = sum(self.grams[p.label][cut, cut] for p in ps)  # a new array: sum starts at 0
-        if not q.implicit:
-            return _classify(label, df, q, gram_, policy)
-        np.negative(gram_, out=gram_)
-        gram_[np.diag_indices_from(gram_)] += 1.0
-        return _classify(label, df, q, gram_, policy, ones=df - gram_.shape[0])
+        if q.implicit:
+            return _classify_complement(label, df, q, sum(self.grams[p.label] for p in ps), policy)
+        cut = self.cuts[q.label]
+        return _classify(label, df, q, sum(self.grams[p.label][cut, cut] for p in ps), policy)
 
     def summary(self) -> str:
         lines = [
@@ -654,10 +628,10 @@ def is_structure_balanced(
     S'S = I holds by the tier's count tables and the lift is an
     isometry).  G's diagonal blocks are the per-source C_i'C_i of the
     first-order test, the others the C_a'C_b of the distinctness test.  An
-    implicit source Q = I - WW' takes its first-order test from c as well
-    (``_implicit_gram``) and its distinctness blocks from the norms of Q P
-    S, since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W must list every
-    other source of ``s``, in order, as it does in every structure
+    implicit source Q = I - WW' takes its first-order test from G as well,
+    as I - G (``_classify_complement``), and its distinctness blocks from
+    the norms of Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W
+    must list every other source of ``s``, in order, as it does in every structure
     ``source_projectors`` and ``lift`` make; any other implicit source
     raises ValueError.  A failed check keeps each row's G for the merge test
     (``ViolationReport.balance_of_pooled``).
@@ -675,12 +649,12 @@ def is_structure_balanced(
     held = [i for i, q in enumerate(cols) if q.implicit]
     edges = df_edges(stacked)
     cuts = {q.label: slice(lo, hi) for q, lo, hi in zip(stacked, edges, edges[1:])}
-    crossed: dict = {}  # V'S by id(V), for _side_cross
+    crossed: dict = {}  # V'S by id(V), for side_cross
     violations = []
     results = {}
     grams = {}  # kept for the report only; dropped when the check passes
     for p in rows:
-        c = _side_cross(p, stacked, crossed)
+        c = side_cross(p, stacked, crossed)
         grams[p.label] = gram_ = _row_gram(p, c)
         norms = np.zeros((len(cols), len(cols)))
         if stacked:
@@ -690,8 +664,7 @@ def is_structure_balanced(
             cut = cuts[cols[i].label]
             res_of[i] = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
         for i in held:
-            small, ones = _implicit_gram(p, cols[i], c)
-            res_of[i] = _classify(p.label, p.df, cols[i], small, policy, ones)
+            res_of[i] = _classify_complement(p.label, p.df, cols[i], gram_, policy)
             if stacked:
                 meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero)
                 norms[i, plain] = norms[plain, i] = meet
@@ -775,15 +748,15 @@ def _meet_norms(
 
 def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
     """Classify (P, Q) from gram = C'C, C = U_P' U_Q: Q's diagonal block of
-    the check's row product G = S'PS, or for an implicit Q the small Gram
-    that ``_implicit_gram`` reads from the row product c.
+    the check's row product G = S'PS, or for an implicit Q = I - SS' the
+    small I - G (``_classify_complement``).
 
     lam = trace(C'C) / df_Q = trace(QPQ) / trace(Q).  QPQ - lam*Q is
     U_Q (C'C - lam*I) U_Q', so the Frobenius norm of C'C - lam*I bounds its
     largest entry; QPQ is U_Q C'C U_Q', bounded the same way.  A ``gram``
     of another size than df_Q stands for C'C with ``ones`` more eigenvalues
     equal to 1 and ``zeros`` = df_Q - size - ones more equal to 0 (see
-    ``_implicit_gram`` and ``ViolationReport.balance_of_pooled``); each
+    ``_classify_complement``); each
     norm then adds their share.  A negative count means ``gram`` has that
     many eigenvalues equal to 1, or to 0, that C'C lacks: they are its
     largest, or its smallest, and are dropped, and ``gram`` is then the
@@ -1004,7 +977,7 @@ def _principal(pb: Projector, pc: Projector):
     cos * sin over them.  The sines are the column norms of (U_c - U_b M)
     Z, computed directly so that angles near 0 stay exact.
     """
-    m = gram(pb, pc)
+    m = cross(pb, [pc])
     y, cos, zt = np.linalg.svd(m)
     if cos.size == 0:
         return y, cos, 0.0

@@ -20,7 +20,7 @@ from tierdecomp import (
     render,
 )
 from tierdecomp import projlin
-from tierdecomp.projlin import Classes, Projector, bilinear_of, gram, orthocomplement, project, span
+from tierdecomp.projlin import Classes, Projector, bilinear_of, cross, orthocomplement, project, span
 
 import gen
 from conftest import ALL_SPECS, basis_of, block_designs, spec_path, write_block_design
@@ -56,7 +56,7 @@ def test_class_form_products_match_dense_products(monkeypatch, tmp_path, case):
     explicit = [q.explicit() for q in units + lifted if q.df]
     for p in explicit:
         for q in explicit:
-            assert np.allclose(gram(p, q), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)
+            assert np.allclose(cross(p, [q]), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)
     stacked = np.hstack([basis_of(q) for q in explicit])
     for p in units + lifted:
         got = bilinear_of(explicit, p)
@@ -111,7 +111,7 @@ def test_gram_without_a_table_wider_than_the_rows(monkeypatch):
     p = projlin.Projector.of_terms([(a, u)], "p")
     q = projlin.Projector.of_terms([(b, u)], "q")
     assert a.m * b.m > p.n * p.df
-    assert np.allclose(gram(p, q), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)
+    assert np.allclose(cross(p, [q]), basis_of(p).T @ basis_of(q), rtol=0, atol=TOL)
 
 
 # --- Projector.matrix from class-form cores ---------------------------------

@@ -33,7 +33,6 @@ from tierdecomp import (
 )
 from tierdecomp import projlin, randomize, structure
 from tierdecomp.projlin import ProjectorError, bilinear_of, project
-from tierdecomp.structure import _classify, _implicit_gram
 
 import gen
 from checks import compare_json, lattice_table
@@ -87,31 +86,42 @@ class TestImplicitProjector:
         q = self.p.relabel("other")
         assert q.implicit and q.parts is self.p.parts and q.label == "other"
 
-    def test_implicit_gram_matches_the_explicit_gram(self):
-        # G is P's side, its basis or its listed bases, even where that side
-        # has more columns than df_Q = 6: then a negative count of zeros or
-        # of ones says how many of G's eigenvalues C'C lacks
+    def test_implicit_gram_matches_the_explicit_gram(self, monkeypatch):
+        # Q = I - WW' is classified from the small I - G, G = W'PW (df_W =
+        # 3 square), with df_P - 3 more ones and df_Q - df_P more zeros.  P
+        # may have fewer columns than W, or more than df_Q = 6: then the
+        # count of ones, or of zeros, comes out negative and that many of the
+        # small Gram's eigenvalues are dropped
         rng = np.random.default_rng(11)
         small = Projector.from_basis(orthonormal(rng, 9, 2), "small")
         wide = Projector.from_basis(orthonormal(rng, 9, 7), "wide")
         narrow = Projector.complement_of(orthonormal(rng, 9, 7), "narrow")
+        original, seen, negative = structure._classify, [], set()
+
+        def recorded(p_label, p_df, q, gram, policy, ones=0):
+            seen.append((gram, ones))
+            return original(p_label, p_df, q, gram, policy, ones)
+
+        monkeypatch.setattr(structure, "_classify", recorded)
         for p in (small, Projector.complement_of(orthonormal(rng, 9, 2), "big"), wide, narrow):
-            side = p.parts if p.implicit else [p]
-            v = np.hstack([basis_of(x) for x in side])
-            gram, ones = _implicit_gram(p, self.p, v.T @ self.w)
-            assert len(gram) == sum(v.df for v in side)
+            seen.clear()
+            res = efficiency(p, self.p)
+            ((gram, ones),) = seen
+            u = basis_of(p)
+            assert np.allclose(gram, np.eye(3) - self.w.T @ u @ u.T @ self.w, atol=1e-13)
             zeros = 6 - len(gram) - ones
+            negative.add("ones" if ones < 0 else "zeros" if zeros < 0 else "none")
             eigs = np.linalg.eigvalsh(gram)
             eigs = eigs[max(-zeros, 0) : eigs.size - max(-ones, 0)]
             padding = [1.0] * max(ones, 0) + [0.0] * max(zeros, 0)
-            c = basis_of(p).T @ basis_of(self.p)
+            c = u.T @ basis_of(self.p)
             full = np.linalg.eigvalsh(c.T @ c)
             got = np.sort(np.concatenate([eigs, padding]))
             assert np.allclose(got, full, atol=1e-13)
-            want = _classify(p.label, p.df, self.p, c.T @ c, DEFAULT_POLICY)
-            res = efficiency(p, self.p)
+            want = original(p.label, p.df, self.p, c.T @ c, DEFAULT_POLICY)
             assert res.status == want.status
             assert res.residual_norm == pytest.approx(want.residual_norm, abs=1e-12)
+        assert negative == {"ones", "zeros"}
 
 
 class TestImplicitResidual:

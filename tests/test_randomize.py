@@ -233,18 +233,28 @@ def test_each_step_checks_balance_once_and_refines_from_that_check(monkeypatch, 
 def test_no_child_basis_is_grammed_again(monkeypatch, tmp_path):
     # a sweep is checked from its step's balance result, the sweeps of one
     # node together in ``residual``, and a residual U_P F (F orthonormal)
-    # inherits its parent's check: no U'U of a sweep or a residual is formed
-    original = projlin.gram
-    grammed = []
+    # inherits its parent's check: no U'U of a sweep or a residual is
+    # formed, but for the sweeps' own Gram, which ``residual`` holds to I
+    # with ``family_gram``
+    original, original_family = projlin.cross, structure.family_gram
+    grammed, in_family = [], []
 
-    def recorded(p, q):
-        if p is q:
+    def recorded(p, xs):
+        if not in_family and any(x is p for x in xs):
             grammed.append(p.label)
-        return original(p, q)
+        return original(p, xs)
 
-    for module in (projlin, structure, formula):
-        if hasattr(module, "gram"):
-            monkeypatch.setattr(module, "gram", recorded)
+    def family(*args, **kwargs):
+        in_family.append(True)
+        try:
+            return original_family(*args, **kwargs)
+        finally:
+            in_family.pop()
+
+    for module in (projlin, structure, formula, randomize):
+        if getattr(module, "cross", None) is original:
+            monkeypatch.setattr(module, "cross", recorded)
+    monkeypatch.setattr(structure, "family_gram", family)
     for spec in [spec_path(name) for name in ALL_SPECS] + [gen.write("lattice", 13, 1, tmp_path)]:
         design = load_design(spec)
         if spec.stem == "uneven":  # incoherent: diagnosed, not built
@@ -290,6 +300,55 @@ def test_the_balance_check_forms_each_row_product_once(monkeypatch, tmp_path):
         else:
             build_decomposition(design)
     assert not called
+
+
+def test_the_implicit_source_is_classified_from_the_row_product(monkeypatch):
+    # an implicit source Q = I - SS', S the structure's explicit sources, is
+    # classified from I - G, G = S'PS the check's row product (df_S x df_S),
+    # and from no second product on P's side
+    grams, seen = [], []
+    original_gram, original_classify = structure._row_gram, structure._classify
+
+    def recorded_gram(p, c):
+        grams.append(original_gram(p, c))
+        return grams[-1]
+
+    def recorded_classify(p_label, p_df, q, gram, policy, ones=0):
+        if q.implicit:
+            df_s = sum(x.df for x in q.parts)
+            assert gram.shape == grams[-1].shape == (df_s, df_s), (p_label, q.label)
+            assert np.array_equal(gram, np.eye(df_s) - grams[-1]), (p_label, q.label)
+            seen.append(q.label)
+        return original_classify(p_label, p_df, q, gram, policy, ones)
+
+    monkeypatch.setattr(structure, "_row_gram", recorded_gram)
+    monkeypatch.setattr(structure, "_classify", recorded_classify)
+    for name in ("corn", "plant"):
+        seen.clear()
+        build_decomposition(load_design(spec_path(name)))
+        assert seen, name
+
+
+def test_adjusted_orthogonality_forms_one_bilinear_per_condition(monkeypatch):
+    # condition (ii) reads every Q P R from one X'PY of the stacked bases,
+    # and (iii) takes one more: at most two bilinear forms per node
+    per_check, original_check = [], randomize.check_adjusted_orthogonality
+    original_bilinear = randomize.bilinear_of
+
+    def counted_check(*args, **kwargs):
+        per_check.append(0)
+        return original_check(*args, **kwargs)
+
+    def counted_bilinear(*args, **kwargs):
+        per_check[-1] += 1
+        return original_bilinear(*args, **kwargs)
+
+    monkeypatch.setattr(randomize, "check_adjusted_orthogonality", counted_check)
+    monkeypatch.setattr(randomize, "bilinear_of", counted_bilinear)
+    for name in ("ex2", "ex2_small"):
+        per_check.clear()
+        build_decomposition(load_design(spec_path(name)))
+        assert per_check and max(per_check) <= 2, (name, per_check)
 
 
 def test_adjusted_orthogonality_reads_the_first_refinements_sweeps(monkeypatch):
