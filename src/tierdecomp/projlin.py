@@ -306,7 +306,8 @@ class Projector:
     sum_s (B_t B_s')[:, ids_s] (m_t x n, B = diag(scale) A), gathered a
     block of rows at a time.  I - WW' takes its parts' cores with the sign
     -1, the NN' of a group that fills its classes N (``folded``) on the
-    pairs of rows in one class, and a first part's matrix when that is
+    pairs of rows in one class, a bounded chunk of pairs at a time
+    (``_same_class``), and a first part's matrix when that is
     formed already; dense terms are one product, as U U'.  All arrays are
     read-only and cached, and so are the coordinates ``coords`` takes
     through a contingency table.
@@ -488,8 +489,8 @@ class Projector:
                 m = np.empty((self._n, self._n)) if cores else np.full((self._n, self._n), 0.0)
             _gather_rows(m, cores, add)
             for c in filled:
-                i, j = _same_class(c)
-                m[i, j] -= c.scale[c.ids[i]] ** 2
+                for i, j in _same_class(c):
+                    m[i, j] -= c.scale[c.ids[i]] ** 2
             if self._parts is not None:
                 m[np.diag_indices_from(m)] += 1.0
             object.__setattr__(self, "_matrix", _freeze(m))
@@ -590,15 +591,26 @@ def folded(parts) -> tuple:
     return filled, [w for w in parts if id(w) not in taken]
 
 
-def _same_class(c: Classes) -> tuple:
-    """(i, j) for every pair of rows in one class of c: where N N' is nonzero."""
+def _same_class(c: Classes):
+    """(i, j) for every pair of rows in one class of c, where N N' is
+    nonzero, yielded in chunks of at most max(``GATHER_BYTES`` / 8, n)
+    pairs, so that no index array holds all sum(size^2) of them: a chunk
+    is the pairs of a run of rows in class order."""
     order = np.argsort(c.ids, kind="stable")
     sizes = np.bincount(c.ids)
     size = sizes[c.ids[order]]  # the class size of each sorted row
     start = (np.cumsum(sizes) - sizes)[c.ids[order]]  # and its class's first sorted row
-    i = np.repeat(np.arange(order.size), size)
-    j = np.repeat(start, size) + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
-    return order[i], order[j]
+    ends = np.cumsum(size)  # the pairs of the sorted rows up to each one
+    step = max(GATHER_BYTES // 8, c.n)  # a class has at most n rows, so every chunk has a row
+    lo = done = 0
+    while lo < order.size:
+        hi = int(np.searchsorted(ends, done + step, side="right"))
+        run = size[lo:hi]
+        i = np.repeat(np.arange(lo, hi), run)
+        j = np.repeat(start[lo:hi] - (ends[lo:hi] - run - done), run) + np.arange(i.size)
+        i, j = order[i], order[j]  # the positions in class order are not kept while in use
+        yield i, j
+        lo, done = hi, int(ends[hi - 1])
 
 
 def _cores(p: Projector, sign: float) -> list:

@@ -66,6 +66,7 @@ from .projlin import (
     mul,
     orthocomplement,
     project,
+    refines,
     side_cross,
     snap_rational,
     span,
@@ -360,11 +361,14 @@ def efficiency(
     """Test QPQ = lam*Q and report how P and Q sit relative to each other,
     from the row products of ``is_structure_balanced`` for the one pair: c =
     V'X (``side_cross``) and G = X'PX (``_row_gram``), X = U_Q, or W for an
-    implicit Q = I - WW' (``_classify_complement``)."""
+    implicit Q = I - WW' (``_classify_held``, with the same absorbed-term
+    rule as the check)."""
     if q.df == 0:
         raise ValueError(f"source {q.label} has no degrees of freedom")
-    xs, classify = (q.parts, _classify_complement) if q.implicit else ([q], _classify)
-    return classify(p.label, p.df, q, _row_gram(p, side_cross(p, xs)), policy)
+    if not q.implicit:
+        return _classify(p.label, p.df, q, _row_gram(p, side_cross(p, [q])), policy)
+    kept = _kept_terms(p, folded(q.parts)[0])
+    return _classify_held(p, q, kept, _row_gram(p, side_cross(p, q.parts)), policy)
 
 
 def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
@@ -389,6 +393,37 @@ def _classify_complement(p_label, p_df, q, gram, policy) -> BalanceResult:
     small = np.negative(gram)
     small[np.diag_indices_from(small)] += 1.0
     return _classify(p_label, p_df, q, small, policy, ones=p_df - small.shape[0])
+
+
+_ORTHOGONAL = BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
+
+
+def _kept_terms(p: Projector, filled: list) -> list | None:
+    """The side terms of P that an implicit Q = I - WW' does not annihilate,
+    as (j, N, A) with j the index of the side basis (U_P, or each listed
+    basis of an implicit P), N None for a dense term; None when Q
+    annihilates none of them.  ``filled`` is ``projlin.folded(Q's parts)[0]``.
+
+    A term on classes that a filled group's classes C refine lies in
+    span(N_C), which lies in span(W), so Q absorbs it.  A dense term (N =
+    I, as on at most ``DENSE_ROWS`` rows) is never absorbed."""
+    if not filled:
+        return None
+    side = p.parts if p.implicit else (p,)
+    terms = [(j, cls, a) for j, v in enumerate(side) for cls, a in v.terms]
+    kept = [t for t in terms if t[1] is None or not any(refines(c.ids, t[1].ids) for c in filled)]
+    return None if len(kept) == len(terms) else kept
+
+
+def _classify_held(p: Projector, q: Projector, kept, gram: np.ndarray, policy) -> BalanceResult:
+    """(P, Q) for an implicit Q = I - WW' from G = W'PW (``gram``): an
+    explicit P whose side terms Q all absorbs (``kept`` empty, see
+    ``_kept_terms``) lies in span(W), so U_P'U_Q = 0 and it is
+    ``orthogonal`` at once, with no eigensolve trim; any other P goes to
+    ``_classify_complement``."""
+    if kept == [] and not p.implicit:
+        return _ORTHOGONAL
+    return _classify_complement(p.label, p.df, q, gram, policy)
 
 
 def _share(p: Projector, q: Projector) -> list:
@@ -635,6 +670,18 @@ def is_structure_balanced(
     ``source_projectors`` and ``lift`` make; any other implicit source
     raises ValueError.  A failed check keeps each row's G for the merge test
     (``ViolationReport.balance_of_pooled``).
+
+    Side terms a filled group of Q absorbs: a term of P's side on classes
+    that the classes C of one of W's filled groups (``projlin.folded``,
+    found once per column) refine lies in span(N_C), inside span(W), so Q
+    annihilates it (``_kept_terms``, once per row and column).  An explicit
+    row whose terms are all absorbed is ``orthogonal`` at once, since
+    U_P'U_Q = 0, with no ``_classify_complement`` and no eigensolve trim
+    (``_classify_held``, which ``efficiency`` also calls); the norms of Q P S
+    are formed from the unabsorbed terms alone, and read 0 with nothing
+    formed on the rows when none is left (``_meet_norms``).  A dense term
+    (N = I, on at most ``DENSE_ROWS`` rows) is never absorbed and takes
+    the whole path.
     """
     rows = _elements_of(against)
     cols = s.elements
@@ -647,6 +694,7 @@ def is_structure_balanced(
             )
     plain = [i for i, q in enumerate(cols) if not q.implicit]
     held = [i for i, q in enumerate(cols) if q.implicit]
+    filled = {i: folded(cols[i].parts)[0] for i in held}
     edges = df_edges(stacked)
     cuts = {q.label: slice(lo, hi) for q, lo, hi in zip(stacked, edges, edges[1:])}
     crossed: dict = {}  # V'S by id(V), for side_cross
@@ -664,9 +712,10 @@ def is_structure_balanced(
             cut = cuts[cols[i].label]
             res_of[i] = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
         for i in held:
-            res_of[i] = _classify_complement(p.label, p.df, cols[i], gram_, policy)
+            kept = _kept_terms(p, filled[i])
+            res_of[i] = _classify_held(p, cols[i], kept, gram_, policy)
             if stacked:
-                meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero)
+                meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero, kept)
                 norms[i, plain] = norms[plain, i] = meet
         for i, q in enumerate(cols):
             res = res_of[i]
@@ -717,7 +766,7 @@ def _col_block_norms(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _meet_norms(
-    q: Projector, p: Projector, xs: list, xs_p_xs: np.ndarray, c: np.ndarray, tol: float
+    q: Projector, p: Projector, xs: list, xs_p_xs: np.ndarray, c: np.ndarray, tol: float, kept=None
 ) -> np.ndarray:
     """||Q P U_x||_F for each explicit x in ``xs``, where Q = I - WW' lists
     exactly ``xs``; with X = [U_x1 ... U_xk], ``xs_p_xs`` is X'PX and ``c``
@@ -727,21 +776,35 @@ def _meet_norms(
     implicit P = I - VV' it is -QV(V'X), since QX = 0, so no basis of X is
     formed.  Only the columns of an x whose bound on the norm, ||V'U_x||_F,
     passes ``tol`` are formed; the others read 0, being within ``tol`` of it.
+
+    ``kept`` lists the side terms that Q does not absorb (``_kept_terms``),
+    None when it absorbs none.  Q annihilates an absorbed term, so QPX is
+    then +-Q T for T the kept terms N A times their rows of V'X, formed on
+    the rows and projected by Q (``project``); with none kept every norm
+    reads 0 and nothing is formed on the rows.  A dense term is never
+    absorbed, so a dense P always takes the whole path.
     """
+    norms = np.zeros(len(xs))
+    if kept == []:
+        return norms
     edges = df_edges(xs)
     keep = np.flatnonzero(_col_block_norms(c, edges) > tol)
-    norms = np.zeros(len(xs))
     if keep.size == 0:
         return norms
     cols = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in keep])
-    if p.implicit:
-        starts = df_edges(p.parts)
-        y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
-        wy = -mul(c.T, c[:, cols])
+    if kept is not None:
+        starts = df_edges(p.parts if p.implicit else [p])
+        terms = [(cls, mul(a, c[starts[j] : starts[j + 1], cols])) for j, cls, a in kept]
+        y = project(q, sum(b if cls is None else cls.up(b) for cls, b in terms))
     else:
-        y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
-    for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
-        y = y - span(x, wy[a:b])
+        if p.implicit:
+            starts = df_edges(p.parts)
+            y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
+            wy = -mul(c.T, c[:, cols])
+        else:
+            y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
+        for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
+            y = y - span(x, wy[a:b])
     norms[keep] = _col_block_norms(y, df_edges([xs[i] for i in keep]))
     return norms
 
@@ -771,7 +834,7 @@ def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
     if abs(lam) <= policy.tol_zero:
         gap = float(np.hypot(np.linalg.norm(gram), np.sqrt(ones)))
         if gap <= policy.tol_idem:
-            return BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
+            return _ORTHOGONAL
         # QPQ is positive semidefinite, so a vanishing trace alongside
         # non-vanishing entries signals numerical breakdown, not imbalance
         raise InternalInconsistencyError(

@@ -21,7 +21,7 @@ def _load_counter():
 @pytest.mark.parametrize("name", ["ex2", "uneven"])
 def test_products_match_a_wrapped_mul(monkeypatch, name):
     counter = _load_counter()
-    got, incoherent = counter.count_products(spec_path(name))
+    got, _, incoherent = counter.count_build(spec_path(name))
     assert incoherent == (name == "uneven")
     original, calls = projlin.mul, []
     # the counter leaves every module's mul as it found it
@@ -47,8 +47,16 @@ def test_prints_one_line_per_design(capsys):
     counter = _load_counter()
     assert counter.main([str(spec_path("minimal")), str(spec_path("uneven"))]) == 0
     header, minimal, uneven = capsys.readouterr().out.splitlines()
-    assert header.split() == ["products", "calls", "design"]
-    assert int(minimal.split()[0]) == counter.count_products(spec_path("minimal"))[0]
-    assert int(minimal.split()[1]) > 0
+    assert header.split() == ["products", "eigensolves", "calls", "design"]
+    assert [int(v) for v in minimal.split()[:2]] == list(counter.count_build(spec_path("minimal"))[:2])
+    assert int(minimal.split()[2]) > 0
     assert uneven.endswith("(incoherent: diagnosed)")
     assert counter.main([]) == 2
+
+
+@pytest.mark.parametrize("name, want", [("corn", 0), ("plant", 3)])
+def test_eigensolves_of_one_build(name, want):
+    # every row of corn lies in the span of the classes that its implicit
+    # lots source fills, so none takes an eigensolve trim; plant's dense
+    # bases are never absorbed, and each of its three rows takes the trim
+    assert _load_counter().count_build(spec_path(name))[1] == want

@@ -4,6 +4,7 @@ class form against its default build.  Spaces of at most ``DENSE_ROWS``
 rows hold dense bases by default, so these tests lower it to 0."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,3 +220,31 @@ def test_matrix_gathers_rows_from_class_form_cores(monkeypatch, tmp_path):
                 assert all(n not in a + b for _, a, b in calls), (node.projector.label, calls)
         total = sum(node.projector.matrix for node in nodes)
         assert np.allclose(total, np.eye(n), rtol=0, atol=1e-12)
+
+
+def test_complement_of_the_mean_scatters_its_pairs_in_bounded_chunks():
+    # I - J/n at n = 2000 sets NN' on all n^2 pairs of rows of one class;
+    # in chunks, its index arrays stay far below the 30.5 MiB result
+    n = 2000
+    mean = Projector.of_terms([(Classes(np.zeros(n, dtype=np.intp)), np.ones((1, 1)))], "Mean")
+    p = Projector.complement_of([mean], "rest")
+    tracemalloc.start()
+    try:
+        m = p.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(m - (np.eye(n) - 1.0 / n))) <= 1e-15
+    assert peak < 1.5 * m.nbytes
+
+
+def test_same_class_yields_every_pair_once_in_bounded_chunks(monkeypatch):
+    monkeypatch.setattr(projlin, "GATHER_BYTES", 8 * 40)
+    ids = np.random.default_rng(2).permutation(np.repeat(np.arange(6), [1, 2, 9, 30, 3, 5]))
+    classes = Classes(ids)
+    chunks = list(projlin._same_class(classes))
+    assert len(chunks) > 1
+    assert all(i.size == j.size <= max(40, ids.size) for i, j in chunks)
+    got = [(a, b) for i, j in chunks for a, b in zip(i.tolist(), j.tolist())]
+    want = [(a, b) for a in range(ids.size) for b in range(ids.size) if ids[a] == ids[b]]
+    assert len(got) == len(set(got)) and sorted(got) == want

@@ -19,11 +19,13 @@ from tierdecomp import (
     Decomposition,
     IncoherenceError,
     Projector,
+    Structure,
     build_decomposition,
     cli_main,
     cross_check,
     diagnose_incoherence,
     efficiency,
+    is_structure_balanced,
     layout,
     load_design,
     parse_table_json,
@@ -518,3 +520,154 @@ def test_implicit_source_smaller_than_the_row_side(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(Projector, "_complement_basis", forbidden)
     assert cli_main(["diagnose", str(tmp_path / "eight.spec")]) == 0
     assert capsys.readouterr().out == EIGHT_DIAGNOSIS
+
+
+# --- side terms a filled group absorbs ---------------------------------------
+
+
+def test_corn_absorbs_every_side_term_of_its_implicit_source(monkeypatch):
+    # corn's lots source L1 is I - WW' with W filling the 162 L1 classes,
+    # and every row's terms lie on coarser classes: each explicit row is
+    # orthogonal at once, with no eigensolve, and no distinctness norm is
+    # formed on the rows
+    eigensolves, inside, formed = [], [], []
+    original_meet = structure._meet_norms
+
+    def counted(name, original):
+        def inner(*args, **kwargs):
+            eigensolves.append(name)
+            return original(*args, **kwargs)
+
+        return inner
+
+    def meet(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_meet(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def watched(name, original):
+        def inner(*args, **kwargs):
+            if inside:
+                formed.append(name)
+            return original(*args, **kwargs)
+
+        return inner
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(structure, "_meet_norms", meet)
+    for name in ("mul", "span", "project"):
+        monkeypatch.setattr(structure, name, watched(name, getattr(structure, name)))
+    monkeypatch.setattr(projlin.Classes, "up", watched("up", projlin.Classes.up))
+    build_decomposition(load_design(spec_path("corn")))
+    assert eigensolves == [] and formed == []
+
+
+def partly_absorbed_case():
+    """A structure Mean, Blocks, X, Q = I - [Mean, Blocks, X] on 24 rows in
+    4 blocks of 6 and 12 pairs, Mean and Blocks filling the blocks, X on the
+    pairs within blocks; and two rows each with one term on the blocks,
+    which Q absorbs, and one on the pairs, which it does not: an explicit
+    P = N_B a + N_F b, and an implicit I - V1V1' - V2V2', V1 on the blocks
+    and V2 on the pairs."""
+    rng = np.random.default_rng(23)
+    blocks, pairs = projlin.Classes(np.arange(24) // 6), projlin.Classes(np.arange(24) // 2)
+    table = pairs.table(blocks)  # N_F'N_B: N_B = N_F table
+    mean = Projector.of_terms([(projlin.Classes(np.zeros(24, dtype=np.intp)), np.ones((1, 1)))], "Mean")
+    contrasts = projlin.orthocomplement(np.full((4, 1), 0.5))
+    source = Projector.of_terms([(blocks, contrasts)], "Blocks")
+    within = projlin.orthocomplement(table)  # pair coordinates orthogonal to the blocks
+    x = Projector.of_terms([(pairs, within @ orthonormal(rng, 8, 4))], "X")
+    q = Projector.complement_of([mean, source, x], "Q")
+    s = Structure(elements=[mean, source, x, q], total=Projector.complement_of(np.zeros((24, 0)), "all"))
+    terms = [(blocks, rng.normal(size=(4, 2))), (pairs, rng.normal(size=(12, 2)))]
+    r = np.linalg.qr(sum(c.up(a) for c, a in terms))[1]
+    explicit = Projector.of_terms([(c, np.linalg.solve(r.T, a.T).T) for c, a in terms], "P")
+    v1 = orthonormal(rng, 4, 1)
+    v2 = projlin.orthocomplement(table @ v1) @ orthonormal(rng, 11, 2)
+    implicit = Projector.complement_of(
+        [Projector.of_terms([(blocks, v1)], "V1"), Projector.of_terms([(pairs, v2)], "V2")], "P'"
+    )
+    return s, [explicit, implicit]
+
+
+def test_partly_absorbed_rows_take_norms_from_their_kept_terms(monkeypatch):
+    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
+    s, rows = partly_absorbed_case()
+    *stacked, q = s.elements
+    filled, rest = projlin.folded(q.parts)
+    assert len(filled) == 1 and rest == [stacked[2]]
+    w = np.hstack([basis_of(x) for x in stacked])
+    q_dense = np.eye(24) - w @ w.T
+    for p in rows:
+        kept = structure._kept_terms(p, filled)
+        side = p.parts if p.implicit else (p,)
+        assert 0 < len(kept) < sum(len(v.terms) for v in side)
+        assert all(cls is not None and cls.m == 12 for _, cls, _ in kept)
+        c = projlin.side_cross(p, stacked)
+        g = structure._row_gram(p, c)
+        got = structure._meet_norms(q, p, stacked, g, c, 1e-9, kept)
+        whole = structure._meet_norms(q, p, stacked, g, c, 1e-9)
+        p_dense = basis_of(p) @ basis_of(p).T
+        want = [np.linalg.norm(q_dense @ p_dense @ basis_of(x)) for x in stacked]
+        assert np.allclose(got, want, rtol=0, atol=1e-13), (p.label, got, want)
+        assert np.allclose(whole, want, rtol=0, atol=1e-13)
+        # the planted meet: X and Q overlap inside P
+        assert got[2] > 0.1
+        # one answer for the pair from the check and from ``efficiency``
+        res = structure._classify_held(p, q, kept, g, DEFAULT_POLICY)
+        assert efficiency(p, q) == res and res.status == "unbalanced"
+    report = is_structure_balanced(s, Structure(elements=rows, total=s.total))
+    meets = {(v.row, v.cols) for v in report.violations if v.kind == "distinctness"}
+    assert {("P", ("X", "Q")), ("P'", ("X", "Q"))} <= meets
+
+
+def test_a_row_on_the_filled_classes_is_orthogonal_without_an_eigensolve(monkeypatch):
+    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
+    s, _ = partly_absorbed_case()
+    *stacked, q = s.elements
+    blocks = stacked[1].classes
+    p = Projector.of_terms([(blocks, orthonormal(np.random.default_rng(3), 4, 2))], "on blocks")
+    monkeypatch.setattr(structure, "_classify_complement", None)  # never reached
+    assert structure._kept_terms(p, projlin.folded(q.parts)[0]) == []
+    assert efficiency(p, q).status == "orthogonal"
+
+
+@pytest.mark.parametrize("name", ["plant", "corn"])
+def test_absorbed_terms_give_the_balance_of_dense_bases(monkeypatch, name):
+    # every basis dense (DENSE_ROWS at least n, plant's default) is never
+    # absorbed; in class form (DENSE_ROWS = 0) both designs absorb every
+    # row's terms: each BalanceResult of the build agrees
+    def results(dense_rows):
+        got, kept = {}, []
+        original_check, original_kept = structure.is_structure_balanced, structure._kept_terms
+
+        def recorded_check(s, against, policy=DEFAULT_POLICY):
+            out = original_check(s, against, policy)
+            got.update(out.results)
+            return out
+
+        def recorded_kept(p, filled):
+            kept.append(original_kept(p, filled))
+            return kept[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(projlin, "DENSE_ROWS", dense_rows)
+            m.setattr(randomize, "is_structure_balanced", recorded_check)
+            m.setattr(structure, "_kept_terms", recorded_kept)
+            build_decomposition(load_design(spec_path(name)))
+        return got, kept
+
+    n = load_design(spec_path(name)).n
+    dense, dense_kept = results(n)
+    classes, classes_kept = results(0)
+    assert all(k is None for k in dense_kept) and [] in classes_kept
+    assert dense.keys() == classes.keys()
+    for key, want in dense.items():
+        got = classes[key]
+        assert got.status == want.status, key
+        assert got.lam == pytest.approx(want.lam, abs=1e-12), key
+        assert got.efficiency.rational == want.efficiency.rational, key
+        assert got.residual_norm == pytest.approx(want.residual_norm, abs=1e-12), key
