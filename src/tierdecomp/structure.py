@@ -367,8 +367,8 @@ def efficiency(
         raise ValueError(f"source {q.label} has no degrees of freedom")
     if not q.implicit:
         return _classify(p.label, p.df, q, _row_gram(p, side_cross(p, [q])), policy)
-    kept = _kept_terms(p, folded(q.parts)[0])
-    return _classify_held(p, q, kept, _row_gram(p, side_cross(p, q.parts)), policy)
+    absorbed = _absorbed(p, folded(q.parts)[0])
+    return _classify_held(p, q, absorbed, lambda: _row_gram(p, side_cross(p, q.parts)), policy)
 
 
 def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
@@ -398,32 +398,31 @@ def _classify_complement(p_label, p_df, q, gram, policy) -> BalanceResult:
 _ORTHOGONAL = BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0, (0, 1)))
 
 
-def _kept_terms(p: Projector, filled: list) -> list | None:
-    """The side terms of P that an implicit Q = I - WW' does not annihilate,
-    as (j, N, A) with j the index of the side basis (U_P, or each listed
-    basis of an implicit P), N None for a dense term; None when Q
-    annihilates none of them.  ``filled`` is ``projlin.folded(Q's parts)[0]``.
+def _absorbed(p: Projector, filled: list) -> bool:
+    """Whether an implicit Q = I - WW' annihilates every side term of P (the
+    terms of U_P, or of each listed basis of an implicit P); ``filled`` is
+    ``projlin.folded(Q's parts)[0]``.
 
     A term on classes that a filled group's classes C refine lies in
     span(N_C), which lies in span(W), so Q absorbs it.  A dense term (N =
     I, as on at most ``DENSE_ROWS`` rows) is never absorbed."""
-    if not filled:
-        return None
     side = p.parts if p.implicit else (p,)
-    terms = [(j, cls, a) for j, v in enumerate(side) for cls, a in v.terms]
-    kept = [t for t in terms if t[1] is None or not any(refines(c.ids, t[1].ids) for c in filled)]
-    return None if len(kept) == len(terms) else kept
+    return bool(filled) and all(
+        cls is not None and any(refines(c.ids, cls.ids) for c in filled)
+        for v in side
+        for cls, _ in v.terms
+    )
 
 
-def _classify_held(p: Projector, q: Projector, kept, gram: np.ndarray, policy) -> BalanceResult:
-    """(P, Q) for an implicit Q = I - WW' from G = W'PW (``gram``): an
-    explicit P whose side terms Q all absorbs (``kept`` empty, see
-    ``_kept_terms``) lies in span(W), so U_P'U_Q = 0 and it is
+def _classify_held(p: Projector, q: Projector, absorbed: bool, gram, policy) -> BalanceResult:
+    """(P, Q) for an implicit Q = I - WW': an explicit P whose side terms Q
+    all absorbs (``_absorbed``) lies in span(W), so U_P'U_Q = 0 and it is
     ``orthogonal`` at once, with no eigensolve trim; any other P goes to
-    ``_classify_complement``."""
-    if kept == [] and not p.implicit:
+    ``_classify_complement`` with G = W'PW, which ``gram()`` returns only
+    then."""
+    if absorbed and not p.implicit:
         return _ORTHOGONAL
-    return _classify_complement(p.label, p.df, q, gram, policy)
+    return _classify_complement(p.label, p.df, q, gram(), policy)
 
 
 def _share(p: Projector, q: Projector) -> list:
@@ -674,14 +673,13 @@ def is_structure_balanced(
     Side terms a filled group of Q absorbs: a term of P's side on classes
     that the classes C of one of W's filled groups (``projlin.folded``,
     found once per column) refine lies in span(N_C), inside span(W), so Q
-    annihilates it (``_kept_terms``, once per row and column).  An explicit
-    row whose terms are all absorbed is ``orthogonal`` at once, since
-    U_P'U_Q = 0, with no ``_classify_complement`` and no eigensolve trim
-    (``_classify_held``, which ``efficiency`` also calls); the norms of Q P S
-    are formed from the unabsorbed terms alone, and read 0 with nothing
-    formed on the rows when none is left (``_meet_norms``).  A dense term
-    (N = I, on at most ``DENSE_ROWS`` rows) is never absorbed and takes
-    the whole path.
+    annihilates it (``_absorbed``, once per row and column).  When every
+    term of a row is absorbed, an explicit row is ``orthogonal`` at once,
+    since U_P'U_Q = 0, with no ``_classify_complement`` and no eigensolve
+    trim (``_classify_held``, which ``efficiency`` also calls), and the
+    norms of Q P S read 0 with nothing formed on the rows (``_meet_norms``).
+    A row with any term left unabsorbed takes the whole path.  A dense term
+    (N = I, on at most ``DENSE_ROWS`` rows) is never absorbed.
     """
     rows = _elements_of(against)
     cols = s.elements
@@ -712,10 +710,10 @@ def is_structure_balanced(
             cut = cuts[cols[i].label]
             res_of[i] = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
         for i in held:
-            kept = _kept_terms(p, filled[i])
-            res_of[i] = _classify_held(p, cols[i], kept, gram_, policy)
+            absorbed = _absorbed(p, filled[i])
+            res_of[i] = _classify_held(p, cols[i], absorbed, lambda: gram_, policy)
             if stacked:
-                meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero, kept)
+                meet = _meet_norms(cols[i], p, stacked, gram_, c, policy.tol_zero, absorbed)
                 norms[i, plain] = norms[plain, i] = meet
         for i, q in enumerate(cols):
             res = res_of[i]
@@ -766,7 +764,13 @@ def _col_block_norms(c: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _meet_norms(
-    q: Projector, p: Projector, xs: list, xs_p_xs: np.ndarray, c: np.ndarray, tol: float, kept=None
+    q: Projector,
+    p: Projector,
+    xs: list,
+    xs_p_xs: np.ndarray,
+    c: np.ndarray,
+    tol: float,
+    absorbed: bool,
 ) -> np.ndarray:
     """||Q P U_x||_F for each explicit x in ``xs``, where Q = I - WW' lists
     exactly ``xs``; with X = [U_x1 ... U_xk], ``xs_p_xs`` is X'PX and ``c``
@@ -777,34 +781,27 @@ def _meet_norms(
     formed.  Only the columns of an x whose bound on the norm, ||V'U_x||_F,
     passes ``tol`` are formed; the others read 0, being within ``tol`` of it.
 
-    ``kept`` lists the side terms that Q does not absorb (``_kept_terms``),
-    None when it absorbs none.  Q annihilates an absorbed term, so QPX is
-    then +-Q T for T the kept terms N A times their rows of V'X, formed on
-    the rows and projected by Q (``project``); with none kept every norm
-    reads 0 and nothing is formed on the rows.  A dense term is never
-    absorbed, so a dense P always takes the whole path.
+    When Q absorbs every side term of P (``absorbed``, see ``_absorbed``),
+    QP = 0 for an explicit P and QP = Q for an implicit one, so QPX = 0:
+    every norm reads 0 and nothing is formed on the rows.  A dense term is
+    never absorbed, so a dense P always takes the whole path.
     """
     norms = np.zeros(len(xs))
-    if kept == []:
+    if absorbed:
         return norms
     edges = df_edges(xs)
     keep = np.flatnonzero(_col_block_norms(c, edges) > tol)
     if keep.size == 0:
         return norms
     cols = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in keep])
-    if kept is not None:
-        starts = df_edges(p.parts if p.implicit else [p])
-        terms = [(cls, mul(a, c[starts[j] : starts[j + 1], cols])) for j, cls, a in kept]
-        y = project(q, sum(b if cls is None else cls.up(b) for cls, b in terms))
+    if p.implicit:
+        starts = df_edges(p.parts)
+        y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
+        wy = -mul(c.T, c[:, cols])
     else:
-        if p.implicit:
-            starts = df_edges(p.parts)
-            y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
-            wy = -mul(c.T, c[:, cols])
-        else:
-            y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
-        for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
-            y = y - span(x, wy[a:b])
+        y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
+    for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
+        y = y - span(x, wy[a:b])
     norms[keep] = _col_block_norms(y, df_edges([xs[i] for i in keep]))
     return norms
 

@@ -527,18 +527,11 @@ def test_implicit_source_smaller_than_the_row_side(monkeypatch, tmp_path, capsys
 
 def test_corn_absorbs_every_side_term_of_its_implicit_source(monkeypatch):
     # corn's lots source L1 is I - WW' with W filling the 162 L1 classes,
-    # and every row's terms lie on coarser classes: each explicit row is
-    # orthogonal at once, with no eigensolve, and no distinctness norm is
-    # formed on the rows
-    eigensolves, inside, formed = [], [], []
+    # and every row's terms lie on coarser classes: no distinctness norm is
+    # formed on the rows (that no eigensolve trim runs either is
+    # ``test_build_counts.py::test_eigensolves_of_one_build``)
+    inside, formed = [], []
     original_meet = structure._meet_norms
-
-    def counted(name, original):
-        def inner(*args, **kwargs):
-            eigensolves.append(name)
-            return original(*args, **kwargs)
-
-        return inner
 
     def meet(*args, **kwargs):
         inside.append(True)
@@ -555,14 +548,11 @@ def test_corn_absorbs_every_side_term_of_its_implicit_source(monkeypatch):
 
         return inner
 
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(structure, "_meet_norms", meet)
-    for name in ("mul", "span", "project"):
+    for name in ("mul", "span"):
         monkeypatch.setattr(structure, name, watched(name, getattr(structure, name)))
-    monkeypatch.setattr(projlin.Classes, "up", watched("up", projlin.Classes.up))
     build_decomposition(load_design(spec_path("corn")))
-    assert eigensolves == [] and formed == []
+    assert formed == []
 
 
 def partly_absorbed_case():
@@ -593,7 +583,7 @@ def partly_absorbed_case():
     return s, [explicit, implicit]
 
 
-def test_partly_absorbed_rows_take_norms_from_their_kept_terms(monkeypatch):
+def test_partly_absorbed_rows_take_the_whole_path(monkeypatch):
     monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
     s, rows = partly_absorbed_case()
     *stacked, q = s.elements
@@ -602,22 +592,21 @@ def test_partly_absorbed_rows_take_norms_from_their_kept_terms(monkeypatch):
     w = np.hstack([basis_of(x) for x in stacked])
     q_dense = np.eye(24) - w @ w.T
     for p in rows:
-        kept = structure._kept_terms(p, filled)
+        # one of the two side terms lies on the filled blocks, one does not
         side = p.parts if p.implicit else (p,)
-        assert 0 < len(kept) < sum(len(v.terms) for v in side)
-        assert all(cls is not None and cls.m == 12 for _, cls, _ in kept)
+        on_filled = [projlin.refines(filled[0].ids, cls.ids) for v in side for cls, _ in v.terms]
+        assert on_filled == [True, False]
+        assert not structure._absorbed(p, filled)
         c = projlin.side_cross(p, stacked)
         g = structure._row_gram(p, c)
-        got = structure._meet_norms(q, p, stacked, g, c, 1e-9, kept)
-        whole = structure._meet_norms(q, p, stacked, g, c, 1e-9)
+        got = structure._meet_norms(q, p, stacked, g, c, 1e-9, False)
         p_dense = basis_of(p) @ basis_of(p).T
         want = [np.linalg.norm(q_dense @ p_dense @ basis_of(x)) for x in stacked]
         assert np.allclose(got, want, rtol=0, atol=1e-13), (p.label, got, want)
-        assert np.allclose(whole, want, rtol=0, atol=1e-13)
         # the planted meet: X and Q overlap inside P
         assert got[2] > 0.1
         # one answer for the pair from the check and from ``efficiency``
-        res = structure._classify_held(p, q, kept, g, DEFAULT_POLICY)
+        res = structure._classify_held(p, q, False, lambda: g, DEFAULT_POLICY)
         assert efficiency(p, q) == res and res.status == "unbalanced"
     report = is_structure_balanced(s, Structure(elements=rows, total=s.total))
     meets = {(v.row, v.cols) for v in report.violations if v.kind == "distinctness"}
@@ -631,7 +620,8 @@ def test_a_row_on_the_filled_classes_is_orthogonal_without_an_eigensolve(monkeyp
     blocks = stacked[1].classes
     p = Projector.of_terms([(blocks, orthonormal(np.random.default_rng(3), 4, 2))], "on blocks")
     monkeypatch.setattr(structure, "_classify_complement", None)  # never reached
-    assert structure._kept_terms(p, projlin.folded(q.parts)[0]) == []
+    monkeypatch.setattr(structure, "_row_gram", None)  # nor formed
+    assert structure._absorbed(p, projlin.folded(q.parts)[0])
     assert efficiency(p, q).status == "orthogonal"
 
 
@@ -641,29 +631,29 @@ def test_absorbed_terms_give_the_balance_of_dense_bases(monkeypatch, name):
     # absorbed; in class form (DENSE_ROWS = 0) both designs absorb every
     # row's terms: each BalanceResult of the build agrees
     def results(dense_rows):
-        got, kept = {}, []
-        original_check, original_kept = structure.is_structure_balanced, structure._kept_terms
+        got, absorbed = {}, []
+        original_check, original_absorbed = structure.is_structure_balanced, structure._absorbed
 
         def recorded_check(s, against, policy=DEFAULT_POLICY):
             out = original_check(s, against, policy)
             got.update(out.results)
             return out
 
-        def recorded_kept(p, filled):
-            kept.append(original_kept(p, filled))
-            return kept[-1]
+        def recorded_absorbed(p, filled):
+            absorbed.append(original_absorbed(p, filled))
+            return absorbed[-1]
 
         with monkeypatch.context() as m:
             m.setattr(projlin, "DENSE_ROWS", dense_rows)
             m.setattr(randomize, "is_structure_balanced", recorded_check)
-            m.setattr(structure, "_kept_terms", recorded_kept)
+            m.setattr(structure, "_absorbed", recorded_absorbed)
             build_decomposition(load_design(spec_path(name)))
-        return got, kept
+        return got, absorbed
 
     n = load_design(spec_path(name)).n
-    dense, dense_kept = results(n)
-    classes, classes_kept = results(0)
-    assert all(k is None for k in dense_kept) and [] in classes_kept
+    dense, dense_absorbed = results(n)
+    classes, classes_absorbed = results(0)
+    assert not any(dense_absorbed) and any(classes_absorbed)
     assert dense.keys() == classes.keys()
     for key, want in dense.items():
         got = classes[key]
