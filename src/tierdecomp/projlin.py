@@ -5,14 +5,17 @@ subspace the build makes lies in the span of the class indicators of a
 few generalized factors, so an explicit projector is held as a short list
 of terms, U = N_1 A_1 + ... + N_k A_k, each on normalised class indicators
 N (``Classes``: class ids and scales, n x m) with a small coefficient
-block A (m x df); a dense basis is the case N = I.  A tier source or a
-sweep of an explicit node is one term on its own classes; a sweep of an
-implicit node is U_Q minus its listed parts' shares, one term on Q's
-classes and one on each group of nested part classes that it fills.  The one implicit
-form is the largest stratum of a structure, I - WW' on the whole space,
-held by its listed explicit bases W.  A projector is never held as an
-n x n matrix.  ``Projector.of_terms`` and ``complement_of`` take their
-bases as checked where they were made (see ``structure.refine`` and
+block A (m x df), and no term's classes refine another's.  Every space,
+whatever its size, holds its explicit bases this one way: a basis that
+really is dense is one term on the identity partition, N = I with one
+row per class.  A tier source or a sweep of an explicit node is one term
+on its own classes; a sweep of an implicit node is U_Q minus its listed
+parts' shares, one term on Q's classes and one on each group of nested
+part classes that it fills.  The one implicit form is the largest
+stratum of a structure, I - WW' on the whole space, held by its listed
+explicit bases W.  A projector is never held as an n x n matrix.
+``Projector.of_terms`` and ``complement_of`` take their bases as checked
+where they were made (see ``structure.refine`` and
 ``formula.source_projectors``); ``Projector.from_basis`` is the one
 constructor that checks U'U = I itself, and ``Projector.validated`` the
 gate for callers holding a symmetric idempotent matrix.  ``coords``
@@ -21,9 +24,7 @@ and ``project`` (P X) sum termwise products through contingency tables
 N_F'N_G (``Classes.table``); ``side_cross`` takes V'X for P's side V, its
 basis or the listed bases of an implicit P, and ``bilinear_of`` (X' P Y
 for stacked bases) applies either form from it, so the hot kernels need
-not know which one they hold.  Spaces of at most
-``DENSE_ROWS`` rows hold an explicit basis as one dense term, where a
-product on class coordinates costs more calls than the flops it saves.
+not know which one they hold.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
 when a nearby one exists (block designs produce values like 1/6 or 5/6
 exactly, up to rounding).
@@ -55,6 +56,7 @@ __all__ = [
     "spanned",
     "folded",
     "df_edges",
+    "shift_diagonal",
     "orthocomplement",
     "gram_defect",
     "refines",
@@ -63,13 +65,6 @@ __all__ = [
     "snap_rational",
 ]
 
-
-# Spaces of at most this many rows hold explicit bases dense: there a product
-# on class coordinates costs more numpy calls than the flops it saves.  On
-# a 2-core machine, class form made decompose about 14% slower on designs
-# of at most 64 units, and took the same time as dense bases on tier spaces
-# of 96 and 121 rows and unit spaces of 648 to 1452 rows.
-DENSE_ROWS = 64
 
 # ``Projector.matrix`` gathers the rows of a class-form projector a block of
 # about this many bytes at a time, so that a block stays in cache while its
@@ -187,13 +182,18 @@ def is_zero(a: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return max_abs(a) <= policy.tol_zero
 
 
+def shift_diagonal(a: np.ndarray, value: float) -> np.ndarray:
+    """a + value * I, in place, for a square a; returns a.  Steps along the
+    flat array, n + 1 entries at a time."""
+    a.flat[:: a.shape[0] + 1] += value
+    return a
+
+
 def gram_defect(basis: np.ndarray) -> np.ndarray:
     """U'U - I.  For P = UU' its Frobenius norm bounds every entry of P^2 -
     P = U(U'U - I)U' (to first order), so it is the basis-form idempotence
     test."""
-    gram = mul(basis.T, basis)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return gram
+    return shift_diagonal(mul(basis.T, basis), -1.0)
 
 
 def orthocomplement(x: np.ndarray) -> np.ndarray:
@@ -275,10 +275,9 @@ class Classes:
 def refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
     """True when every class of the ids ``fine`` lies inside one class of
     the ids ``coarse`` (on the same rows): map each fine class to the coarse
-    class of its last row, then compare."""
-    if fine.size == 0:
-        return True
-    to_coarse = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
+    class of its last row, then compare.  Class ids lie below the number of
+    rows, as every class is non-empty."""
+    to_coarse = np.empty(fine.size, dtype=coarse.dtype)
     to_coarse[fine] = coarse
     return bool((to_coarse[fine] == coarse).all())
 
@@ -289,14 +288,14 @@ class Projector:
 
     Explicit: P = UU' with U = N_1 A_1 + ... + N_k A_k, a short list of
     terms, each on normalised class indicators N (``Classes``, n x m) with
-    a coefficient block A (m x df); a dense term is the case N = I (no
-    classes held).  A source on its own classes is one term, with A
-    orthonormal.  The N of different terms are not orthogonal to each
-    other, so U'U sums the termwise products A_s'(N_s'N_t)A_t.  On a space
-    of at most ``DENSE_ROWS`` rows the terms are summed into one dense
-    term.  Implicit: P = I - WW' on the whole space, W the stacked bases of
-    listed explicit projectors that are mutually orthogonal, so df = n
-    minus theirs.  This is the largest stratum of a structure, and of its
+    a coefficient block A (m x df); a dense basis is one term on the
+    identity partition (m = n).  A source on its own classes is one term,
+    with A orthonormal.  The N of different terms are not orthogonal to
+    each other, so U'U sums the termwise products A_s'(N_s'N_t)A_t; no
+    term's classes refine another's (``of_terms``).  Implicit: P = I -
+    WW' on the whole space, W the stacked bases of listed explicit
+    projectors that are mutually orthogonal, so df = n minus theirs.  This
+    is the largest stratum of a structure, and of its
     lifts with r = 1; a lift with r > 1 carries its explicit form instead.
     ``project`` and ``bilinear_of`` apply either form, working on class
     coordinates, so no n-row basis is formed for them.
@@ -307,10 +306,9 @@ class Projector:
     block of rows at a time.  I - WW' takes its parts' cores with the sign
     -1, the NN' of a group that fills its classes N (``folded``) on the
     pairs of rows in one class, a bounded chunk of pairs at a time
-    (``_same_class``), and a first part's matrix when that is
-    formed already; dense terms are one product, as U U'.  All arrays are
-    read-only and cached, and so are the coordinates ``coords`` takes
-    through a contingency table.
+    (``_same_class``), and a first part's matrix when that is formed
+    already.  All arrays are read-only and cached, and so are the
+    coordinates that ``coords`` takes.
     """
 
     label: str
@@ -321,6 +319,7 @@ class Projector:
     _explicit: "Projector | None" = field(default=None, repr=False)
     _df: int | None = field(default=None, repr=False)
     _pieces: tuple | None = field(default=None, repr=False)
+    _folded: tuple | None = field(default=None, repr=False)
     _coords: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -340,14 +339,18 @@ class Projector:
         gap = float(np.linalg.norm(gram_defect(basis)))
         if gap > policy.tol_idem:
             raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
-        return cls.of_terms([(None, basis)], label, n=basis.shape[0])
+        return cls.of_terms([(Classes(np.arange(basis.shape[0])), basis)], label)
 
     @classmethod
-    def of_terms(cls, terms, label: str, n: int | None = None) -> "Projector":
-        """Projector onto the span of U = sum of N A over ``terms``, a list of
-        (``Classes`` or None for N = I, coefficient block), all of one width;
-        ``n`` is needed only when no term has classes.  On at most
-        ``DENSE_ROWS`` rows the terms are summed into one dense term instead.
+    def of_terms(cls, terms, label: str) -> "Projector":
+        """Projector onto the span of U = sum of N A over ``terms``, a
+        non-empty list of (``Classes``, coefficient block), all of one width.
+
+        A term on classes C that the classes F of another term refine is
+        folded into that term, since N_C A = N_F (N_F'N_C A): the terms are
+        taken finest first, and each joins the first kept term whose classes
+        refine its own.  So a term on the identity partition takes in every
+        other, and the kernels sum over fewer terms.
 
         Nothing is checked: the caller vouches for U.  ``source_projectors``
         proves the tier's sources orthogonal on its count tables,
@@ -355,11 +358,15 @@ class Projector:
         and a child U_P F of a checked U_P, F with orthonormal columns, is
         checked by U_P's check, since ||F'(U_P'U_P - I)F|| <= ||U_P'U_P - I||.
         """
-        held = [c for c, _ in terms if c is not None]
-        n = held[0].n if held else n
-        if n <= DENSE_ROWS and (len(terms) > 1 or held):
-            terms = ((None, _total([_up(c, a) for c, a in terms])),)
-        return cls(label=label, _n=n, _terms=tuple([(c, _freeze(a)) for c, a in terms]))
+        kept = []
+        for c, a in sorted(terms, key=lambda t: -t[0].m):
+            for k, (f, b) in enumerate(kept):
+                if f is c or refines(f.ids, c.ids):
+                    kept[k] = (f, b + (a if f is c else _onto(f, c, a)))
+                    break
+            else:
+                kept.append((c, a))
+        return cls(label=label, _n=kept[0][0].n, _terms=tuple([(c, _freeze(a)) for c, a in kept]))
 
     @classmethod
     def complement_of(cls, w, label: str) -> "Projector":
@@ -373,7 +380,7 @@ class Projector:
         if isinstance(w, np.ndarray):
             w = np.asarray(w, dtype=np.float64)
             n = w.shape[0]
-            parts = (cls.of_terms([(None, w)], label, n=n),) if w.shape[1] else ()
+            parts = (cls.of_terms([(Classes(np.arange(n)), w)], label),) if w.shape[1] else ()
         else:
             parts = tuple(w)
             n = parts[0].n
@@ -405,7 +412,7 @@ class Projector:
         basis = vectors[:, values > 0.5]
         if basis.shape[1] != df:
             raise ProjectorError(f"{label}: rank {basis.shape[1]} disagrees with trace {df}")
-        held = cls.of_terms([(None, basis)], label, n=matrix.shape[0])
+        held = cls.of_terms([(Classes(np.arange(matrix.shape[0])), basis)], label)
         return replace(held, _matrix=_freeze(matrix.copy()))
 
     @property
@@ -414,14 +421,14 @@ class Projector:
 
     @property
     def terms(self) -> tuple | None:
-        """The (N, A) terms of an explicit projector, N None for N = I; None
-        for an implicit projector."""
+        """The (N, A) terms of an explicit projector; None for an implicit
+        projector."""
         return self._terms
 
     @property
     def classes(self) -> Classes | None:
-        """N of an explicit projector held as one term; None for N = I, for
-        a list of several terms and for an implicit projector."""
+        """N of an explicit projector held as one term; None for a list of
+        several terms and for an implicit projector."""
         if self._terms is None or len(self._terms) > 1:
             return None
         return self._terms[0][0]
@@ -435,11 +442,12 @@ class Projector:
 
     def explicit(self) -> "Projector":
         """This projector in explicit form.  An implicit one takes its dense
-        basis from a complete QR of its listed bases (n rows), once."""
+        basis from a complete QR of its listed bases (n rows), once, and
+        holds it on the identity partition."""
         if self._parts is None:
             return self
         if self._explicit is None:
-            held = Projector.of_terms([(None, self._complement_basis())], self.label, n=self._n)
+            held = Projector.of_terms([(Classes(np.arange(self._n)), self._complement_basis())], self.label)
             object.__setattr__(self, "_explicit", held)
         return self._explicit
 
@@ -448,7 +456,7 @@ class Projector:
         trailing columns of a complete QR of their stacked bases."""
         if not self._parts:
             return np.eye(self._n)
-        return orthocomplement(np.hstack([coords(q, None) for q in self._parts]))
+        return orthocomplement(np.hstack([span(q) for q in self._parts]))
 
     @property
     def df(self) -> int:
@@ -467,23 +475,15 @@ class Projector:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            # UU', or I - WW' with the sign -1 on each part's share: parts
-            # held with a dense term stacked into one product (n x k), a
-            # filled group's NN' (``folded``) set on the pairs of rows in one
-            # class, and the other parts' terms gathered from their cores.  A
-            # first such part whose matrix is formed is copied instead: the
-            # gathers would repeat its bytes, negated.
-            filled, parts, sign = ((), (self,), 1.0) if self._parts is None else (*folded(self._parts), -1.0)
-            dense = [q for q in parts if any(c is None for c, _ in q._terms)]
-            rest = [q for q in parts if q not in dense]
-            m = None
-            if dense:
-                w = np.hstack([span(q) for q in dense])
-                m = mul(w, w.T)
-                m *= sign
-            elif rest and rest[0]._matrix is not None:
-                m = np.negative(rest.pop(0)._matrix)
-            cores = [r for q in rest for r in _cores(q, sign)]
+            # UU', or I - WW' with the sign -1 on each part's share: a filled
+            # group's NN' (``folded``) set on the pairs of rows in one class,
+            # and the other parts' terms gathered from their cores.  A first
+            # such part whose matrix is formed is copied instead: the gathers
+            # would repeat its bytes, negated.
+            filled, rest, sign = ((), [self], 1.0) if self._parts is None else (*folded(self), -1.0)
+            first = rest[0] if rest and rest[0]._matrix is not None else None
+            m = None if first is None else np.negative(first._matrix)
+            cores = [r for q in rest if q is not first for r in _cores(q, sign)]
             add = m is not None
             if not add:
                 m = np.empty((self._n, self._n)) if cores else np.full((self._n, self._n), 0.0)
@@ -492,7 +492,7 @@ class Projector:
                 for i, j in _same_class(c):
                     m[i, j] -= c.scale[c.ids[i]] ** 2
             if self._parts is not None:
-                m[np.diag_indices_from(m)] += 1.0
+                shift_diagonal(m, 1.0)
             object.__setattr__(self, "_matrix", _freeze(m))
         return self._matrix
 
@@ -507,8 +507,8 @@ class Projector:
         if self.df != 1:
             return False
         e = self.explicit()
-        ((cls, a),) = e._terms if len(e._terms) == 1 else ((None, span(e)),)
-        u = a[:, 0] if cls is None else a[:, 0] * cls.scale
+        ((cls, a),) = e._terms if len(e._terms) == 1 else ((Classes(np.arange(self.n)), span(e)),)
+        u = a[:, 0] * cls.scale
         lo, hi, c = float(u.min()), float(u.max()), 1.0 / self.n
         gap = max(abs(lo * lo - c), abs(hi * hi - c), abs(lo * hi - c))
         return gap <= policy.tol_zero
@@ -521,16 +521,16 @@ class Projector:
 
         Class ids compose, ids[rows], and scales become scale/sqrt(r), term
         by term, so each A is kept and nothing is checked: the lift is an
-        isometry; on a space of at most ``DENSE_ROWS`` rows the result is
-        held dense.  With r = 1 the lift is a permutation, so an implicit
-        projector stays I minus its carried listed bases.  With r > 1 it is
-        carried through its explicit form, complemented once on the m
-        objects and cached on this projector.  ``memo`` maps id() of
+        isometry.  A term on the identity partition becomes one on the
+        classes ``rows``, m objects of r rows each.  With r = 1 the lift is
+        a permutation, so an implicit projector stays I minus its carried
+        listed bases.  With r > 1 it is carried through its explicit form,
+        complemented once on the m objects and cached on this projector.  ``memo`` maps id() of
         projectors already carried to their carried form, so that a
         structure's implicit source lists the very projectors its other
-        elements became, and ("classes", id(N)) to the carried N (N = None
-        for a dense term), so that terms that shared classes share the
-        carried ones and their products skip the contingency table.
+        elements became, and ("classes", id(N)) to the carried N, so that
+        terms that shared classes share the carried ones and their products
+        skip the contingency table.
         """
         memo = {} if memo is None else memo
         if label is None and id(self) in memo:
@@ -548,11 +548,7 @@ class Projector:
                 key = ("classes", id(cls))
                 classes = memo.get(key)
                 if classes is None:
-                    if cls is None:
-                        classes = Classes(rows, np.full(self._n, factor))
-                    else:
-                        classes = cls.carried(rows, factor)
-                    memo[key] = classes
+                    classes = memo[key] = cls.carried(rows, factor)
                 terms.append((classes, a))
             out = Projector.of_terms(terms, out_label)
         if label is None:
@@ -569,9 +565,10 @@ class Projector:
 # --- products on class coordinates ------------------------------------------
 
 
-def folded(parts) -> tuple:
+def folded(p: Projector) -> tuple:
     """(filled, rest) for the listed parts W of an implicit P = I - WW':
-    the classes C whose nested parts fill them, and the other parts.
+    the classes C whose nested parts fill them, and the other parts; found
+    once, and kept on p.
 
     Parts held as one term on nested classes (Mean, Reps and Blocks of a
     lattice) fold into the finest of them, C: N_part is N_C times the
@@ -581,14 +578,16 @@ def folded(parts) -> tuple:
     product with the parts' coefficients: their W'X has the Gram and the
     norm of N_C'X.
     """
-    single = [w for w in parts if w.classes is not None]
-    filled, taken = [], set()
-    for c in sorted({id(w.classes): w.classes for w in single}.values(), key=lambda c: -c.m):
-        group = [w for w in single if id(w) not in taken and refines(c.ids, w.classes.ids)]
-        if sum(w.df for w in group) == c.m:
-            filled.append(c)
-            taken.update(id(w) for w in group)
-    return filled, [w for w in parts if id(w) not in taken]
+    if p._folded is None:
+        single = [w for w in p.parts if w.classes is not None]
+        filled, taken = [], set()
+        for c in sorted({id(w.classes): w.classes for w in single}.values(), key=lambda c: -c.m):
+            group = [w for w in single if id(w) not in taken and refines(c.ids, w.classes.ids)]
+            if sum(w.df for w in group) == c.m:
+                filled.append(c)
+                taken.update(id(w) for w in group)
+        object.__setattr__(p, "_folded", (filled, [w for w in p.parts if id(w) not in taken]))
+    return p._folded
 
 
 def _same_class(c: Classes):
@@ -614,15 +613,15 @@ def _same_class(c: Classes):
 
 
 def _cores(p: Projector, sign: float) -> list:
-    """(ids_t, R_t) for each term of an explicit p held on classes, where
-    R_t = sign * sum_s (B_t B_s')[:, ids_s] (m_t x n) with B = diag(scale) A:
-    row i of sign * U_pU_p' is the sum over t of row ids_t[i] of R_t."""
+    """(ids_t, R_t) for each term of an explicit p, where R_t = sign *
+    sum_s (B_t B_s')[:, ids_s] (m_t x n) with B = diag(scale) A: row i of
+    sign * U_pU_p' is the sum over t of row ids_t[i] of R_t."""
     b = [(c.ids, a * c.scale[:, None]) for c, a in p._terms]
     cores = []
     for ids, bt in b:
-        r = np.take(mul(bt, b[0][1].T), b[0][0], axis=1)
+        r = mul(bt, b[0][1].T).take(b[0][0], axis=1)
         for ids_s, bs in b[1:]:
-            r += np.take(mul(bt, bs.T), ids_s, axis=1)
+            r += mul(bt, bs.T).take(ids_s, axis=1)
         r *= sign
         cores.append((ids, r))
     return cores
@@ -633,12 +632,12 @@ def _gather_rows(out: np.ndarray, cores: list, add: bool) -> None:
     a block of rows at a time through one reused buffer of about
     ``GATHER_BYTES``, so that no other n x n array is formed."""
     step = max(1, GATHER_BYTES // (out.itemsize * len(out) + 1))
-    buf = np.empty((min(step, len(out)), len(out)))
+    buf = np.empty((min(step, len(out)), len(out))) if add or len(cores) > 1 else None
     for lo in range(0, len(out), step):
         rows = out[lo : lo + step]
         for k, (ids, r) in enumerate(cores):
             into = rows if k == 0 and not add else buf[: rows.shape[0]]
-            np.take(r, ids[lo : lo + step], axis=0, out=into, mode="clip")
+            r.take(ids[lo : lo + step], axis=0, out=into, mode="clip")
             if into is not rows:
                 rows += into
 
@@ -648,12 +647,13 @@ def _total(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else sum(arrays[1:], arrays[0])
 
 
-def _up(classes: Classes | None, a: np.ndarray) -> np.ndarray:
-    return a if classes is None else classes.up(a)
-
-
-def _down(classes: Classes | None, x: np.ndarray) -> np.ndarray:
-    return x if classes is None else classes.down(x)
+def _onto(classes: Classes, cls: Classes, a: np.ndarray) -> np.ndarray:
+    """N'N_cls a (classes.m x c): through the contingency table N'N_cls
+    when that is smaller than N_cls a on the rows, else by a gather and
+    per-class sums."""
+    if classes.m * cls.m > classes.n * a.shape[1]:
+        return classes.down(cls.up(a))
+    return mul(classes.table(cls), a)
 
 
 def _pieces(p: Projector) -> tuple:
@@ -668,39 +668,25 @@ def _pieces(p: Projector) -> tuple:
     return p._pieces
 
 
-def _dense(p: Projector) -> np.ndarray | None:
-    """The basis of an explicit p held as one dense term, else None."""
-    terms = p._terms
-    return terms[0][1] if len(terms) == 1 and terms[0][0] is None else None
-
-
-def coords(p: Projector, classes: Classes | None) -> np.ndarray:
-    """N'U_p (m x df_p) for an explicit p: U_p's coordinates on ``classes``
-    (U_p itself when ``classes`` is None), summed over p's terms.  A term
-    on other classes goes through the contingency table when that is
-    smaller than the term on the rows; the product is kept on p, per
-    classes, since a sweep and the balance check take the same one."""
+def coords(p: Projector, classes: Classes) -> np.ndarray:
+    """N'U_p (m x df_p) for an explicit p: U_p's coordinates on ``classes``,
+    summed over p's terms (``_onto``).  Each term's product is kept on it,
+    per classes, since a sweep and the balance check take the same one."""
     if len(p._terms) > 1:
         return _total([coords(t, classes) for t in _pieces(p)])
     ((cls, a),) = p._terms
     if cls is classes:
         return a
-    if classes is None:
-        return cls.up(a)
-    if cls is None:
-        return classes.down(a)
-    if classes.m * cls.m > p.n * p.df:
-        return classes.down(cls.up(a))
     c = p._coords.get(classes)
     if c is None:
-        c = p._coords[classes] = _freeze(mul(classes.table(cls), a))
+        c = p._coords[classes] = _freeze(_onto(classes, cls, a))
     return c
 
 
 def span(p: Projector, a: np.ndarray | None = None) -> np.ndarray:
     """U_p a (n x c) for an explicit p, or U_p itself when ``a`` is None:
     one gather per term."""
-    return _total([_up(c, coef if a is None else mul(coef, a)) for c, coef in p._terms])
+    return _total([c.up(coef if a is None else mul(coef, a)) for c, coef in p._terms])
 
 
 def spanned(p: Projector, a: np.ndarray, label: str) -> Projector:
@@ -708,14 +694,14 @@ def spanned(p: Projector, a: np.ndarray, label: str) -> Projector:
     Not checked: for an ``a`` with orthonormal columns it inherits p's check
     (see ``Projector.of_terms``), and a sweep's ``a`` is checked by
     ``structure.sweep``."""
-    return Projector.of_terms([(c, mul(coef, a)) for c, coef in p._terms], label, n=p.n)
+    return Projector.of_terms([(c, mul(coef, a)) for c, coef in p._terms], label)
 
 
 def project(p: Projector, x: np.ndarray) -> np.ndarray:
     """P X for a dense X (n x c): U(U'X), or X minus each listed part's
     projection when P = I - WW' is implicit."""
     if p._parts is None:
-        return span(p, _total([mul(a.T, _down(c, x)) for c, a in p._terms]))
+        return span(p, _total([mul(a.T, c.down(x)) for c, a in p._terms]))
     out = x
     for q in p._parts:
         out = out - project(q, x)
@@ -726,13 +712,13 @@ def cross(p: Projector, xs) -> np.ndarray:
     """U_p'X for an explicit p and the stacked bases X of the explicit ``xs``,
     summed over p's terms: for one term, the xs' stacked coordinates on its
     classes (each kept on its projector by ``coords``) times A_p' in one
-    product.  A dense p against sources on classes takes (N'U_p)'A for
-    each of their terms instead, so that no n-row basis of theirs is
-    formed."""
+    product.  A p on the identity partition (one row per class) takes
+    (N'U_p)'A for each term of the xs instead, so that no n-row basis of
+    theirs is formed."""
     if len(p._terms) > 1:
         return _total([cross(t, xs) for t in _pieces(p)])
     ((cls, a),) = p._terms
-    if cls is None and any(_dense(x) is None for x in xs):
+    if cls.m == p.n:
         return np.hstack([_total([mul(coords(p, c).T, b) for c, b in x._terms]) for x in xs])
     c = [coords(x, cls) for x in xs]
     return mul(a.T, c[0] if len(c) == 1 else np.hstack(c))
@@ -756,12 +742,7 @@ def side_cross(p: Projector, xs, crossed: dict | None = None) -> np.ndarray:
 def family_gram(xs, ys=None) -> np.ndarray:
     """X'Y for the stacked bases of the explicit projectors ``xs`` and ``ys``
     (``ys`` defaults to ``xs``, and the lower blocks are then mirrored),
-    one row of blocks at a time; one product when every basis is one dense
-    term."""
-    dense = [_dense(x) for x in (xs if ys is None else [*xs, *ys])]
-    if all(d is not None for d in dense):
-        sx = np.hstack(dense[: len(xs)])
-        return mul(sx.T, sx if ys is None else np.hstack(dense[len(xs):]))
+    one row of blocks at a time."""
     if ys is not None:
         return np.vstack([cross(x, ys) for x in xs])
     edges = df_edges(xs)

@@ -57,6 +57,7 @@ from .structure import (
     Structure,
     ViolationReport,
     _block_norms,
+    beyond_rounding,
     _elements_of,
     is_structure_balanced,
     joint,
@@ -343,7 +344,9 @@ def check_double(
     intermediate tier.
 
     Returns (report, placement) where placement maps each rs element label to
-    the label of the qs element it sits in.
+    the label of the qs element it sits in.  A home test whose gap
+    ||QU_r - U_r|| exceeds tol_idem but not its rounding on the n tier
+    objects (``structure.beyond_rounding``) gives no verdict.
     """
     n_inter = qs.n
     n_from = rs.n
@@ -366,6 +369,8 @@ def check_double(
             gap = np.linalg.norm(project(q, u) - u)
             if gap <= policy.tol_idem:
                 homes.append(q.label)
+            else:
+                beyond_rounding(gap, n_from, r.df**0.5, "{} leaves {}", r.label, q.label)
         if len(homes) == 1:
             placement[r.label] = homes[0]
             report.witnesses.append(f"{homes[0]} ▷ {r.label} = {r.label}")

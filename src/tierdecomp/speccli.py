@@ -13,9 +13,10 @@ Design ready for the build loop, and ``cli_main`` wires the subcommands:
     tierdecomp oracle    design.spec --max-units 64
 
 Exit codes: 0 success, 1 incoherence (decompose) or mismatch (oracle),
-2 parse/IO/validation failure or a numerical check that fails (usually a
-tolerance tighter than the build's rounding: ``--tolerance`` of ``decompose``
-or a ``tolerance`` directive in the spec).  ``diagnose`` exits 0 even when it finds
+2 parse/IO/validation failure, a build that runs out of memory, or a
+numerical check that fails (usually a tolerance tighter than the build's
+rounding: ``--tolerance`` of ``decompose`` or a ``tolerance`` directive in
+the spec).  ``diagnose`` exits 0 even when it finds
 incoherence; reporting it is its job.
 """
 
@@ -961,4 +962,9 @@ def cli_main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation it refused; a plain MemoryError names none
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 2

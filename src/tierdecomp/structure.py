@@ -47,7 +47,7 @@ decomposition, with each element remembering its lineage for table output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .projlin import (
     orthocomplement,
     project,
     refines,
+    shift_diagonal,
     side_cross,
     snap_rational,
     span,
@@ -104,7 +105,21 @@ class IncompatibilityError(ValueError):
 
 
 class InternalInconsistencyError(RuntimeError):
-    """A quantity that must be non-negative or idempotent came out otherwise."""
+    """A quantity that must be non-negative or idempotent came out otherwise,
+    or a verdict test's gap lies within the build's rounding."""
+
+
+def beyond_rounding(gap: float, n: int, norm: float, what: str, *names) -> None:
+    """Raise InternalInconsistencyError unless ``gap``, a verdict test's
+    distance from zero, found above its tolerance, is also above the
+    rounding of a quantity of Frobenius norm at most ``norm`` formed by sums
+    over n rows: n * eps * norm, the gamma_n of a dot product of length n,
+    rounded up.  Within it the tolerance is below the build's rounding, and
+    the test has no verdict to give; the message is ``what`` formatted with
+    ``names``."""
+    bound = n * np.finfo(float).eps * norm
+    if gap <= bound:
+        raise InternalInconsistencyError(f"{what.format(*names)} at rounding level ({gap:.3e} <= {bound:.3e})")
 
 
 def _block_norms(gram: np.ndarray, members, cols=None) -> np.ndarray:
@@ -176,8 +191,7 @@ def _check_whole(projectors, n: int, df: int, owner: str, what: str, policy) -> 
         raise ValueError(f"{owner} must contain exactly one Mean, found {mean_count}")
     members = [p.explicit() for p in projectors if p.df > 0]
     if members:
-        defect = family_gram(members)
-        defect[np.diag_indices_from(defect)] -= 1.0
+        defect = shift_diagonal(family_gram(members), -1.0)
         check_blocks(defect, members, policy, what)
 
 
@@ -257,9 +271,9 @@ def lift(
     The allocation must be equireplicate.  It composes class ids: each
     source's classes become ids[assignment] with scales over sqrt(r)
     (``Projector.carried``), the lifted form of (1/r) X Q X', for every r,
-    so nothing is checked and, above ``DENSE_ROWS`` rows, nothing is
-    gathered or formed.  With r = 1 an implicit source stays I minus its
-    carried listed bases; with r > 1 it, and the total, are carried in
+    so nothing is checked, gathered or formed.  With r = 1 an implicit
+    source stays I minus its carried listed bases; with r > 1 it, and the
+    total, are carried in
     their explicit form, complemented on the tier's m objects.  The
     composition is an isometry (X'X = rI, and N'N = I on the composed
     classes), so the lifted family has the tier family's Gram, which
@@ -322,13 +336,17 @@ class BalanceResult:
     with identical images) or ``unbalanced``; unbalanced results carry the
     distinct nonzero eigenvalues of QPQ with multiplicities.
     ``residual_norm`` is ||C'C - lam*I||_F, C = U_P'U_Q, at the lam the
-    result reports (0 for an orthogonal pair).
+    result reports (0 for an orthogonal pair).  A ``balanced`` pair of an
+    explicit P and an explicit Q from ``is_structure_balanced`` carries C
+    itself as ``c``, the block of the check's row product that ``sweep``
+    reads; it is neither compared nor printed.
     """
 
     status: str
     efficiency: EfficiencyValue | None = None
     eigenvalues: tuple = ()
     residual_norm: float = 0.0
+    c: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -367,7 +385,7 @@ def efficiency(
         raise ValueError(f"source {q.label} has no degrees of freedom")
     if not q.implicit:
         return _classify(p.label, p.df, q, _row_gram(p, side_cross(p, [q])), policy)
-    absorbed = _absorbed(p, folded(q.parts)[0])
+    absorbed = _absorbed(p, folded(q)[0])
     return _classify_held(p, q, absorbed, lambda: _row_gram(p, side_cross(p, q.parts)), policy)
 
 
@@ -376,8 +394,7 @@ def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
     explicit P, and I - c'c for an implicit P = I - VV', since X'X = I."""
     g = mul(c.T, c)
     if p.implicit:
-        np.negative(g, out=g)
-        g[np.diag_indices_from(g)] += 1.0
+        shift_diagonal(np.negative(g, out=g), 1.0)
     return g
 
 
@@ -390,8 +407,7 @@ def _classify_complement(p_label, p_df, q, gram, policy) -> BalanceResult:
     zeros; a negative count drops that many eigenvalues instead (see
     ``_classify``).  ``gram`` is left as it is.
     """
-    small = np.negative(gram)
-    small[np.diag_indices_from(small)] += 1.0
+    small = shift_diagonal(np.negative(gram), 1.0)
     return _classify(p_label, p_df, q, small, policy, ones=p_df - small.shape[0])
 
 
@@ -401,14 +417,15 @@ _ORTHOGONAL = BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0,
 def _absorbed(p: Projector, filled: list) -> bool:
     """Whether an implicit Q = I - WW' annihilates every side term of P (the
     terms of U_P, or of each listed basis of an implicit P); ``filled`` is
-    ``projlin.folded(Q's parts)[0]``.
+    ``projlin.folded(Q)[0]``.
 
     A term on classes that a filled group's classes C refine lies in
-    span(N_C), which lies in span(W), so Q absorbs it.  A dense term (N =
-    I, as on at most ``DENSE_ROWS`` rows) is never absorbed."""
+    span(N_C), which lies in span(W), so Q absorbs it.  A term on the
+    identity partition is absorbed only by a group that fills the whole
+    space."""
     side = p.parts if p.implicit else (p,)
     return bool(filled) and all(
-        cls is not None and any(refines(c.ids, cls.ids) for c in filled)
+        any(refines(c.ids, cls.ids) for c in filled)
         for v in side
         for cls, _ in v.terms
     )
@@ -429,7 +446,7 @@ def _share(p: Projector, q: Projector) -> list:
     """Terms of WW'U_Q for an implicit P = I - WW' and an explicit Q, on
     class coordinates: U_Q's coordinates on each filled group's classes
     (``projlin.folded``), and each other part's terms times its Gram with U_Q."""
-    filled, rest = folded(p.parts)
+    filled, rest = folded(p)
     terms = [(c, coords(q, c)) for c in filled]
     for w in rest:
         g = cross(w, [q])
@@ -447,7 +464,8 @@ def sweep(
     """Projector onto Im(PQ), basis P U_Q / sqrt(lam), from the step's balance
     result ``res`` for (P, Q); defined when balance holds.
 
-    For an explicit P that is U_P C / sqrt(lam), held on P's terms.  For an
+    For an explicit P that is U_P C / sqrt(lam), held on P's terms, with C
+    read from ``res`` when the check formed it (an explicit Q).  For an
     implicit P = I - WW' it is U_Q minus the listed parts' shares
     (``_share``), a list of terms, so no n-row basis is formed.  Either way
     it is not checked from a second Gram: S'S - I = (U_Q'PU_Q - lam*I)/lam,
@@ -466,10 +484,11 @@ def sweep(
         raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
     q = q.explicit()
     if not p.implicit:
-        return spanned(p, cross(p, [q]) / np.sqrt(lam), label)
+        c = res.c if res.c is not None else cross(p, [q])
+        return spanned(p, c / np.sqrt(lam), label)
     scale = 1.0 / np.sqrt(lam)
     terms = [(c, a * scale) for c, a in q.terms] + [(c, a * -scale) for c, a in _share(p, q)]
-    return Projector.of_terms(terms, label, n=p.n)
+    return Projector.of_terms(terms, label)
 
 
 def residual(
@@ -506,12 +525,11 @@ def residual(
         if not swept:
             return p if p.df else None
     if p.implicit:
-        filled, rest = folded(p.parts)
+        filled, rest = folded(p)
         leak = [np.hstack([coords(s, c) for s in swept]) for c in filled]
         leak += [cross(w, swept) for w in rest]
         leak = np.vstack(leak) if leak else np.zeros((0, sum(s.df for s in swept)))
-        defect = family_gram(swept) - mul(leak.T, leak)
-        defect[np.diag_indices_from(defect)] -= 1.0
+        defect = shift_diagonal(family_gram(swept) - mul(leak.T, leak), -1.0)
     else:
         k = cross(p, swept)
         defect = gram_defect(k)
@@ -551,7 +569,7 @@ def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) ->
     f = orthocomplement(e)
     edges = df_edges(v)
     terms = [(c, mul(a, f[lo:hi])) for x, lo, hi in zip(v, edges, edges[1:]) for c, a in x.terms]
-    return Projector.of_terms(terms, label, n=p.n)
+    return Projector.of_terms(terms, label)
 
 
 # --- structure balance of a whole family -------------------------------------
@@ -668,7 +686,9 @@ def is_structure_balanced(
     must list every other source of ``s``, in order, as it does in every structure
     ``source_projectors`` and ``lift`` make; any other implicit source
     raises ValueError.  A failed check keeps each row's G for the merge test
-    (``ViolationReport.balance_of_pooled``).
+    (``ViolationReport.balance_of_pooled``).  A balanced pair of an explicit
+    row and an explicit source carries its block of c, C = U_P'U_Q, on its
+    BalanceResult, so that ``sweep`` forms it no second time.
 
     Side terms a filled group of Q absorbs: a term of P's side on classes
     that the classes C of one of W's filled groups (``projlin.folded``,
@@ -678,8 +698,7 @@ def is_structure_balanced(
     since U_P'U_Q = 0, with no ``_classify_complement`` and no eigensolve
     trim (``_classify_held``, which ``efficiency`` also calls), and the
     norms of Q P S read 0 with nothing formed on the rows (``_meet_norms``).
-    A row with any term left unabsorbed takes the whole path.  A dense term
-    (N = I, on at most ``DENSE_ROWS`` rows) is never absorbed.
+    A row with any term left unabsorbed takes the whole path.
     """
     rows = _elements_of(against)
     cols = s.elements
@@ -692,7 +711,7 @@ def is_structure_balanced(
             )
     plain = [i for i, q in enumerate(cols) if not q.implicit]
     held = [i for i, q in enumerate(cols) if q.implicit]
-    filled = {i: folded(cols[i].parts)[0] for i in held}
+    filled = {i: folded(cols[i])[0] for i in held}
     edges = df_edges(stacked)
     cuts = {q.label: slice(lo, hi) for q, lo, hi in zip(stacked, edges, edges[1:])}
     crossed: dict = {}  # V'S by id(V), for side_cross
@@ -708,7 +727,8 @@ def is_structure_balanced(
         res_of = {}
         for i in plain:
             cut = cuts[cols[i].label]
-            res_of[i] = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
+            res = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
+            res_of[i] = replace(res, c=c[:, cut]) if res.status == "balanced" and not p.implicit else res
         for i in held:
             absorbed = _absorbed(p, filled[i])
             res_of[i] = _classify_held(p, cols[i], absorbed, lambda: gram_, policy)
@@ -730,6 +750,8 @@ def is_structure_balanced(
                 )
         for a, b in itertools.combinations(range(len(cols)), 2):
             if norms[a, b] > policy.tol_zero:
+                what = ("{}: {} and {} meet inside it", p.label, cols[a].label, cols[b].label)
+                beyond_rounding(norms[a, b], p.n, min(cols[a].df, cols[b].df) ** 0.5, *what)
                 violations.append(
                     Violation(
                         kind="distinctness",
@@ -783,8 +805,7 @@ def _meet_norms(
 
     When Q absorbs every side term of P (``absorbed``, see ``_absorbed``),
     QP = 0 for an explicit P and QP = Q for an implicit one, so QPX = 0:
-    every norm reads 0 and nothing is formed on the rows.  A dense term is
-    never absorbed, so a dense P always takes the whole path.
+    every norm reads 0 and nothing is formed on the rows.
     """
     norms = np.zeros(len(xs))
     if absorbed:
@@ -837,7 +858,9 @@ def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
         raise InternalInconsistencyError(
             f"QPQ for ({p_label}, {q.label}) has zero trace but norm {gap:.3e}"
         )
-    shifted = gram - lam * np.eye(gram.shape[0])
+    # lam is a mean of C'C's eigenvalues, each at most 1
+    beyond_rounding(abs(lam), q.n, 1.0, "QPQ for ({}, {}) has a nonzero trace", p_label, q.label)
+    shifted = shift_diagonal(gram.copy(), -lam)
     gap = np.hypot(np.linalg.norm(shifted), lam * np.sqrt(zeros))
     gap = float(np.hypot(gap, (1.0 - lam) * np.sqrt(ones)))
     if gap <= policy.tol_idem:
@@ -851,6 +874,7 @@ def _classify(p_label, p_df, q, gram, policy, ones: int = 0) -> BalanceResult:
             if p_df == q.df:
                 return BalanceResult(status="aliased", efficiency=value, residual_norm=gap)
         return BalanceResult(status="balanced", efficiency=value, residual_norm=gap)
+    beyond_rounding(gap, q.n, gram.shape[0] ** 0.5, "QPQ for ({}, {}) misses lam*Q", p_label, q.label)
     eigs = np.concatenate((np.linalg.eigvalsh(gram), np.ones(ones), np.zeros(zeros)))
     return BalanceResult(
         status="unbalanced",
@@ -948,7 +972,8 @@ def refine(
 
     ``balance`` is the EfficiencyMatrix that ``is_structure_balanced(s, d)``
     returned: the check is the caller's, made once, and every sweep's λ
-    and route is read from it here.  Nodes completely orthogonal to ``s``
+    and route is read from it here, and its C, which is dropped from
+    ``balance`` once the sweep is made.  Nodes completely orthogonal to ``s``
     pass through untouched; a node that is partly swept gains a residual
     child for whatever is left.
 
@@ -982,6 +1007,8 @@ def refine(
                 whole = True
             else:
                 child_proj = sweep(p, q, res, policy, label=f"{p.label} ▷ {q.label}")
+                # C is read once: not held while the residual is formed
+                balance.results[(p.label, q.label)] = replace(res, c=None)
             cells = None
             if cells_for and q.label in cells_for:
                 cells = tuple(

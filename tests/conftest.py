@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from tierdecomp import build_decomposition, load_design
-from tierdecomp.projlin import span
+from tierdecomp.projlin import Classes, Projector, span
 
 ROOT = Path(__file__).resolve().parent.parent
 DESIGNS = ROOT / "designs"
@@ -38,6 +38,20 @@ def basis_of(p) -> np.ndarray:
     form spanned on the rows (for an implicit one, from a complete QR of
     its listed bases)."""
     return span(p.explicit())
+
+
+def hold_dense(patch) -> None:
+    """Make ``Projector.of_terms`` sum its terms on the rows into one term on
+    the identity partition, so that every explicit basis is held dense: the
+    reference build that the class-form kernels are checked against.
+    ``patch`` is a pytest monkeypatch or one of its contexts."""
+    of_terms = Projector.of_terms.__func__
+
+    def summed(cls, terms, label):
+        n = terms[0][0].n
+        return of_terms(cls, [(Classes(np.arange(n)), sum(c.up(a) for c, a in terms))], label)
+
+    patch.setattr(Projector, "of_terms", classmethod(summed))
 
 
 def spec_path(name: str) -> Path:

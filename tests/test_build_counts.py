@@ -54,9 +54,10 @@ def test_prints_one_line_per_design(capsys):
     assert counter.main([]) == 2
 
 
-@pytest.mark.parametrize("name, want", [("corn", 0), ("plant", 3)])
+@pytest.mark.parametrize("name, want", [("corn", 0), ("plant", 1)])
 def test_eigensolves_of_one_build(name, want):
     # every row of corn lies in the span of the classes that its implicit
-    # lots source fills, so none takes an eigensolve trim; plant's dense
-    # bases are never absorbed, and each of its three rows takes the trim
+    # lots source fills, so none takes an eigensolve trim; plant's three
+    # rows are absorbed too, and only the implicit one, Positions[Benches],
+    # takes the trim
     assert _load_counter().count_build(spec_path(name))[1] == want

@@ -1,7 +1,7 @@
 """Class-form sources: the products on class coordinates against the same
 products on materialized dense bases, and every shipped design built in
-class form against its default build.  Spaces of at most ``DENSE_ROWS``
-rows hold dense bases by default, so these tests lower it to 0."""
+class form against a build that holds every basis dense
+(``conftest.hold_dense``)."""
 
 import json
 import tracemalloc
@@ -24,7 +24,7 @@ from tierdecomp import projlin
 from tierdecomp.projlin import Classes, Projector, bilinear_of, cross, orthocomplement, project, span
 
 import gen
-from conftest import ALL_SPECS, basis_of, block_designs, spec_path, write_block_design
+from conftest import ALL_SPECS, basis_of, block_designs, hold_dense, spec_path, write_block_design
 
 TOL = 1e-12
 
@@ -43,8 +43,7 @@ def dense(p):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_class_form_products_match_dense_products(monkeypatch, tmp_path, case):
-    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
+def test_class_form_products_match_dense_products(tmp_path, case):
     design = load_design(write_block_design(tmp_path, case))
     (step,) = design.steps
     units = design.units_structure().elements
@@ -91,21 +90,20 @@ def floats_close(a, b, tol=1e-9):
 
 @pytest.mark.parametrize("name", ALL_SPECS)
 def test_shipped_designs_build_the_same_in_class_form(monkeypatch, name):
-    default = outputs(spec_path(name))
-    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
     classes = outputs(spec_path(name))
-    assert classes.keys() == default.keys()
-    for key in default:
+    hold_dense(monkeypatch)
+    dense = outputs(spec_path(name))
+    assert classes.keys() == dense.keys()
+    for key in dense:
         if key == "json":
-            assert floats_close(json.loads(classes[key]), json.loads(default[key]))
+            assert floats_close(json.loads(classes[key]), json.loads(dense[key]))
         else:
-            assert classes[key] == default[key]
+            assert classes[key] == dense[key]
 
 
-def test_gram_without_a_table_wider_than_the_rows(monkeypatch):
+def test_gram_without_a_table_wider_than_the_rows():
     # two partitions of 12 rows into 6 classes each: their 6 x 6 table is
     # larger than the 12 x 1 side, so the product goes through the rows
-    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
     a = projlin.Classes(np.arange(12) % 6)
     b = projlin.Classes(np.arange(12) // 2)
     u = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 1)))[0]
@@ -135,15 +133,14 @@ KINDS = ["one term", "crossed", "nested", "dense", "implicit"]
 @st.composite
 def class_form_projectors(draw, kind):
     """A random ``kind`` of explicit or implicit projector on r x c cells of k rows
-    each, listed in a random order, so n lies on both sides of DENSE_ROWS.
+    each, listed in a random order.
 
     Explicit: one term, two terms on crossed or on nested classes, or a
     dense basis.  Implicit: I minus the Mean and row contrasts, which fill
     the row classes, a two-term part on columns and cells orthogonal to
     them and, for some k > 1, a dense part within the cells."""
     r, c = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-    dense_rows = projlin.DENSE_ROWS // (r * c)
-    k = draw(st.integers(dense_rows + 1, dense_rows + 3) if draw(st.booleans()) else st.integers(1, dense_rows))
+    k = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = r * c * k
     cell = (np.arange(n) // k)[rng.permutation(n)]
@@ -211,7 +208,7 @@ def test_matrix_gathers_rows_from_class_form_cores(monkeypatch, tmp_path):
     for spec in (spec_path("corn"), gen.write("lattice", 5, 1, tmp_path)):
         nodes = build_decomposition(load_design(spec)).decomposition.nodes
         n = nodes[0].projector.n
-        assert n > projlin.DENSE_ROWS
+        assert all(c.m < n for node in nodes if not node.projector.implicit for c, _ in node.projector.terms)
         with monkeypatch.context() as m:
             m.setattr(projlin, "span", forbidden_span)
             for node in reversed(nodes):

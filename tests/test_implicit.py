@@ -38,7 +38,7 @@ from tierdecomp.projlin import ProjectorError, bilinear_of, project
 
 import gen
 from checks import compare_json, lattice_table
-from conftest import basis_of, block_designs, spec_path, write_block_design
+from conftest import basis_of, block_designs, hold_dense, spec_path, write_block_design
 
 
 def orthonormal(rng, n, k):
@@ -142,11 +142,10 @@ class TestImplicitResidual:
         with pytest.raises(ProjectorError, match="sweeps leave P"):
             residual(p, [s])
 
-    def test_filled_classes_in_matrix_and_residual(self, monkeypatch):
+    def test_filled_classes_in_matrix_and_residual(self):
         # P = I - NN' for three blocks of two rows, listed as the Mean and a
         # 2-df Blocks source on the block classes N: they fill them, so the
         # residual reads W'S as N'S
-        monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
         blocks = projlin.Classes([0, 0, 1, 1, 2, 2])
         a = np.linalg.qr(np.column_stack([np.ones(3), [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]))[0]
         mean = Projector.of_terms([(blocks, a[:, :1])], "Mean")
@@ -405,8 +404,8 @@ def youden_square(dest, base, v):
     "base, v", [((0, 1, 3), 7), ((0, 1, 3, 9), 13), ((0, 1, 4, 14, 16), 21)]
 )
 def test_youden_square_closed_form(tmp_path, base, v):
-    # n = 21, 52, 105; at n = 105 Treatments lifts with r = 5 above
-    # DENSE_ROWS.  Treatments split 1 - E between rows and E within, with
+    # n = 21, 52, 105; at n = 105 Treatments lifts with r = 5.
+    # Treatments split 1 - E between rows and E within, with
     # E = v(k-1)/(k(v-1)); the complete columns are orthogonal to them.
     k = len(base)
     e = Fraction(v * (k - 1), k * (v - 1))
@@ -559,11 +558,13 @@ def partly_absorbed_case():
     """A structure Mean, Blocks, X, Q = I - [Mean, Blocks, X] on 24 rows in
     4 blocks of 6 and 12 pairs, Mean and Blocks filling the blocks, X on the
     pairs within blocks; and two rows each with one term on the blocks,
-    which Q absorbs, and one on the pairs, which it does not: an explicit
-    P = N_B a + N_F b, and an implicit I - V1V1' - V2V2', V1 on the blocks
-    and V2 on the pairs."""
+    which Q absorbs, and one on 6 columns that cross the blocks, which it
+    does not, and which ``of_terms`` keeps apart from the blocks term: an
+    explicit P = N_B a + N_C b, and an implicit I - V1V1' - V2V2', V1 on the
+    blocks and V2 on the columns."""
     rng = np.random.default_rng(23)
-    blocks, pairs = projlin.Classes(np.arange(24) // 6), projlin.Classes(np.arange(24) // 2)
+    rows = np.arange(24)
+    blocks, pairs, columns = (projlin.Classes(ids) for ids in (rows // 6, rows // 2, rows % 6))
     table = pairs.table(blocks)  # N_F'N_B: N_B = N_F table
     mean = Projector.of_terms([(projlin.Classes(np.zeros(24, dtype=np.intp)), np.ones((1, 1)))], "Mean")
     contrasts = projlin.orthocomplement(np.full((4, 1), 0.5))
@@ -572,22 +573,21 @@ def partly_absorbed_case():
     x = Projector.of_terms([(pairs, within @ orthonormal(rng, 8, 4))], "X")
     q = Projector.complement_of([mean, source, x], "Q")
     s = Structure(elements=[mean, source, x, q], total=Projector.complement_of(np.zeros((24, 0)), "all"))
-    terms = [(blocks, rng.normal(size=(4, 2))), (pairs, rng.normal(size=(12, 2)))]
+    terms = [(blocks, rng.normal(size=(4, 2))), (columns, rng.normal(size=(6, 2)))]
     r = np.linalg.qr(sum(c.up(a) for c, a in terms))[1]
     explicit = Projector.of_terms([(c, np.linalg.solve(r.T, a.T).T) for c, a in terms], "P")
     v1 = orthonormal(rng, 4, 1)
-    v2 = projlin.orthocomplement(table @ v1) @ orthonormal(rng, 11, 2)
+    v2 = projlin.orthocomplement(columns.table(blocks) @ v1) @ orthonormal(rng, 5, 2)
     implicit = Projector.complement_of(
-        [Projector.of_terms([(blocks, v1)], "V1"), Projector.of_terms([(pairs, v2)], "V2")], "P'"
+        [Projector.of_terms([(blocks, v1)], "V1"), Projector.of_terms([(columns, v2)], "V2")], "P'"
     )
     return s, [explicit, implicit]
 
 
-def test_partly_absorbed_rows_take_the_whole_path(monkeypatch):
-    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
+def test_partly_absorbed_rows_take_the_whole_path():
     s, rows = partly_absorbed_case()
     *stacked, q = s.elements
-    filled, rest = projlin.folded(q.parts)
+    filled, rest = projlin.folded(q)
     assert len(filled) == 1 and rest == [stacked[2]]
     w = np.hstack([basis_of(x) for x in stacked])
     q_dense = np.eye(24) - w @ w.T
@@ -595,7 +595,7 @@ def test_partly_absorbed_rows_take_the_whole_path(monkeypatch):
         # one of the two side terms lies on the filled blocks, one does not
         side = p.parts if p.implicit else (p,)
         on_filled = [projlin.refines(filled[0].ids, cls.ids) for v in side for cls, _ in v.terms]
-        assert on_filled == [True, False]
+        assert sorted(on_filled) == [False, True]
         assert not structure._absorbed(p, filled)
         c = projlin.side_cross(p, stacked)
         g = structure._row_gram(p, c)
@@ -614,23 +614,22 @@ def test_partly_absorbed_rows_take_the_whole_path(monkeypatch):
 
 
 def test_a_row_on_the_filled_classes_is_orthogonal_without_an_eigensolve(monkeypatch):
-    monkeypatch.setattr(projlin, "DENSE_ROWS", 0)
     s, _ = partly_absorbed_case()
     *stacked, q = s.elements
     blocks = stacked[1].classes
     p = Projector.of_terms([(blocks, orthonormal(np.random.default_rng(3), 4, 2))], "on blocks")
     monkeypatch.setattr(structure, "_classify_complement", None)  # never reached
     monkeypatch.setattr(structure, "_row_gram", None)  # nor formed
-    assert structure._absorbed(p, projlin.folded(q.parts)[0])
+    assert structure._absorbed(p, projlin.folded(q)[0])
     assert efficiency(p, q).status == "orthogonal"
 
 
 @pytest.mark.parametrize("name", ["plant", "corn"])
 def test_absorbed_terms_give_the_balance_of_dense_bases(monkeypatch, name):
-    # every basis dense (DENSE_ROWS at least n, plant's default) is never
-    # absorbed; in class form (DENSE_ROWS = 0) both designs absorb every
-    # row's terms: each BalanceResult of the build agrees
-    def results(dense_rows):
+    # every basis held dense (``hold_dense``) is never absorbed; in class
+    # form both designs absorb every row's terms: each BalanceResult of the
+    # build agrees
+    def results(dense):
         got, absorbed = {}, []
         original_check, original_absorbed = structure.is_structure_balanced, structure._absorbed
 
@@ -644,15 +643,15 @@ def test_absorbed_terms_give_the_balance_of_dense_bases(monkeypatch, name):
             return absorbed[-1]
 
         with monkeypatch.context() as m:
-            m.setattr(projlin, "DENSE_ROWS", dense_rows)
+            if dense:
+                hold_dense(m)
             m.setattr(randomize, "is_structure_balanced", recorded_check)
             m.setattr(structure, "_absorbed", recorded_absorbed)
             build_decomposition(load_design(spec_path(name)))
         return got, absorbed
 
-    n = load_design(spec_path(name)).n
-    dense, dense_absorbed = results(n)
-    classes, classes_absorbed = results(0)
+    dense, dense_absorbed = results(True)
+    classes, classes_absorbed = results(False)
     assert not any(dense_absorbed) and any(classes_absorbed)
     assert dense.keys() == classes.keys()
     for key, want in dense.items():

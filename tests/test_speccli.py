@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tierdecomp import SpecError, cli_main, load_design, parse_spec, render_spec
+from tierdecomp import SpecError, cli_main, load_design, parse_spec, randomize, render_spec
 from tierdecomp.speccli import Design, load_table
 
 from conftest import ALL_SPECS, spec_path
@@ -284,6 +284,18 @@ class TestCliExitCodes:
         assert cli_main(["validate", str(bad)]) == 2
         assert "line 1: unknown directive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "diagnose"])
+    def test_a_build_out_of_memory_exits_2(self, monkeypatch, capsys, command):
+        # numpy refuses an allocation with a MemoryError; raised inside the
+        # build, not by allocating
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array with shape (65536, 65536)")
+
+        monkeypatch.setattr(randomize, "is_structure_balanced", refused)
+        assert cli_main([command, str(spec_path("cherry"))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {command} ran out of memory: Unable to allocate 32.0 GiB for an array with shape (65536, 65536)\n"
+
     def test_tolerance_override_rejected_values(self, capsys):
         # a tolerance outside the accepted window is a usage error, not a crash
         assert cli_main(["decompose", str(spec_path("cherry")), "--tolerance", "0.5"]) == 2
@@ -371,8 +383,8 @@ def run_cli(args, hash_seed="0"):
 
 class TestCliSubprocess:
     def test_numerical_failure_exits_2_without_a_traceback(self):
-        # 1e-15 is below the rounding of cherry's sweeps: a ProjectorError
-        proc = run_cli(["decompose", str(spec_path("cherry")), "--tolerance", "1e-15"])
+        # 3e-16 is below the rounding of cherry's sweeps: a ProjectorError
+        proc = run_cli(["decompose", str(spec_path("cherry")), "--tolerance", "3e-16"])
         err = proc.stderr.decode()
         assert proc.returncode == 2, err
         assert "Traceback" not in err
