@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -506,9 +507,13 @@ class Design:
     """A parsed spec joined with its allocation data.
 
     Exposes the tier structures and allocations the build loop consumes.
-    Tier structures for randomized tiers live on the tier's own objects
-    (the distinct factor combinations observed on the units); the units
-    tier's structure lives on the unit rows directly.
+    A tier's structure lives on the tier's objects: the units tier's are
+    the unit rows and the intermediate tier's the rows of its table; a
+    randomized tier's are the distinct combinations of its factors on the
+    units.  Rows are grouped by ``formula._class_ids`` alone: the
+    one-row-per-object checks, the objects of a tier, and the joint coding
+    of the units and intermediate tables behind the triangle check and
+    ``intermediate_allocation``.
     """
 
     def __init__(
@@ -531,7 +536,6 @@ class Design:
         self._decl = {t.name: t for t in spec.tiers}
         self._objects: dict = {}
         self._structures: dict = {}
-        self._intermediate_structures: dict = {}
         self._validate_tables()
 
     # -- validation of the raw tables --
@@ -554,9 +558,7 @@ class Design:
                     )
 
         units = self._decl[self.units_tier]
-        expected = 1
-        for f in units.factors:
-            expected *= f.levels
+        expected = math.prod(f.levels for f in units.factors)
         if self.main.n != expected:
             raise SpecError(
                 f"allocation file {self.main.path}: {self.main.n} rows but the "
@@ -580,18 +582,22 @@ class Design:
                     f"{observed} distinct labels but declares {declared[col]} levels"
                 )
 
-        ids, combos = _class_ids(
-            self.main.columns, [f.name for f in units.factors], self.main.n
+        self._one_row_per_object(
+            self.main,
+            self.units_tier,
+            lambda unit: f"allocation file {self.main.path}: unit {unit!r} appears "
+            "on more than one row",
         )
-        if len(combos) != self.main.n:
-            first = combos[int(np.argmax(np.bincount(ids)))]
-            raise SpecError(
-                f"allocation file {self.main.path}: unit {first!r} appears on "
-                "more than one row"
-            )
-
         if self.intermediate is not None:
             self._validate_intermediate()
+
+    def _one_row_per_object(self, table: AllocationTable, tier: str, duplicate) -> None:
+        """Reject ``table`` unless no two rows hold the same combination of
+        ``tier``'s factors; ``duplicate(key)`` words the error for the key
+        found on the most rows."""
+        ids, keys = _class_ids(table.columns, self._factor_names(tier), table.n)
+        if len(keys) != table.n:
+            raise SpecError(duplicate(keys[int(np.argmax(np.bincount(ids)))]))
 
     def _intermediate_step(self) -> RandomizationStep:
         for s in self.steps:
@@ -602,106 +608,117 @@ class Design:
     def _validate_intermediate(self) -> None:
         step = self._intermediate_step()
         inter = step.to_tiers[1]
-        decl = self._decl[inter]
         table = self.intermediate
-        expected = 1
-        for f in decl.factors:
-            expected *= f.levels
+        expected = math.prod(f.levels for f in self._decl[inter].factors)
         if table.n != expected:
             raise SpecError(
                 f"intermediate file {table.path}: {table.n} rows but tier "
                 f"{inter!r} declares {expected} objects"
             )
-        from_factors = [f.name for f in self._decl[step.from_tier].factors]
-        for col in self._column_names(inter) + from_factors:
+        for col in self._column_names(inter) + self._factor_names(step.from_tier):
             if col not in table.columns:
                 raise SpecError(
                     f"intermediate file {table.path}: no column {col!r}"
                 )
-        ids, combos = _class_ids(
-            table.columns, [f.name for f in decl.factors], table.n
+        self._one_row_per_object(
+            table, inter, lambda _: f"intermediate file {table.path}: duplicate {inter!r} objects"
         )
-        if len(combos) != table.n:
-            raise SpecError(
-                f"intermediate file {table.path}: duplicate {inter!r} objects"
-            )
         self._check_triangle(step, inter)
+
+    def _joint_ids(self, names: list):
+        """The columns ``names`` of the units table and the intermediate
+        table coded together, unit rows first, so a combination seen on the
+        units keeps its number there: (ids of the unit rows, ids of the
+        intermediate rows, keys)."""
+        n, inter = self.main.n, self.intermediate
+        joined = {c: self.main.columns[c] + inter.columns[c] for c in names}
+        ids, keys = _class_ids(joined, names, n + inter.n)
+        return ids[:n], ids[n:], keys
 
     def _check_triangle(self, step: RandomizationStep, inter: str) -> None:
         """Units, intermediate, and from-tier columns must tell one story.
 
         When the main table carries the intermediate tier's columns, every
-        unit's from-tier levels must match those of its intermediate object.
+        unit's from-tier levels must match those of its intermediate object:
+        each unit's combination of the object and those levels occurs on an
+        intermediate row.  The first unit row where it does not is reported.
         """
-        inter_cols = [f.name for f in self._decl[inter].factors]
-        if any(c not in self.main.columns for c in inter_cols):
+        objects = self._factor_names(inter)
+        if any(c not in self.main.columns for c in objects):
             return
         table = self.intermediate
-        key_of = {}
-        for i in range(table.n):
-            key = tuple(table.columns[c][i] for c in inter_cols)
-            key_of[key] = i
-        from_cols = self._column_names(step.from_tier)
-        for row in range(self.main.n):
-            key = tuple(self.main.columns[c][row] for c in inter_cols)
-            if key not in key_of:
-                raise SpecError(
-                    f"allocation row {row + 2}: {inter} object {key!r} does not "
-                    f"appear in the intermediate table"
-                )
-            i = key_of[key]
-            for c in from_cols:
-                if c not in self.main.columns or c not in table.columns:
-                    continue
-                if self.main.columns[c][row] != table.columns[c][i]:
-                    raise SpecError(
-                        f"allocation row {row + 2}: column {c!r} is "
-                        f"{self.main.columns[c][row]!r} but the intermediate table "
-                        f"gives {table.columns[c][i]!r} for {inter} object {key!r}"
-                    )
+        shared = [
+            c for c in self._column_names(step.from_tier)
+            if c in self.main.columns and c in table.columns
+        ]
+        units, rows, _ = self._joint_ids(objects + shared)
+        unmatched = ~np.isin(units, rows)
+        if not unmatched.any():
+            return
+        row = int(np.argmax(unmatched))
+        units, rows, keys = self._joint_ids(objects)
+        key = keys[units[row]]
+        found = np.flatnonzero(rows == units[row])
+        if not found.size:
+            raise SpecError(
+                f"allocation row {row + 2}: {inter} object {key!r} does not "
+                f"appear in the intermediate table"
+            )
+        i = found[0]
+        c = next(c for c in shared if self.main.columns[c][row] != table.columns[c][i])
+        raise SpecError(
+            f"allocation row {row + 2}: column {c!r} is "
+            f"{self.main.columns[c][row]!r} but the intermediate table "
+            f"gives {table.columns[c][i]!r} for {inter} object {key!r}"
+        )
 
     # -- structures and allocations --
 
+    def _factor_names(self, tier: str) -> list:
+        return [f.name for f in self._decl[tier].factors]
+
     def _column_names(self, tier: str) -> list:
-        decl = self._decl[tier]
-        return [f.name for f in decl.factors] + [p.name for p in decl.pseudos]
+        return self._factor_names(tier) + [p.name for p in self._decl[tier].pseudos]
 
     def _tier_objects(self, tier: str):
-        """Distinct factor combinations of ``tier`` on the units, in first
-        appearance order: (ids, labels, columns, combos), the tier's columns
-        restated per object and each object's tuple of factor levels."""
-        if tier in self._objects:
-            return self._objects[tier]
-        decl = self._decl[tier]
-        factor_names = [f.name for f in decl.factors]
-        ids, combos = _class_ids(self.main.columns, factor_names, self.main.n)
-        columns = {
-            name: [combo[k] for combo in combos]
-            for k, name in enumerate(factor_names)
-        }
-        for p in decl.pseudos:
-            if not refines(ids, _class_ids(self.main.columns, [p.name], self.main.n)[0]):
-                raise SpecError(
-                    f"column {p.name!r} is not constant on the objects of "
-                    f"tier {tier!r}"
-                )
-            # ids count up by first appearance: np.unique gives each object's first row
-            col = self.main.columns[p.name]
-            columns[p.name] = [col[row] for row in np.unique(ids, return_index=True)[1]]
-        labels = [
-            combo[0] if len(combo) == 1 else "(" + ", ".join(combo) + ")"
-            for combo in combos
-        ]
-        out = (ids, labels, columns, combos)
-        self._objects[tier] = out
-        return out
+        """The objects of ``tier`` on the units: the distinct combinations of
+        its factors, numbered by first appearance.  Returns (ids, keys): each
+        unit's object, and each object's labels of the tier's columns,
+        factors then pseudofactors."""
+        if tier not in self._objects:
+            factors = self._factor_names(tier)
+            for p in self._decl[tier].pseudos:
+                objects = _class_ids(self.main.columns, factors, self.main.n)[0]
+                if not refines(objects, _class_ids(self.main.columns, [p.name], self.main.n)[0]):
+                    raise SpecError(
+                        f"column {p.name!r} is not constant on the objects of "
+                        f"tier {tier!r}"
+                    )
+            # constant on the objects, the pseudofactors split none of them
+            self._objects[tier] = _class_ids(
+                self.main.columns, self._column_names(tier), self.main.n
+            )
+        return self._objects[tier]
 
-    def _build_structure(self, decl: TierDecl, columns: dict, n: int) -> Structure:
-        ast = parse_formula(decl.formula, {f.name for f in decl.factors})
-        poset = expand_terms(ast, list(decl.factors))
-        poset = attach_data(poset, columns, n, list(decl.pseudos))
-        self._check_pseudo_containment(decl, poset, columns, n)
-        return source_projectors(poset, columns, n, space_label=decl.name)
+    def _structure(self, tier: str, table: AllocationTable) -> Structure:
+        """``tier``'s structure on its objects in ``table``, built once.  The
+        rows are the objects of the units tier in the units table and of the
+        intermediate tier in its own table; another tier's objects on the
+        units are those of ``_tier_objects``."""
+        key = (tier, table is self.main)
+        if key not in self._structures:
+            decl = self._decl[tier]
+            names = self._column_names(tier)
+            if table is self.main and tier != self.units_tier:
+                keys = self._tier_objects(tier)[1]
+                columns, n = dict(zip(names, map(list, zip(*keys)))), len(keys)
+            else:
+                columns, n = {c: table.columns[c] for c in names}, table.n
+            ast = parse_formula(decl.formula, {f.name for f in decl.factors})
+            poset = attach_data(expand_terms(ast, list(decl.factors)), columns, n, list(decl.pseudos))
+            self._check_pseudo_containment(decl, poset, columns, n)
+            self._structures[key] = source_projectors(poset, columns, n, space_label=decl.name)
+        return self._structures[key]
 
     def _check_pseudo_containment(self, decl, poset, columns, n) -> None:
         """A pseudofactor must group whole classes of the source it splits."""
@@ -724,61 +741,41 @@ class Design:
                 )
 
     def units_structure(self) -> Structure:
-        if self.units_tier not in self._structures:
-            decl = self._decl[self.units_tier]
-            cols = {c: self.main.columns[c] for c in self._column_names(self.units_tier)}
-            self._structures[self.units_tier] = self._build_structure(
-                decl, cols, self.main.n
-            )
-        return self._structures[self.units_tier]
+        """The units tier's structure on the unit rows."""
+        return self._structure(self.units_tier, self.main)
 
     def tier_structure(self, tier: str) -> Structure:
-        if tier == self.units_tier:
-            return self.units_structure()
-        if tier not in self._structures:
-            _, _, columns, _ = self._tier_objects(tier)
-            n = len(next(iter(columns.values())))
-            self._structures[tier] = self._build_structure(self._decl[tier], columns, n)
-        return self._structures[tier]
+        """``tier``'s structure on its objects on the units."""
+        return self._structure(tier, self.main)
 
     def allocation(self, tier: str) -> AllocationMap:
-        ids, labels, _, _ = self._tier_objects(tier)
+        """Map each unit to its object of ``tier``."""
+        ids, keys = self._tier_objects(tier)
         return AllocationMap(
-            tier=tier, objects=labels, assignment=ids, space_label=self.units_tier
+            tier=tier, objects=keys, assignment=ids, space_label=self.units_tier
         )
 
     def intermediate_tier_structure(self, tier: str) -> Structure:
-        if tier not in self._intermediate_structures:
-            if self.intermediate is None:
-                raise SpecError("design has no intermediate allocation table")
-            decl = self._decl[tier]
-            cols = {
-                c: self.intermediate.columns[c] for c in self._column_names(tier)
-            }
-            self._intermediate_structures[tier] = self._build_structure(
-                decl, cols, self.intermediate.n
-            )
-        return self._intermediate_structures[tier]
+        """``tier``'s structure on the rows of the intermediate table."""
+        if self.intermediate is None:
+            raise SpecError("design has no intermediate allocation table")
+        return self._structure(tier, self.intermediate)
 
     def intermediate_allocation(self, inter: str, from_tier: str) -> AllocationMap:
-        """Map each intermediate object to its from-tier object."""
+        """Map each intermediate object to its from-tier object, numbered as
+        in ``allocation(from_tier)``."""
         table = self.intermediate
         if table is None:
             raise SpecError("design has no intermediate allocation table")
-        _, labels, _, combos = self._tier_objects(from_tier)
-        factor_names = [f.name for f in self._decl[from_tier].factors]
-        index_of = {combo: k for k, combo in enumerate(combos)}
-        assignment = np.empty(table.n, dtype=np.intp)
-        for i in range(table.n):
-            key = tuple(table.columns[name][i] for name in factor_names)
-            if key not in index_of:
-                raise SpecError(
-                    f"intermediate file {table.path}: {from_tier} object {key!r} "
-                    "never occurs on the units"
-                )
-            assignment[i] = index_of[key]
+        units, rows, keys = self._joint_ids(self._factor_names(from_tier))
+        unseen = rows > units.max()
+        if unseen.any():
+            raise SpecError(
+                f"intermediate file {table.path}: {from_tier} object "
+                f"{keys[rows[int(np.argmax(unseen))]]!r} never occurs on the units"
+            )
         return AllocationMap(
-            tier=from_tier, objects=labels, assignment=assignment, space_label=inter
+            tier=from_tier, objects=keys, assignment=rows, space_label=inter
         )
 
     # -- whole-design checks (the validate subcommand) --

@@ -151,6 +151,25 @@ SMALL_SPEC = BASE.replace("factor Blocks 4", "factor Blocks 2").replace(
 SMALL_ROWS = "Blocks,Plots,Treatments\n1,1,A\n1,2,B\n2,1,B\n2,2,A\n"
 
 
+def grazing_bundle(dest):
+    """Copy the grazing bundle (spec, units table, paddocks table) into
+    ``dest``; returns the spec path."""
+    for name in ("grazing.spec", "grazing.csv", "grazing_paddocks.csv"):
+        shutil.copy(spec_path("grazing").parent / name, dest)
+    return dest / "grazing.spec"
+
+
+def drop_column(name):
+    """A mangle that deletes the CSV column ``name`` (no quoted fields)."""
+
+    def mangle(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        j = rows[0].index(name)
+        return "".join(",".join(r[:j] + r[j + 1 :]) + "\n" for r in rows)
+
+    return mangle
+
+
 class TestDesignValidation:
     def test_accepts_consistent_tables(self, tmp_path):
         d = design_from(SMALL_ROWS, SMALL_SPEC, tmp_path)
@@ -193,16 +212,59 @@ class TestDesignValidation:
         with pytest.raises(SpecError, match="does not group whole classes"):
             d.tier_structure("treatments")
 
-    def test_triangle_consistency_enforced(self, tmp_path, design):
-        import shutil
-
-        for f in ("grazing.spec", "grazing.csv", "grazing_paddocks.csv"):
-            shutil.copy(spec_path("grazing").parent / f, tmp_path / f)
+    def test_triangle_consistency_enforced(self, tmp_path):
+        spec = grazing_bundle(tmp_path)
         main = (tmp_path / "grazing.csv").read_text().splitlines()
         main[1] = main[1].replace("a2", "a1")
         (tmp_path / "grazing.csv").write_text("\n".join(main) + "\n")
         with pytest.raises(SpecError, match="intermediate table gives"):
-            load_design(tmp_path / "grazing.spec")
+            load_design(spec)
+
+    @pytest.mark.parametrize(
+        "mangle_main, mangle_inter, message",
+        [
+            (
+                None,
+                lambda t: t[: t.rindex("p34")],
+                "intermediate file {inter}: 11 rows but tier 'paddocks' declares 12 objects",
+            ),
+            (
+                None,
+                lambda t: t.replace("p12,", "p11,"),
+                "intermediate file {inter}: duplicate 'paddocks' objects",
+            ),
+            (
+                None,
+                lambda t: t.replace("p12,", "p99,"),
+                "allocation row 3: paddocks object ('p12',) does not appear in the "
+                "intermediate table",
+            ),
+            (
+                # without the Paddocks column the units say nothing about
+                # paddocks, so only the intermediate table's own rows are checked
+                drop_column("Paddocks"),
+                lambda t: t.replace("p12,a2,rot2", "p12,a9,rot2"),
+                "intermediate file {inter}: treatments object ('a9', 'rot2') never "
+                "occurs on the units",
+            ),
+        ],
+        ids=["short", "duplicate", "unknown-object", "unknown-from-object"],
+    )
+    def test_intermediate_table_messages(self, tmp_path, capsys, mangle_main, mangle_inter, message):
+        spec = grazing_bundle(tmp_path)
+        for path, mangle in ((tmp_path / "grazing.csv", mangle_main), (tmp_path / "grazing_paddocks.csv", mangle_inter)):
+            if mangle is not None:
+                path.write_text(mangle(path.read_text()))
+        assert cli_main(["validate", str(spec)]) == 2
+        inter = tmp_path / "grazing_paddocks.csv"
+        assert capsys.readouterr().err == f"error: {message.format(inter=inter)}\n"
+
+    def test_intermediate_bundle_builds_without_the_paddocks_column(self, tmp_path, capsys):
+        spec = grazing_bundle(tmp_path)
+        main = tmp_path / "grazing.csv"
+        main.write_text(drop_column("Paddocks")(main.read_text()))
+        assert cli_main(["decompose", str(spec)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCliExitCodes:
