@@ -297,9 +297,6 @@ class SourcePoset:
     def label(self, term: GeneralizedFactor, ascii_only: bool = False) -> str:
         return render_label(self, term, ascii_only=ascii_only)
 
-    def labels(self) -> dict:
-        return {t.constituents: self.label(t) for t in self.terms}
-
 
 def _fold_cross(acc, new):
     """Combine term lists of two crossed subformulas."""

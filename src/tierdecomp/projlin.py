@@ -9,11 +9,14 @@ block A (m x df), and no term's classes refine another's.  Every space,
 whatever its size, holds its explicit bases this one way: a basis that
 really is dense is one term on the identity partition, N = I with one
 row per class.  A tier source or a sweep of an explicit node is one term
-on its own classes; a sweep of an implicit node is U_Q minus its listed
-parts' shares, one term on Q's classes and one on each group of nested
-part classes that it fills.  The one implicit form is the largest
-stratum of a structure, I - WW' on the whole space, held by its listed
-explicit bases W.  A projector is never held as an n x n matrix.
+on its own classes; a sweep of I - WW' is U_Q minus its listed parts'
+shares, one term on Q's classes and one on each group of nested part
+classes that it fills.  The one implicit form is P = sum VV' - sum WW',
+held by its sides (``sides``): a plus side of explicit bases V and its
+listed explicit bases W, all mutually orthogonal but each W inside
+span(V).  Without a plus side it is I - WW' on the whole space, the
+largest stratum of a structure; with one it is a residual, its node's
+sides minus its sweeps.  A projector is never held as an n x n matrix.
 ``Projector.of_terms`` and ``complement_of`` take their bases as checked
 where they were made (see ``structure.refine`` and
 ``formula.source_projectors``); ``Projector.from_basis`` is the one
@@ -21,9 +24,10 @@ constructor that checks U'U = I itself, and ``Projector.validated`` the
 gate for callers holding a symmetric idempotent matrix.  ``coords``
 (N'U_p), ``cross`` (U_p'X for stacked bases X), ``family_gram``, ``span``
 and ``project`` (P X) sum termwise products through contingency tables
-N_F'N_G (``Classes.table``); ``side_cross`` takes V'X for P's side V, its
-basis or the listed bases of an implicit P, and ``bilinear_of`` (X' P Y
-for stacked bases) applies either form from it, so the hot kernels need
+N_F'N_G (``Classes.table``); ``side_cross`` takes V'X for each side
+basis V of P, its own basis or the bases it is held by, ``side_gram``
+sums their Grams with the sides' signs, and ``bilinear_of`` (X' P Y for
+stacked bases) applies either form from them, so the hot kernels need
 not know which one they hold.
 Efficiency factors are floats in [0, 1] that get snapped to small rationals
 when a nearby one exists (block designs produce values like 1/6 or 5/6
@@ -61,7 +65,6 @@ __all__ = [
     "gram_defect",
     "refines",
     "max_abs",
-    "is_zero",
     "snap_rational",
 ]
 
@@ -177,11 +180,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def is_zero(a: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True when every entry of ``a`` is within ``tol_zero`` of zero."""
-    return max_abs(a) <= policy.tol_zero
-
-
 def shift_diagonal(a: np.ndarray, value: float) -> np.ndarray:
     """a + value * I, in place, for a square a; returns a.  Steps along the
     flat array, n + 1 entries at a time."""
@@ -292,29 +290,34 @@ class Projector:
     identity partition (m = n).  A source on its own classes is one term,
     with A orthonormal.  The N of different terms are not orthogonal to
     each other, so U'U sums the termwise products A_s'(N_s'N_t)A_t; no
-    term's classes refine another's (``of_terms``).  Implicit: P = I -
-    WW' on the whole space, W the stacked bases of listed explicit
-    projectors that are mutually orthogonal, so df = n minus theirs.  This
-    is the largest stratum of a structure, and of its
-    lifts with r = 1; a lift with r > 1 carries its explicit form instead.
+    term's classes refine another's (``of_terms``).  Implicit: P = VV' -
+    WW', V the stacked bases of a plus side of explicit projectors and W
+    those of its listed parts, all mutually orthogonal, each part inside
+    span(V), so df = df_V minus theirs; without a plus side V V' is I on
+    the whole space.  I - WW' is the largest stratum of a structure, and
+    of its lifts with r = 1; a lift with r > 1 carries its explicit form
+    instead.  With a plus side it is a residual (``structure.residual``).
     ``project`` and ``bilinear_of`` apply either form, working on class
     coordinates, so no n-row basis is formed for them.
 
-    ``matrix`` forms UU', or I - WW', on first use with no n-row basis:
+    ``matrix`` forms UU', or VV' - WW', on first use with no n-row basis:
     row i of UU' is the sum over terms t of row ids_t[i] of the core R_t =
     sum_s (B_t B_s')[:, ids_s] (m_t x n, B = diag(scale) A), gathered a
-    block of rows at a time.  I - WW' takes its parts' cores with the sign
-    -1, the NN' of a group that fills its classes N (``folded``) on the
-    pairs of rows in one class, a bounded chunk of pairs at a time
-    (``_same_class``), and a first part's matrix when that is formed
-    already.  All arrays are read-only and cached, and so are the
-    coordinates that ``coords`` takes.
+    block of rows at a time.  An implicit P takes one core per group of
+    sides held on the same classes, each side's B_t with its sign, +1 for
+    the plus side and -1 for a part; the NN' of a group of parts that
+    fills its classes N (``folded``) on the pairs of rows in one class, a
+    bounded chunk of pairs at a time (``_same_class``); a first side's
+    matrix when that is formed already and alone on its classes; and I
+    when it has no plus side.  All arrays are read-only and cached, and so
+    are the coordinates that ``coords`` takes.
     """
 
     label: str
     _n: int = field(default=0, repr=False)
     _terms: tuple | None = field(default=None, repr=False)
     _parts: tuple | None = field(default=None, repr=False)
+    _plus: tuple | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _explicit: "Projector | None" = field(default=None, repr=False)
     _df: int | None = field(default=None, repr=False)
@@ -435,25 +438,35 @@ class Projector:
 
     @property
     def parts(self) -> tuple:
-        """The listed explicit projectors of an implicit projector."""
+        """The listed explicit projectors of an implicit projector, those
+        its plus side (or I) is taken minus."""
         if self._parts is None:
             raise AttributeError(f"{self.label} is held by its own basis, not as a complement")
         return self._parts
 
     def explicit(self) -> "Projector":
-        """This projector in explicit form.  An implicit one takes its dense
-        basis from a complete QR of its listed bases (n rows), once, and
-        holds it on the identity partition."""
+        """This projector in explicit form, made once.  An implicit one is
+        V F on the terms of its plus side's stacked bases V, F from
+        ``_complement_basis``; I - WW' holds F, a dense basis, on the
+        identity partition."""
         if self._parts is None:
             return self
         if self._explicit is None:
-            held = Projector.of_terms([(Classes(np.arange(self._n)), self._complement_basis())], self.label)
-            object.__setattr__(self, "_explicit", held)
+            f = self._complement_basis()
+            if self._plus is None:
+                terms = [(Classes(np.arange(self._n)), f)]
+            else:
+                edges = df_edges(self._plus)
+                terms = [(c, mul(a, f[lo:hi])) for v, lo, hi in zip(self._plus, edges, edges[1:]) for c, a in v._terms]
+            object.__setattr__(self, "_explicit", Projector.of_terms(terms, self.label))
         return self._explicit
 
     def _complement_basis(self) -> np.ndarray:
-        """Orthonormal basis of the complement of the listed bases: the
-        trailing columns of a complete QR of their stacked bases."""
+        """F, orthonormal, spanning the complement of the listed bases W
+        inside the plus side V: the trailing columns of a complete QR of
+        V'W, or of W itself (n rows) for I - WW'."""
+        if self._plus is not None:
+            return orthocomplement(family_gram(self._plus, self._parts))
         if not self._parts:
             return np.eye(self._n)
         return orthocomplement(np.hstack([span(q) for q in self._parts]))
@@ -464,7 +477,8 @@ class Projector:
             if self._parts is None:
                 df = self._terms[0][1].shape[1]
             else:
-                df = self._n - sum(q.df for q in self._parts)
+                plus = self._n if self._plus is None else sum(v.df for v in self._plus)
+                df = plus - sum(q.df for q in self._parts)
             object.__setattr__(self, "_df", df)
         return self._df
 
@@ -475,23 +489,30 @@ class Projector:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            # UU', or I - WW' with the sign -1 on each part's share: a filled
+            # each side's share with its sign, -1 on a listed part's: a filled
             # group's NN' (``folded``) set on the pairs of rows in one class,
-            # and the other parts' terms gathered from their cores.  A first
-            # such part whose matrix is formed is copied instead: the gathers
-            # would repeat its bytes, negated.
-            filled, rest, sign = ((), [self], 1.0) if self._parts is None else (*folded(self), -1.0)
-            first = rest[0] if rest and rest[0]._matrix is not None else None
-            m = None if first is None else np.negative(first._matrix)
-            cores = [r for q in rest if q is not first for r in _cores(q, sign)]
-            add = m is not None
-            if not add:
+            # and the other sides' terms gathered from their cores, one core
+            # for the sides held on the same classes.  A first side alone on
+            # its classes whose matrix is formed is copied instead: the
+            # gathers would repeat its bytes.  I - WW' adds I at the end.
+            plus, minus = sides(self)
+            filled, rest = folded(self) if minus else ((), ())
+            groups: dict = {}
+            for v, sign in [(v, 1.0) for v in plus or ()] + [(w, -1.0) for w in rest]:
+                groups.setdefault(tuple(id(c) for c, _ in v._terms), []).append((v, sign))
+            groups = list(groups.values())
+            copied = bool(groups) and len(groups[0]) == 1 and groups[0][0][0]._matrix is not None
+            if copied:
+                ((v, sign),) = groups.pop(0)
+                m = np.negative(v._matrix) if sign < 0 else v._matrix.copy()
+            cores = [r for group in groups for r in _cores(group)]
+            if not copied:
                 m = np.empty((self._n, self._n)) if cores else np.full((self._n, self._n), 0.0)
-            _gather_rows(m, cores, add)
+            _gather_rows(m, cores, copied)
             for c in filled:
                 for i, j in _same_class(c):
                     m[i, j] -= c.scale[c.ids[i]] ** 2
-            if self._parts is not None:
+            if plus is None:
                 shift_diagonal(m, 1.0)
             object.__setattr__(self, "_matrix", _freeze(m))
         return self._matrix
@@ -523,8 +544,8 @@ class Projector:
         by term, so each A is kept and nothing is checked: the lift is an
         isometry.  A term on the identity partition becomes one on the
         classes ``rows``, m objects of r rows each.  With r = 1 the lift is
-        a permutation, so an implicit projector stays I minus its carried
-        listed bases.  With r > 1 it is carried through its explicit form,
+        a permutation, so an implicit projector stays its carried sides.
+        With r > 1 it is carried through its explicit form,
         complemented once on the m objects and cached on this projector.  ``memo`` maps id() of
         projectors already carried to their carried form, so that a
         structure's implicit source lists the very projectors its other
@@ -538,7 +559,8 @@ class Projector:
         out_label = self.label if label is None else label
         if self._parts is not None and r == 1:
             parts = tuple(q.carried(rows, r, memo=memo) for q in self._parts)
-            out = Projector(label=out_label, _n=rows.size, _parts=parts)
+            plus = None if self._plus is None else tuple(v.carried(rows, r, memo=memo) for v in self._plus)
+            out = Projector(label=out_label, _n=rows.size, _parts=parts, _plus=plus)
         elif self._parts is not None:
             out = self.explicit().carried(rows, r, out_label, memo)
         else:
@@ -566,7 +588,7 @@ class Projector:
 
 
 def folded(p: Projector) -> tuple:
-    """(filled, rest) for the listed parts W of an implicit P = I - WW':
+    """(filled, rest) for the listed parts W of an implicit P = VV' - WW':
     the classes C whose nested parts fill them, and the other parts; found
     once, and kept on p.
 
@@ -612,18 +634,23 @@ def _same_class(c: Classes):
         lo, done = hi, int(ends[hi - 1])
 
 
-def _cores(p: Projector, sign: float) -> list:
-    """(ids_t, R_t) for each term of an explicit p, where R_t = sign *
-    sum_s (B_t B_s')[:, ids_s] (m_t x n) with B = diag(scale) A: row i of
-    sign * U_pU_p' is the sum over t of row ids_t[i] of R_t."""
-    b = [(c.ids, a * c.scale[:, None]) for c, a in p._terms]
+def _cores(group: list) -> list:
+    """(ids_t, R_t) for each class partition t of ``group``, a list of
+    (explicit v, sign) all held on the same classes: with B_t the side by
+    side blocks diag(scale_t) A_t of the vs, R_t = sum_s (B_t D B_s')[:,
+    ids_s] (m_t x n), D their signs, so that row i of the sum of sign_v
+    U_vU_v' is the sum over t of row ids_t[i] of R_t.  The signs go on the
+    left operand in every group, so the cores of a side with -1 are the
+    exact negation of its cores with +1."""
+    classes = [c for c, _ in group[0][0]._terms]
+    right = [np.concatenate([v._terms[t][1] * c.scale[:, None] for v, _ in group], axis=1) for t, c in enumerate(classes)]
     cores = []
-    for ids, bt in b:
-        r = mul(bt, b[0][1].T).take(b[0][0], axis=1)
-        for ids_s, bs in b[1:]:
-            r += mul(bt, bs.T).take(ids_s, axis=1)
-        r *= sign
-        cores.append((ids, r))
+    for t, ct in enumerate(classes):
+        left = np.concatenate([v._terms[t][1] * (sign * ct.scale)[:, None] for v, sign in group], axis=1)
+        r = mul(left, right[0].T).take(classes[0].ids, axis=1)
+        for cs, bs in zip(classes[1:], right[1:]):
+            r += mul(left, bs.T).take(cs.ids, axis=1)
+        cores.append((ct.ids, r))
     return cores
 
 
@@ -698,11 +725,12 @@ def spanned(p: Projector, a: np.ndarray, label: str) -> Projector:
 
 
 def project(p: Projector, x: np.ndarray) -> np.ndarray:
-    """P X for a dense X (n x c): U(U'X), or X minus each listed part's
-    projection when P = I - WW' is implicit."""
+    """P X for a dense X (n x c): U(U'X), or for an implicit P its plus
+    side's projections of X (X itself for I - WW') minus each listed
+    part's."""
     if p._parts is None:
         return span(p, _total([mul(a.T, c.down(x)) for c, a in p._terms]))
-    out = x
+    out = x if p._plus is None else _total([project(v, x) for v in p._plus])
     for q in p._parts:
         out = out - project(q, x)
     return out
@@ -724,12 +752,22 @@ def cross(p: Projector, xs) -> np.ndarray:
     return mul(a.T, c[0] if len(c) == 1 else np.hstack(c))
 
 
+def sides(p: Projector) -> tuple:
+    """(plus, minus): the explicit projectors whose VV' P sums with the sign
+    +1 and with -1.  An explicit P is ((P,), ()); an implicit one has its
+    listed parts as minus, and as plus its plus side, or None for I."""
+    if p._parts is None:
+        return (p,), ()
+    return p._plus, p._parts
+
+
 def side_cross(p: Projector, xs, crossed: dict | None = None) -> np.ndarray:
-    """c = V'X for P's side V, its basis U_P or the listed bases of an
-    implicit P, and the stacked bases X of the explicit ``xs``: one
-    ``cross`` per side basis.  ``crossed`` keeps each V'X by id(V), since a
-    row of a balance check is often a listed part of a later implicit row."""
-    side = p._parts if p._parts is not None else (p,)
+    """c = V'X for P's sides V (``sides``, plus then minus) and the stacked
+    bases X of the explicit ``xs``: one ``cross`` per side basis.
+    ``crossed`` keeps each V'X by id(V), since a row of a balance check is
+    often a listed part of a later implicit row."""
+    plus, minus = sides(p)
+    side = (plus or ()) + minus
     if not side or not xs:
         return np.zeros((sum(v.df for v in side), sum(x.df for x in xs)))
     crossed = {} if crossed is None else crossed
@@ -754,19 +792,29 @@ def family_gram(xs, ys=None) -> np.ndarray:
     return out
 
 
+def side_gram(p: Projector, cx: np.ndarray, cy: np.ndarray | None = None, xy: np.ndarray | None = None) -> np.ndarray:
+    """X'PY from C_X = ``side_cross(p, xs)`` and C_Y (default C_X): the plus
+    sides' C_X'C_Y minus the listed parts'.  For P = I - WW' it is X'Y
+    minus C_X'C_Y, X'Y given as ``xy`` and changed in place; without
+    ``xy``, X = Y is orthonormal and C_X'C_X is negated in place with 1
+    added on its diagonal, so no identity is held beside it."""
+    cy = cx if cy is None else cy
+    plus = sides(p)[0]
+    if plus is None and xy is None:
+        g = mul(cx.T, cy)
+        return shift_diagonal(np.negative(g, out=g), 1.0)
+    k = 0 if plus is None else sum(v.df for v in plus)
+    g = xy if plus is None else mul(cx[:k].T, cy[:k])
+    if k < cx.shape[0]:
+        g -= mul(cx[k:].T, cy[k:])
+    return g
+
+
 def bilinear_of(xs, p: Projector, ys=None) -> np.ndarray:
     """X' P Y for the stacked bases X, Y of the explicit projectors ``xs``
-    and ``ys`` (``ys`` defaults to ``xs``), on class coordinates, from C_X =
-    ``side_cross(p, xs)`` and C_Y.
-
-    Explicit P: C_X'C_Y.  Implicit P = I - WW': X'Y (``family_gram``) minus
-    C_X'C_Y, C_X = W'X.
-    """
+    and ``ys`` (``ys`` defaults to ``xs``), on class coordinates: the
+    signed Gram ``side_gram`` of C_X = ``side_cross(p, xs)`` and C_Y, with
+    X'Y (``family_gram``) for P = I - WW'."""
     cx = side_cross(p, xs)
     cy = cx if ys is None else side_cross(p, ys)
-    if p._parts is None:
-        return mul(cx.T, cy)
-    out = family_gram(xs, ys)
-    if p._parts:
-        out -= mul(cx.T, cy)
-    return out
+    return side_gram(p, cx, cy, family_gram(xs, ys) if sides(p)[0] is None else None)

@@ -527,6 +527,16 @@ def _merge_suggestion(d, s, vr: ViolationReport, source_label, viols, policy) ->
     return "redesign the randomization"
 
 
+def _failed(step: str, kind: str, sources: tuple, failing, suggestion: str) -> IncoherenceError:
+    """The error of a failed pair condition: one ``kind`` item for each
+    failing node, given as (node, tier whose decomposition it destroys)."""
+    items = [
+        IncoherenceItem(step, kind, node, sources, 0.0, destroyed_tier=tier, suggestion=suggestion)
+        for node, tier in failing
+    ]
+    return IncoherenceError(IncoherenceReport(items=items))
+
+
 def _run_plain(design, d, step, diagnostics):
     return _checked_refine(design, d, _lift_tier(design, step.from_tier, diagnostics), step)
 
@@ -545,7 +555,7 @@ def _run_independent_pair(design, d, first, second, diagnostics, reports):
             key = (child.origin_tier, child.origin_source, child.lineage[:-1])
             sweeps.setdefault(key, []).append(child.projector)
 
-    items = []
+    failing = []
     for node in d.nodes:
         if node.projector.is_mean(policy):
             continue
@@ -555,19 +565,12 @@ def _run_independent_pair(design, d, first, second, diagnostics, reports):
         )
         reports.append(rep)
         if not rep.holds:
-            items.append(
-                IncoherenceItem(
-                    step=first.describe(),
-                    kind="adjusted-orthogonality",
-                    node=node.projector.label,
-                    sources=(first.from_tier, second.from_tier),
-                    norm=0.0,
-                    destroyed_tier=node.origin_tier,
-                    suggestion="the two randomizations are not independent",
-                )
-            )
-    if items:
-        raise IncoherenceError(IncoherenceReport(items=items))
+            failing.append((node.projector.label, node.origin_tier))
+    if failing:
+        raise _failed(
+            first.describe(), "adjusted-orthogonality", (first.from_tier, second.from_tier),
+            failing, "the two randomizations are not independent",
+        )
 
     return _checked_refine(design, d1, r_lift, second)
 
@@ -607,19 +610,11 @@ def _run_coincident_pair(design, d, first, second, diagnostics, reports):
         out.label = d.label
         return out
 
-    items = [
-        IncoherenceItem(
-            step=f"{first.describe()} + {second.describe()}",
-            kind="coincident",
-            node=w,
-            sources=(first.from_tier, second.from_tier),
-            norm=0.0,
-            suggestion="redesign the randomization",
-        )
-        for w in rep.general.witnesses
-        if "neither sweep" in w
-    ]
-    raise IncoherenceError(IncoherenceReport(items=items))
+    failing = [(w, "") for w in rep.general.witnesses if "neither sweep" in w]
+    raise _failed(
+        f"{first.describe()} + {second.describe()}", "coincident", (first.from_tier, second.from_tier),
+        failing, "redesign the randomization",
+    )
 
 
 def _run_double(design, d, step, diagnostics, reports):
@@ -632,20 +627,10 @@ def _run_double(design, d, step, diagnostics, reports):
     rep, placement = check_double(qs, rs, g_alloc, policy)
     reports.append(rep)
     if not rep.holds:
-        raise IncoherenceError(
-            IncoherenceReport(
-                items=[
-                    IncoherenceItem(
-                        step=step.describe(),
-                        kind="double",
-                        node=w,
-                        sources=(intermediate, step.from_tier),
-                        norm=0.0,
-                        suggestion="redesign the randomization",
-                    )
-                    for w in rep.witnesses
-                ]
-            )
+        # one witness per from-tier source, in order; a placed one passes
+        failing = [(w, "") for r, w in zip(rs.elements, rep.witnesses) if r.label not in placement]
+        raise _failed(
+            step.describe(), "double", (intermediate, step.from_tier), failing, "redesign the randomization"
         )
 
     lifted = _lift_tier(design, step.from_tier, diagnostics)

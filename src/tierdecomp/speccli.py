@@ -902,9 +902,11 @@ def _cmd_decompose(args) -> int:
     data = render(table, fmt=args.format, ascii_only=args.ascii)
     if args.out:
         Path(args.out).write_bytes(data)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
+    else:  # a text stream, as when stdout is redirected in process
+        sys.stdout.write(data.decode("utf-8"))
     return 0
 
 

@@ -18,26 +18,29 @@ element Q (all idempotents on the unit space):
   P once every partly-confounded source is removed.
 
 Every element is held explicitly as a list of class-form terms, U = N_1
-A_1 + ... + N_k A_k, or implicitly as I - WW' on the whole space (see
+A_1 + ... + N_k A_k, or implicitly by its sides as VV' - WW', VV' being
+I on the whole space for the largest stratum of a structure (see
 ``projlin``), so all of this runs on C = U_P' U_Q (df_P x df_Q), formed on
 class coordinates, and never on n x n matrices or n-row bases: QPQ =
 lam*Q holds iff C'C = U_Q' P U_Q = lam*I.  A step's balance check forms,
 for each row P, the only balance products of the step: c = V'S
-(``projlin.side_cross``, one ``cross`` per basis V of P's side, U_P or
-the listed bases of an implicit P) against the structure's stacked
-explicit sources S, and G = S'PS, c'c or I - c'c, since S'S = I holds by
-the tier's count tables and the lift is an isometry.  Every C'C is read
-from G: an explicit source's is its diagonal block, and the implicit
-source I - SS' has the spectrum of I - G, padded with ones and zeros.  So
-is the merge test of a failed check.  The sweep's basis
-is P U_Q / sqrt(lam).  For an explicit P that is U_P C / sqrt(lam) on P's
-own terms.  For an implicit P it is U_Q minus each listed part's share
-W W'U_Q, the sweep by factor means of Wilkinson (1970): one term on Q's
-classes and one on each group of nested part classes that it fills, from
-contingency tables.  Its orthonormality is read from the step's balance
-result, since S'S - I = (C'C - lam*I)/lam.  The residual's basis is U_P
-times the complement of the sweeps' coordinates in R^df_P, or I - [W,
-sweeps][W, sweeps]' when P is implicit.  Each test uses a Frobenius norm of a small
+(``projlin.side_cross``, one ``cross`` per basis V of P's sides, U_P or
+the bases an implicit P is held by) against the structure's stacked
+explicit sources S, and G = S'PS, the sides' Grams with their signs
+(``projlin.side_gram``: c'c, I - c'c, or the plus side's less the
+parts'), since S'S = I holds by the tier's count tables and the lift is
+an isometry.  Every C'C is read from G: an explicit source's is its
+diagonal block, and the implicit source I - SS' has the spectrum of I -
+G, padded with ones and zeros.  So is the merge test of a failed check.
+The sweep's basis is P U_Q / sqrt(lam).  For P = I - WW' it is U_Q minus
+each listed part's share W W'U_Q, the sweep by factor means of Wilkinson
+(1970): one term on Q's classes and one on each group of nested part
+classes that it fills, from contingency tables.  For any other P it is
+the sum of sign * V C_V / sqrt(lam) over its sides, on their own terms,
+C read from the check.  Its orthonormality is read from the step's
+balance result, since S'S - I = (C'C - lam*I)/lam.  The residual is P's
+sides with the sweeps added to its listed parts: no basis is formed and
+nothing is complemented.  Each test uses a Frobenius norm of a small
 matrix, which bounds the largest entry of the n x n quantity it stands for.
 
 Refining every element of a decomposition this way yields the next, finer
@@ -64,11 +67,12 @@ from .projlin import (
     folded,
     gram_defect,
     mul,
-    orthocomplement,
     project,
     refines,
     shift_diagonal,
     side_cross,
+    side_gram as _row_gram,  # G = X'PX from c = V'X, X orthonormal
+    sides,
     snap_rational,
     span,
     spanned,
@@ -336,10 +340,11 @@ class BalanceResult:
     with identical images) or ``unbalanced``; unbalanced results carry the
     distinct nonzero eigenvalues of QPQ with multiplicities.
     ``residual_norm`` is ||C'C - lam*I||_F, C = U_P'U_Q, at the lam the
-    result reports (0 for an orthogonal pair).  A ``balanced`` pair of an
-    explicit P and an explicit Q from ``is_structure_balanced`` carries C
-    itself as ``c``, the block of the check's row product that ``sweep``
-    reads; it is neither compared nor printed.
+    result reports (0 for an orthogonal pair).  A ``balanced`` pair of a
+    P other than I - WW' and an explicit Q from ``is_structure_balanced``
+    carries the block c = V'U_Q of the check's row product, V the stacked
+    bases of P's sides, as ``c``, which ``sweep`` reads; it is neither
+    compared nor printed.
     """
 
     status: str
@@ -389,15 +394,6 @@ def efficiency(
     return _classify_held(p, q, absorbed, lambda: _row_gram(p, side_cross(p, q.parts)), policy)
 
 
-def _row_gram(p: Projector, c: np.ndarray) -> np.ndarray:
-    """G = X'PX from c = V'X (``side_cross``), X orthonormal: c'c for an
-    explicit P, and I - c'c for an implicit P = I - VV', since X'X = I."""
-    g = mul(c.T, c)
-    if p.implicit:
-        shift_diagonal(np.negative(g, out=g), 1.0)
-    return g
-
-
 def _classify_complement(p_label, p_df, q, gram, policy) -> BalanceResult:
     """``_classify`` for an implicit Q = I - SS' from G = S'PS, S the
     stacked bases of Q's listed parts, for P of ``p_df`` columns.
@@ -416,28 +412,28 @@ _ORTHOGONAL = BalanceResult(status="orthogonal", efficiency=EfficiencyValue(0.0,
 
 def _absorbed(p: Projector, filled: list) -> bool:
     """Whether an implicit Q = I - WW' annihilates every side term of P (the
-    terms of U_P, or of each listed basis of an implicit P); ``filled`` is
+    terms of each basis of ``sides(P)``); ``filled`` is
     ``projlin.folded(Q)[0]``.
 
     A term on classes that a filled group's classes C refine lies in
     span(N_C), which lies in span(W), so Q absorbs it.  A term on the
     identity partition is absorbed only by a group that fills the whole
     space."""
-    side = p.parts if p.implicit else (p,)
+    plus, minus = sides(p)
     return bool(filled) and all(
         any(refines(c.ids, cls.ids) for c in filled)
-        for v in side
+        for v in (plus or ()) + minus
         for cls, _ in v.terms
     )
 
 
 def _classify_held(p: Projector, q: Projector, absorbed: bool, gram, policy) -> BalanceResult:
-    """(P, Q) for an implicit Q = I - WW': an explicit P whose side terms Q
-    all absorbs (``_absorbed``) lies in span(W), so U_P'U_Q = 0 and it is
-    ``orthogonal`` at once, with no eigensolve trim; any other P goes to
-    ``_classify_complement`` with G = W'PW, which ``gram()`` returns only
-    then."""
-    if absorbed and not p.implicit:
+    """(P, Q) for an implicit Q = I - WW': a P other than I - VV' whose side
+    terms Q all absorbs (``_absorbed``) lies in span(W), so U_P'U_Q = 0 and
+    it is ``orthogonal`` at once, with no eigensolve trim; any other P goes
+    to ``_classify_complement`` with G = W'PW, which ``gram()`` returns
+    only then."""
+    if absorbed and sides(p)[0] is not None:
         return _ORTHOGONAL
     return _classify_complement(p.label, p.df, q, gram(), policy)
 
@@ -464,31 +460,50 @@ def sweep(
     """Projector onto Im(PQ), basis P U_Q / sqrt(lam), from the step's balance
     result ``res`` for (P, Q); defined when balance holds.
 
-    For an explicit P that is U_P C / sqrt(lam), held on P's terms, with C
-    read from ``res`` when the check formed it (an explicit Q).  For an
-    implicit P = I - WW' it is U_Q minus the listed parts' shares
-    (``_share``), a list of terms, so no n-row basis is formed.  Either way
-    it is not checked from a second Gram: S'S - I = (U_Q'PU_Q - lam*I)/lam,
-    whose norm is res.residual_norm/lam, and it is held to tol_idem.  When
-    Q is implicit too and lam = 1, Q lies inside P and the sweep is Q
+    For P = I - WW' it is U_Q minus the listed parts' shares (``_share``).
+    For any other P it is the sum over P's sides V (``sides``) of sign *
+    V C_V / sqrt(lam), C_V = V'U_Q, held on V's terms, with C read from
+    ``res`` when the check formed it (an explicit Q).  Either way it is a
+    list of terms, so no n-row basis is formed, and it is not checked from
+    a second Gram: S'S - I = (U_Q'PU_Q - lam*I)/lam, whose norm is
+    res.residual_norm/lam, and it is held to tol_idem.  When P = I - WW'
+    and Q is implicit too and lam = 1, Q lies inside P and the sweep is Q
     itself, still I minus its listed bases.
     """
     lam = res.lam
     if lam <= policy.tol_zero:
         raise ValueError(f"sweep of {p.label} by {q.label} needs a nonzero efficiency")
     label = label or f"{p.label} ▷ {q.label}"
-    if p.implicit and q.implicit and res.efficiency.is_one():
+    plus, minus = sides(p)
+    if plus is None and q.implicit and res.efficiency.is_one():
         return q.relabel(label)
     gap = res.residual_norm / lam
     if gap > policy.tol_idem:
         raise ProjectorError(f"{label}: basis is not orthonormal (gap {gap:.3e})")
     q = q.explicit()
-    if not p.implicit:
-        c = res.c if res.c is not None else cross(p, [q])
-        return spanned(p, c / np.sqrt(lam), label)
-    scale = 1.0 / np.sqrt(lam)
-    terms = [(c, a * scale) for c, a in q.terms] + [(c, a * -scale) for c, a in _share(p, q)]
-    return Projector.of_terms(terms, label)
+    if plus is None:
+        scale = 1.0 / np.sqrt(lam)
+        terms = [(c, a * scale) for c, a in q.terms] + [(c, a * -scale) for c, a in _share(p, q)]
+        return Projector.of_terms(terms, label)
+    c = res.c if res.c is not None else side_cross(p, [q])
+    return Projector.of_terms(_side_terms(p, c, np.sqrt(lam)), label)
+
+
+def _side_terms(p: Projector, c: np.ndarray, root: float = 1.0) -> list:
+    """The terms of the sum of sign * V C_V / ``root`` over P's sides V
+    (``sides``, -1 on a listed part), C_V the rows of ``c`` for V: for c =
+    V'X (``side_cross``) they sum to P X / root, less X / root when P = I
+    - WW'.  A part's C_V is negated in place, with no copy for the plus
+    side."""
+    plus, minus = sides(p)
+    side = (plus or ()) + minus
+    edges, terms = df_edges(side), []
+    for j, v in enumerate(side):
+        f = c[edges[j] : edges[j + 1]] / root
+        if j >= len(plus or ()):
+            np.negative(f, out=f)
+        terms += [(cls, mul(a, f)) for cls, a in v.terms]
+    return terms
 
 
 def residual(
@@ -497,79 +512,63 @@ def residual(
     policy: TolerancePolicy = DEFAULT_POLICY,
     label: str | None = None,
 ) -> Projector | None:
-    """P minus its sweeps against one structure; None when nothing is left.
+    """P minus its sweeps against one structure, held by P's sides: P's
+    plus side, and its listed parts with the sweeps S = [U_S1 ... U_Sm]
+    added (``projlin.sides``); None when nothing is left.  No basis is
+    formed and nothing is complemented.
 
-    With S = [U_S1 ... U_Sm] and K'K = S'PS, the sweeps are orthonormal and
-    inside P iff K'K = I.  K'K - I is held to tol_zero between two sweeps
-    (``check_pairs``, first, so that an overlap names its pair) and to
-    tol_idem as a whole, so the sweeps and the residual need no family
-    check afterwards.  An explicit P's residual has
-    basis U_P F, F the orthogonal complement of K = U_P'S in R^df_P from a
-    complete QR, held on P's terms; F is orthonormal, so U_P F needs no
-    check of its own (``Projector.of_terms``).  An implicit P = I - WW'
-    leaves I - [W, S][W, S]' with no QR; that is a projector when, besides,
-    W'S vanishes, which is held to tol_zero.  Both Grams are sums of
-    products on class coordinates; a filled group of W (``projlin.folded``)
-    enters W'S as N_C'S, with the same Gram and norm.
-    An implicit sweep Q of an implicit P (see ``sweep``) is taken out
-    first: P - Q is explicit (``_outside``), and the other sweeps are taken
-    from it as from any explicit node.
+    With K'K = S'PS, the sweeps are orthonormal and inside P iff K'K = I.
+    K'K - I is held to tol_zero between two sweeps (``check_pairs``, first,
+    so that an overlap names its pair) and to tol_idem as a whole, so the
+    sweeps and the residual need no family check afterwards.  K'K is the
+    Gram of K = V'S over the plus side V, or S'S for P = I - WW', minus
+    that of W'S; the residual is a projector when, besides, W'S vanishes,
+    which is held to tol_zero.  Both Grams are sums of products on class
+    coordinates; a filled group of W (``projlin.folded``) enters W'S as
+    N_C'S, with the same Gram and norm.
+
+    An implicit sweep Q = I - VV' of P = I - WW' (see ``sweep``) lies inside
+    it: P - Q = VV' - WW', so Q's listed bases become the plus side.  That
+    W lies inside span(V), E'E = I for E = V'W, is held to tol_idem.
     """
     label = label or f"{p.label} residual"
     if not swept:
         return p.relabel(label)
+    plus, minus = sides(p)
     held = [s for s in swept if s.implicit]  # at most one: a structure has one implicit source
-    if p.implicit and held:
-        p = _outside(p, held[0], label, policy)
-        swept = [s for s in swept if not s.implicit]
-        if not swept:
-            return p if p.df else None
-    if p.implicit:
-        filled, rest = folded(p)
+    if held:
+        gap = float(np.linalg.norm(gram_defect(side_cross(held[0], minus))))
+        if gap > policy.tol_idem:
+            raise ProjectorError(f"{label}: {held[0].label} leaves {p.label} (gap {gap:.3e})")
+        plus, swept = held[0].parts, [s for s in swept if not s.implicit]
+    if swept:
+        filled, rest = folded(p) if minus else ((), ())
         leak = [np.hstack([coords(s, c) for s in swept]) for c in filled]
         leak += [cross(w, swept) for w in rest]
         leak = np.vstack(leak) if leak else np.zeros((0, sum(s.df for s in swept)))
-        defect = shift_diagonal(family_gram(swept) - mul(leak.T, leak), -1.0)
-    else:
-        k = cross(p, swept)
-        defect = gram_defect(k)
-    # the pairs first, so that an overlap names its two sweeps; with the
-    # checks on each sweep and the residual, this is all refine checks
-    try:
-        check_pairs(defect, swept, policy, what="sweeps")
-    except ValueError as exc:
-        raise ProjectorError(f"{label}: {exc}") from None
-    gap = float(np.linalg.norm(defect))
-    # also caps the sweeps' df at df_P: a K wider than tall has gap >= 1
-    if gap > policy.tol_idem:
-        raise ProjectorError(f"{label}: not idempotent (sweep gap {gap:.3e})")
-    if p.implicit:
+        if plus is None:
+            gram = family_gram(swept)
+        else:
+            k = family_gram(plus, swept)
+            gram = mul(k.T, k)
+        if leak.shape[0]:
+            gram -= mul(leak.T, leak)
+        defect = shift_diagonal(gram, -1.0)
+        # the pairs first, so that an overlap names its two sweeps; with the
+        # checks on each sweep and the residual, this is all refine checks
+        try:
+            check_pairs(defect, swept, policy, what="sweeps")
+        except ValueError as exc:
+            raise ProjectorError(f"{label}: {exc}") from None
+        gap = float(np.linalg.norm(defect))
+        # also caps the sweeps' df at df_P: a K wider than tall has gap >= 1
+        if gap > policy.tol_idem:
+            raise ProjectorError(f"{label}: not idempotent (sweep gap {gap:.3e})")
         outside = float(np.linalg.norm(leak))
         if outside > policy.tol_zero:
             raise ProjectorError(f"{label}: sweeps leave {p.label} (norm {outside:.3e})")
-    if sum(s.df for s in swept) == p.df:
-        return None
-    if p.implicit:
-        return Projector.complement_of(list(p.parts) + list(swept), label)
-    return spanned(p, orthocomplement(k), label)
-
-
-def _outside(p: Projector, q: Projector, label: str, policy: TolerancePolicy) -> Projector:
-    """P - Q = VV' - WW' for an implicit P = I - WW' and an implicit Q =
-    I - VV' inside it, explicit: V times the complement of E = V'W in R^b,
-    b the columns of V, held on the terms of V's listed bases.  E'E = I
-    says that W lies inside span(V), that is Q inside P; it is held to
-    tol_idem.  The complement F is orthonormal and V was checked with its
-    structure, so V F needs no check of its own (``Projector.of_terms``)."""
-    v = q.parts
-    e = side_cross(q, p.parts)
-    gap = float(np.linalg.norm(gram_defect(e)))
-    if gap > policy.tol_idem:
-        raise ProjectorError(f"{label}: {q.label} leaves {p.label} (gap {gap:.3e})")
-    f = orthocomplement(e)
-    edges = df_edges(v)
-    terms = [(c, mul(a, f[lo:hi])) for x, lo, hi in zip(v, edges, edges[1:]) for c, a in x.terms]
-    return Projector.of_terms(terms, label)
+    rem = Projector(label=label, _n=p.n, _parts=minus + tuple(swept), _plus=plus)
+    return rem if rem.df else None
 
 
 # --- structure balance of a whole family -------------------------------------
@@ -674,30 +673,32 @@ def is_structure_balanced(
     EfficiencyMatrix on success, a ViolationReport on failure.
 
     For each row P the check forms its row products once: c = V'S, one
-    ``cross`` per side basis V (U_P, or each listed basis of an implicit P),
-    S = [U_Q1 ... U_Qk] the stacked explicit sources, and G = S'PS, which is
-    c'c for an explicit P and I - c'c for an implicit one (``_row_gram``;
-    S'S = I holds by the tier's count tables and the lift is an
-    isometry).  G's diagonal blocks are the per-source C_i'C_i of the
-    first-order test, the others the C_a'C_b of the distinctness test.  An
-    implicit source Q = I - WW' takes its first-order test from G as well,
-    as I - G (``_classify_complement``), and its distinctness blocks from
-    the norms of Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W
-    must list every other source of ``s``, in order, as it does in every structure
+    ``cross`` per side basis V (U_P, or each basis an implicit P is held
+    by, ``projlin.sides``), S = [U_Q1 ... U_Qk] the stacked explicit
+    sources, and G = S'PS, the sides' c'c with their signs, plus I for P
+    = I - WW' (``_row_gram``, which is ``projlin.side_gram``; S'S = I
+    holds by the tier's count tables and the lift is an isometry).  G's
+    diagonal blocks are the per-source C_i'C_i of the first-order test,
+    the others the C_a'C_b of the distinctness test.  An implicit source Q
+    = I - WW' takes its first-order test from G as well, as I - G
+    (``_classify_complement``), and its distinctness blocks from the norms
+    of Q P S, since U_Q'PU_Qa has the norm of Q P U_Qa.  Its W must list
+    every other source of ``s``, in order, as it does in every structure
     ``source_projectors`` and ``lift`` make; any other implicit source
     raises ValueError.  A failed check keeps each row's G for the merge test
-    (``ViolationReport.balance_of_pooled``).  A balanced pair of an explicit
-    row and an explicit source carries its block of c, C = U_P'U_Q, on its
+    (``ViolationReport.balance_of_pooled``).  A balanced pair of a row
+    other than I - WW' and an explicit source carries its block of c on its
     BalanceResult, so that ``sweep`` forms it no second time.
 
     Side terms a filled group of Q absorbs: a term of P's side on classes
     that the classes C of one of W's filled groups (``projlin.folded``,
     found once per column) refine lies in span(N_C), inside span(W), so Q
     annihilates it (``_absorbed``, once per row and column).  When every
-    term of a row is absorbed, an explicit row is ``orthogonal`` at once,
-    since U_P'U_Q = 0, with no ``_classify_complement`` and no eigensolve
-    trim (``_classify_held``, which ``efficiency`` also calls), and the
-    norms of Q P S read 0 with nothing formed on the rows (``_meet_norms``).
+    term of a row is absorbed, a row other than I - VV' is ``orthogonal``
+    at once, since U_P'U_Q = 0, with no ``_classify_complement`` and no
+    eigensolve trim (``_classify_held``, which ``efficiency`` also calls),
+    and the norms of Q P S read 0 with nothing formed on the rows
+    (``_meet_norms``).
     A row with any term left unabsorbed takes the whole path.
     """
     rows = _elements_of(against)
@@ -719,6 +720,7 @@ def is_structure_balanced(
     results = {}
     grams = {}  # kept for the report only; dropped when the check passes
     for p in rows:
+        keep = sides(p)[0] is not None  # a row that ``sweep`` takes C of
         c = side_cross(p, stacked, crossed)
         grams[p.label] = gram_ = _row_gram(p, c)
         norms = np.zeros((len(cols), len(cols)))
@@ -728,7 +730,7 @@ def is_structure_balanced(
         for i in plain:
             cut = cuts[cols[i].label]
             res = _classify(p.label, p.df, cols[i], gram_[cut, cut], policy)
-            res_of[i] = replace(res, c=c[:, cut]) if res.status == "balanced" and not p.implicit else res
+            res_of[i] = replace(res, c=c[:, cut]) if res.status == "balanced" and keep else res
         for i in held:
             absorbed = _absorbed(p, filled[i])
             res_of[i] = _classify_held(p, cols[i], absorbed, lambda: gram_, policy)
@@ -796,16 +798,17 @@ def _meet_norms(
 ) -> np.ndarray:
     """||Q P U_x||_F for each explicit x in ``xs``, where Q = I - WW' lists
     exactly ``xs``; with X = [U_x1 ... U_xk], ``xs_p_xs`` is X'PX and ``c``
-    is V'X for P's side V (U_P, or the listed bases of an implicit P).
+    is V'X for P's sides V (``side_cross``).
 
-    QPX = PX - W(W'PX) is formed on the rows, W'PX being ``xs_p_xs``; for an
-    implicit P = I - VV' it is -QV(V'X), since QX = 0, so no basis of X is
-    formed.  Only the columns of an x whose bound on the norm, ||V'U_x||_F,
-    passes ``tol`` are formed; the others read 0, being within ``tol`` of it.
+    QPX = PX - W(W'PX) is formed on the rows, PX from the sides' terms
+    (``_side_terms``) and W'PX being ``xs_p_xs``; for P = I - VV' it is
+    -QV(V'X), since QX = 0, so no basis of X is formed.  Only the columns
+    of an x whose bound on the norm, ||V'U_x||_F, passes ``tol`` are
+    formed; the others read 0, being within ``tol`` of it.
 
     When Q absorbs every side term of P (``absorbed``, see ``_absorbed``),
-    QP = 0 for an explicit P and QP = Q for an implicit one, so QPX = 0:
-    every norm reads 0 and nothing is formed on the rows.
+    QP = 0, or QP = Q for P = I - VV', so QPX = 0: every norm reads 0 and
+    nothing is formed on the rows.
     """
     norms = np.zeros(len(xs))
     if absorbed:
@@ -815,12 +818,9 @@ def _meet_norms(
     if keep.size == 0:
         return norms
     cols = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in keep])
-    if p.implicit:
-        starts = df_edges(p.parts)
-        y = -sum(span(v, c[starts[j] : starts[j + 1], cols]) for j, v in enumerate(p.parts))
-        wy = -mul(c.T, c[:, cols])
-    else:
-        y, wy = span(p, c[:, cols]), xs_p_xs[:, cols]
+    y = [cls.up(a) for cls, a in _side_terms(p, c[:, cols])]
+    y = sum(y[1:], y[0])
+    wy = -mul(c.T, c[:, cols]) if sides(p)[0] is None else xs_p_xs[:, cols]
     for x, a, b in zip(q.parts, edges[:-1], edges[1:]):
         y = y - span(x, wy[a:b])
     norms[keep] = _col_block_norms(y, df_edges([xs[i] for i in keep]))
@@ -947,16 +947,7 @@ class Decomposition:
 
     @classmethod
     def from_structure(cls, s: Structure, tier: str) -> "Decomposition":
-        nodes = [
-            DecompNode(
-                projector=p,
-                origin_tier=tier,
-                origin_source=p.label,
-                origin_df=p.df,
-                lineage=(),
-            )
-            for p in s.elements
-        ]
+        nodes = [DecompNode(p, origin_tier=tier, origin_source=p.label, origin_df=p.df) for p in s.elements]
         return cls(nodes=nodes, n=s.n, label=f"{tier} structure")
 
 
@@ -985,10 +976,11 @@ def refine(
     checked where it is made.  Every sweep is checked orthonormal from its
     balance result (``sweep``).  ``residual`` proves the sweeps of one node
     orthonormal, inside it and mutually orthogonal, and the residual is
-    their exact complement there.  Children of different nodes are U_P A
-    with ||A||_2 = 1, so they inherit their parents' orthogonality to first
-    order, and a residual U_P F with orthonormal F its parent's
-    orthonormality.  The df sum and the single Mean hold by construction.
+    their exact complement there, held as its node's sides minus the
+    sweeps.  Children of different nodes lie inside their parents, so they
+    inherit their parents' orthogonality to first order.  The df sum and
+    the single Mean hold by construction.  Every child is its node with a
+    new projector and one more lineage entry.
     """
     tier = tier or s.space_label or "tier"
     new_nodes = []
@@ -1009,24 +1001,10 @@ def refine(
                 child_proj = sweep(p, q, res, policy, label=f"{p.label} ▷ {q.label}")
                 # C is read once: not held while the residual is formed
                 balance.results[(p.label, q.label)] = replace(res, c=None)
-            cells = None
-            if cells_for and q.label in cells_for:
-                cells = tuple(
-                    (cell_tier, cell_label, child_proj.df)
-                    for cell_tier, cell_label in cells_for[q.label]
-                )
-            if cells is None:
-                cells = ((tier, q.label, child_proj.df),)
+            homes = (cells_for or {}).get(q.label, ((tier, q.label),))
+            cells = tuple((cell_tier, cell_label, child_proj.df) for cell_tier, cell_label in homes)
             entry = LineageEntry(op="sweep", cells=cells, efficiency=res.efficiency)
-            swept_children.append(
-                DecompNode(
-                    projector=child_proj,
-                    origin_tier=node.origin_tier,
-                    origin_source=node.origin_source,
-                    origin_df=node.origin_df,
-                    lineage=node.lineage + (entry,),
-                )
-            )
+            swept_children.append(replace(node, projector=child_proj, lineage=node.lineage + (entry,)))
         if not swept_children:
             new_nodes.append(node)
             continue
@@ -1040,18 +1018,8 @@ def refine(
             label=f"{p.label} ⊢ {tier}",
         )
         if rem is not None:
-            entry = LineageEntry(
-                op="residual", cells=((tier, "Residual", rem.df),), efficiency=None
-            )
-            new_nodes.append(
-                DecompNode(
-                    projector=rem,
-                    origin_tier=node.origin_tier,
-                    origin_source=node.origin_source,
-                    origin_df=node.origin_df,
-                    lineage=node.lineage + (entry,),
-                )
-            )
+            entry = LineageEntry(op="residual", cells=((tier, "Residual", rem.df),))
+            new_nodes.append(replace(node, projector=rem, lineage=node.lineage + (entry,)))
 
     return Decomposition(nodes=new_nodes, n=d.n, label=d.label)
 
@@ -1097,18 +1065,8 @@ def joint(b, c, policy: TolerancePolicy = DEFAULT_POLICY) -> Decomposition:
             if shared == 0:
                 continue
             proj = spanned(pb, y[:, :shared], f"{nb.label} ⊓ {nc.label}")
-            extra = tuple(
-                e for e in nc.lineage if e not in nb.lineage
-            )
-            nodes.append(
-                DecompNode(
-                    projector=proj,
-                    origin_tier=nb.origin_tier,
-                    origin_source=nb.origin_source,
-                    origin_df=nb.origin_df,
-                    lineage=nb.lineage + extra,
-                )
-            )
+            extra = tuple(e for e in nc.lineage if e not in nb.lineage)
+            nodes.append(replace(nb, projector=proj, lineage=nb.lineage + extra))
     out = Decomposition(nodes=nodes, n=n, label="joint")
     # the products BC come from SVDs of node pairs: nothing else checks them as a family
     out.validate(policy)

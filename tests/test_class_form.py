@@ -3,6 +3,7 @@ products on materialized dense bases, and every shipped design built in
 class form against a build that holds every basis dense
 (``conftest.hold_dense``)."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -19,6 +20,7 @@ from tierdecomp import (
     lift,
     load_design,
     render,
+    residual,
 )
 from tierdecomp import projlin
 from tierdecomp.projlin import Classes, Projector, bilinear_of, cross, orthocomplement, project, span
@@ -127,20 +129,29 @@ def orthonormalized(terms):
     return [(c, a @ inv) for c, a in terms]
 
 
-KINDS = ["one term", "crossed", "nested", "dense", "implicit"]
+COMPOSITE = ["explicit minus sweeps", "implicit minus implicit"]
+KINDS = ["one term", "crossed", "nested", "dense", "implicit"] + COMPOSITE
+
+
+def orthonormal(rng, n, k):
+    return np.linalg.qr(rng.normal(size=(n, k)))[0]
 
 
 @st.composite
 def class_form_projectors(draw, kind):
-    """A random ``kind`` of explicit or implicit projector on r x c cells of k rows
-    each, listed in a random order.
+    """A random ``kind`` of projector on r x c cells of k rows each, listed
+    in a random order.
 
     Explicit: one term, two terms on crossed or on nested classes, or a
     dense basis.  Implicit: I minus the Mean and row contrasts, which fill
     the row classes, a two-term part on columns and cells orthogonal to
-    them and, for some k > 1, a dense part within the cells."""
+    them and, for some k > 1, a dense part within the cells.  Composite,
+    as ``residual`` makes them: a nested explicit P minus one or two
+    sweeps inside it; or such an implicit P minus the implicit Q = P -
+    XX', X a dense part within the cells, and sometimes minus a sweep
+    inside X too, which leaves XX' less that sweep."""
     r, c = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-    k = draw(st.integers(1, 16))
+    k = draw(st.integers(2 if kind == "implicit minus implicit" else 1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = r * c * k
     cell = (np.arange(n) // k)[rng.permutation(n)]
@@ -151,8 +162,15 @@ def class_form_projectors(draw, kind):
         return Projector.of_terms([(home, a)], kind)
     if kind == "crossed":
         return Projector.of_terms(orthonormalized(random_terms(rng, [rows, cols], draw(st.integers(1, r + c - 2)))), kind)
-    if kind == "nested":
-        return Projector.of_terms(orthonormalized(random_terms(rng, [rows, cells], draw(st.integers(1, r * c - 1)))), kind)
+    if kind in ("nested", "explicit minus sweeps"):
+        df = draw(st.integers(2 if kind != "nested" else 1, r * c - 1))
+        p = Projector.of_terms(orthonormalized(random_terms(rng, [rows, cells], df)), kind)
+        if kind == "nested":
+            return p
+        f = orthonormal(rng, df, draw(st.integers(1, df - 1)))
+        cut = draw(st.integers(1, f.shape[1]))
+        sweeps = [projlin.spanned(p, f[:, :cut], "S1"), projlin.spanned(p, f[:, cut:], "S2")]
+        return residual(p, [q for q in sweeps if q.df], label=kind)
     if kind == "dense":
         return Projector.from_basis(np.linalg.qr(rng.normal(size=(n, draw(st.integers(1, n)))))[0], kind)
     mean = Projector.of_terms([(Classes(np.zeros(n, dtype=np.intp)), np.ones((1, 1)))], "Mean")
@@ -163,10 +181,25 @@ def class_form_projectors(draw, kind):
     share = rows.down(sum(cl.up(a) for cl, a in terms))
     terms[1] = (cells, terms[1][1] - cells.table(rows) @ share)
     parts.append(Projector.of_terms(orthonormalized(terms), "Columns"))
-    if k > 1 and draw(st.booleans()):
+    if k > 1 and (kind != "implicit" or draw(st.booleans())):
         x = rng.normal(size=(n, draw(st.integers(1, n - r * c))))
         parts.append(Projector.from_basis(np.linalg.qr(x - cells.up(cells.down(x)))[0], "Within"))
-    return Projector.complement_of(parts, kind)
+    if kind == "implicit":
+        return Projector.complement_of(parts, kind)
+    *parts, within = parts
+    p, q = Projector.complement_of(parts, "P"), Projector.complement_of(parts + [within], "Q")
+    f = orthonormal(rng, within.df, draw(st.integers(0, within.df - 1)))
+    sweeps = [projlin.spanned(within, f, "S")] if f.shape[1] else []
+    return residual(p, [q] + sweeps, label=kind)
+
+
+def dense_reference(p):
+    """P as an n x n matrix from the bases of its sides, each spanned on the
+    rows: sum of +UU' over the plus side (I for I - WW'), minus the listed
+    parts' WW'."""
+    plus, minus = projlin.sides(p)
+    out = np.eye(p.n) if plus is None else sum(span(v) @ span(v).T for v in plus)
+    return out - sum((span(w) @ span(w).T for w in minus), np.zeros((p.n, p.n)))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -174,20 +207,41 @@ def class_form_projectors(draw, kind):
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 def test_matrix_matches_its_dense_reference(kind, data):
     p = data.draw(class_form_projectors(kind))
-    if p.implicit:
-        w = np.hstack([span(q) for q in p.parts])
-        want = np.eye(p.n) - w @ w.T
-    else:
-        u = span(p)
-        want = u @ u.T
+    assert p.implicit == (kind in ["implicit"] + COMPOSITE)
+    want = dense_reference(p)
     m = p.matrix
     assert np.max(np.abs(m - want)) <= 1e-13
     assert m is p.matrix and not m.flags.writeable
     if p.implicit:
-        # with its parts' matrices formed first, the same bytes
-        for q in p.parts:
+        # with its sides' matrices formed first, the same bytes
+        for q in (projlin.sides(p)[0] or ()) + projlin.sides(p)[1]:
             q.matrix
-        assert np.array_equal(Projector.complement_of(list(p.parts), p.label).matrix, m)
+        assert np.array_equal(dataclasses.replace(p, _matrix=None).matrix, m)
+
+
+@pytest.mark.parametrize("kind", COMPOSITE)
+@given(data=st.data())
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+def test_a_residual_applies_as_its_dense_reference(kind, data):
+    # a residual held by its sides: P X, X'PY and its explicit basis
+    p = data.draw(class_form_projectors(kind))
+    plus, minus = projlin.sides(p)
+    assert plus is not None and p.df >= 1
+    want = dense_reference(p)
+    rng = np.random.default_rng(p.n)
+    x = rng.normal(size=(p.n, 3))
+    assert np.allclose(project(p, x), want @ x, rtol=0, atol=1e-13)
+    a = Projector.from_basis(orthonormal(rng, p.n, 2), "a")
+    b = Projector.from_basis(orthonormal(rng, p.n, 3), "b")
+    xs = [a, *plus, *minus]  # dense, and class-form bases that P's sides share
+    stacked = np.hstack([span(q) for q in xs])
+    assert np.allclose(bilinear_of(xs, p), stacked.T @ want @ stacked, rtol=0, atol=1e-12)
+    assert np.allclose(bilinear_of(xs, p, [b]), stacked.T @ want @ span(b), rtol=0, atol=1e-12)
+    e = p.explicit()
+    assert not e.implicit and e.df == p.df and e is p.explicit()
+    u = span(e)
+    assert np.allclose(u.T @ u, np.eye(p.df), rtol=0, atol=1e-12)
+    assert np.allclose(u @ u.T, want, rtol=0, atol=1e-12)
 
 
 def test_matrix_gathers_rows_from_class_form_cores(monkeypatch, tmp_path):

@@ -38,7 +38,7 @@ from tierdecomp.projlin import ProjectorError, bilinear_of, project
 
 import gen
 from checks import compare_json, lattice_table
-from conftest import basis_of, block_designs, hold_dense, spec_path, write_block_design
+from conftest import ALL_SPECS, basis_of, block_designs, hold_dense, spec_path, write_block_design
 
 
 def orthonormal(rng, n, k):
@@ -237,6 +237,38 @@ def test_build_never_materializes_a_unit_space_basis(monkeypatch, tmp_path):
     units["n"] = design.n
     report = diagnose_incoherence(design)
     assert report and report.items[0].kind == "first-order"
+
+
+def test_refine_takes_no_complete_qr(monkeypatch, tmp_path):
+    # a residual is its node's sides minus its sweeps: no ``orthocomplement``
+    # runs inside ``refine`` on the shipped designs, a k = 5 lattice and an
+    # RCBD with n = 4096 (the tier sources and ``explicit()`` outside it may)
+    inside, calls, refined = [], [], []
+    original_refine, original_complement = randomize.refine, projlin.orthocomplement
+
+    def refine(*args, **kwargs):
+        inside.append(True)
+        refined.append(None)
+        try:
+            return original_refine(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def complement(x):
+        assert not inside, f"complete QR of a {x.shape[0]} x {x.shape[1]} block inside refine"
+        calls.append(x.shape)
+        return original_complement(x)
+
+    monkeypatch.setattr(randomize, "refine", refine)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tierdecomp" and getattr(module, "orthocomplement", None) is original_complement:
+            monkeypatch.setattr(module, "orthocomplement", complement)
+    specs = [spec_path(name) for name in ALL_SPECS]
+    specs += [gen.write("lattice", 5, 1, tmp_path / "lattice"), gen.write("rcbd", 4096, 1, tmp_path / "rcbd")]
+    for spec in specs:
+        diagnose_incoherence(load_design(spec))
+    # the patches reached the tier sources' complements and every refinement
+    assert calls and len(refined) > len(specs)
 
 
 def test_sweep_by_an_implicit_source_inside_the_node_stays_implicit(monkeypatch):

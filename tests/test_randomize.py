@@ -1,6 +1,7 @@
 """The build loop: step plumbing, pair conditions, and incoherence reporting."""
 
 import dataclasses
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import gen
-from conftest import ALL_SPECS, COHERENT, block_designs, spec_path, write_block_design
+from conftest import ALL_SPECS, COHERENT, DESIGNS, block_designs, spec_path, write_block_design
 from tierdecomp import (
     STEP_KINDS,
     AllocationMap,
@@ -154,6 +155,107 @@ class TestIncoherence:
         assert report.items == []
 
 
+def nested_paddocks_grazing(dest):
+    """grazing with its paddocks tier declared Fields/Paddocks, 3 x 4: row i
+    of the paddocks table, in file order, gets field f{i % 3 + 1} and paddock
+    q{i // 3 + 1}, and the units table's paddocks are relabelled to match.
+    The collapse fails for Availability and Availability#Rotations."""
+    spec = DESIGNS / "grazing.spec"
+    text = spec.read_text().replace(
+        "  factor Paddocks 12\n  formula Paddocks\n",
+        "  factor Fields 3\n  factor Paddocks 4\n  formula Fields/Paddocks\n",
+    )
+    (dest / "grazing.spec").write_text(text)
+    head, *rows = (DESIGNS / "grazing_paddocks.csv").read_text().splitlines()
+    j = head.split(",").index("Paddocks")
+    relabel, lines = {}, [f"Fields,{head}"]
+    for i, row in enumerate(r.split(",") for r in rows):
+        relabel[row[j]] = row[j] = f"q{i // 3 + 1}"
+        lines.append(f"f{i % 3 + 1}," + ",".join(row))
+    (dest / "grazing_paddocks.csv").write_text("\n".join(lines) + "\n")
+    head, *rows = (DESIGNS / "grazing.csv").read_text().splitlines()
+    k = head.split(",").index("Paddocks")
+    lines = [head]
+    for row in (r.split(",") for r in rows):
+        row[k] = relabel[row[k]]
+        lines.append(",".join(row))
+    (dest / "grazing.csv").write_text("\n".join(lines) + "\n")
+    return dest / "grazing.spec"
+
+
+def fertilizers_from_rootstocks(dest):
+    """ex2 with Fertilizers set from Rootstocks, f1 for r1 and r2 and f2
+    otherwise: the two randomizations are not independent."""
+    shutil.copy(DESIGNS / "ex2.spec", dest)
+    head, *rows = (DESIGNS / "ex2.csv").read_text().splitlines()
+    r, f = head.split(",").index("Rootstocks"), head.split(",").index("Fertilizers")
+    lines = [head]
+    for row in (line.split(",") for line in rows):
+        row[f] = "f1" if row[r] in ("r1", "r2") else "f2"
+        lines.append(",".join(row))
+    (dest / "ex2.csv").write_text("\n".join(lines) + "\n")
+    return dest / "ex2.spec"
+
+
+def crossed_coincident_pair(dest):
+    """A coincident pair on units Blocks/Plots, 2 x 4, with A = 1, 1, 2, 2
+    and B = 1, 2, 1, 2 in each block: Plots[Blocks] meets both A and B."""
+    lines = [
+        "design coin",
+        "units plots",
+        "tier plots",
+        "  factor Blocks 2",
+        "  factor Plots 4",
+        "  formula Blocks/Plots",
+        "tier a",
+        "  factor A 2",
+        "  formula A",
+        "tier b",
+        "  factor B 2",
+        "  formula B",
+        "randomize a -> plots type coincident",
+        "randomize b -> plots type coincident",
+        "allocation csv coin.csv",
+    ]
+    (dest / "coin.spec").write_text("\n".join(lines) + "\n")
+    cells = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    rows = [f"k{k},p{p},a{a},b{b}" for k in (1, 2) for p, (a, b) in enumerate(cells, 1)]
+    (dest / "coin.csv").write_text("\n".join(["Blocks,Plots,A,B"] + rows) + "\n")
+    return dest / "coin.spec"
+
+
+PAIR_FAILURES = {
+    "double": (
+        nested_paddocks_grazing,
+        "step treatments -> cows,paddocks (double): Availability does not sit inside a single "
+        "intermediate source (candidates: none) vs paddocks & treatments [double]; suggestion: "
+        "redesign the randomization\n"
+        "  step treatments -> cows,paddocks (double): Availability#Rotations does not sit inside "
+        "a single intermediate source (candidates: none) vs paddocks & treatments [double]; "
+        "suggestion: redesign the randomization",
+    ),
+    "independent": (
+        fertilizers_from_rootstocks,
+        "step rootstocks -> trees (independent): Plots[Blocks] vs rootstocks & fertilizers "
+        "[adjusted-orthogonality]; destroys part of the trees decomposition; suggestion: the two "
+        "randomizations are not independent",
+    ),
+    "coincident": (
+        crossed_coincident_pair,
+        "step a -> plots (coincident) + b -> plots (coincident): Plots[Blocks] meets A and B but "
+        "neither sweep returns it whole vs a & b [coincident]; suggestion: redesign the randomization",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_FAILURES))
+def test_a_failed_pair_condition_reports_only_its_failing_nodes(tmp_path, capsys, kind):
+    make, items = PAIR_FAILURES[kind]
+    assert cli_main(["decompose", str(make(tmp_path))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"randomizations are incoherent:\n  {items}\n"
+
+
 def incoherent_spec(name, dest):
     """The shipped ``uneven`` bundle, or the benchmark's cyclic design (v = 96)."""
     return spec_path(name) if name == "uneven" else gen.write("cyclic", 96, 1, dest)
@@ -232,8 +334,8 @@ def test_each_step_checks_balance_once_and_refines_from_that_check(monkeypatch, 
 
 def test_no_child_basis_is_grammed_again(monkeypatch, tmp_path):
     # a sweep is checked from its step's balance result, the sweeps of one
-    # node together in ``residual``, and a residual U_P F (F orthonormal)
-    # inherits its parent's check: no U'U of a sweep or a residual is
+    # node together in ``residual``, and a residual is held by its node's
+    # sides, each checked already: no U'U of a sweep or a residual is
     # formed, but for the sweeps' own Gram, which ``residual`` holds to I
     # with ``family_gram``
     original, original_family = projlin.cross, structure.family_gram

@@ -1,6 +1,8 @@
 """Spec parsing, design assembly from CSV tables, and the command line."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -13,7 +15,7 @@ import pytest
 from tierdecomp import SpecError, cli_main, load_design, parse_spec, randomize, render_spec
 from tierdecomp.speccli import Design, load_table
 
-from conftest import ALL_SPECS, spec_path
+from conftest import ALL_SPECS, ROOT, spec_path
 
 BASE = """design demo
 units field
@@ -295,6 +297,14 @@ class TestCliExitCodes:
         assert cli_main(["decompose", str(spec_path("cherry")), "--format", "csv", "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text().startswith("block_source,")
+
+    def test_decompose_to_a_text_stream(self):
+        # stdout redirected in process to a stream that has no bytes buffer
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["decompose", str(spec_path("cherry"))]) == 0
+        want = (ROOT / "perfbench" / "expected" / "cherry.txt").read_text(encoding="utf-8")
+        assert out.getvalue() == want
 
     def test_decompose_ascii(self, capsys):
         assert cli_main(["decompose", str(spec_path("semilatin")), "--ascii"]) == 0
